@@ -55,7 +55,6 @@ from .serialize import (
     suppression_to_obj,
     vector_to_obj,
     vectors_from_obj,
-    vectors_to_obj,
     write_json,
     canonical_json,
 )
@@ -84,10 +83,16 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _load_vectors(path: str) -> tuple[list[np.ndarray], str]:
-    raw = Path(path).read_text(encoding="utf-8")
-    vectors = vectors_from_obj(json.loads(raw))
-    return vectors, sha256_hex(canonical_json(vectors_to_obj(vectors)))
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _load_vectors(path: str) -> tuple[np.ndarray, str]:
+    vectors = vectors_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    return vectors, digest_vectors(vectors)
 
 
 def cmd_params(args, argv) -> int:
@@ -180,11 +185,10 @@ def _resolve_basis(args, stage, root_seed: int):
     """Returns (matrix, basis_record, digest) for --basis FILE|random."""
     if args.basis == "random":
         basis_seed = derive_seed(root_seed, "basis")
-        basis = np.stack(random_orthonormal_basis(stage.dim, basis_seed))
+        basis = random_orthonormal_basis(stage.dim, basis_seed)
         record = {"kind": "random", "seed": basis_seed, "n": stage.dim}
         return basis, record, digest_vectors(basis)
-    vectors, digest = _load_vectors(args.basis)
-    basis = np.stack(vectors)
+    basis, digest = _load_vectors(args.basis)
     return basis, {"kind": "file", "digest": digest}, digest
 
 
@@ -234,13 +238,12 @@ def cmd_family_verify(args, argv) -> int:
     basis_record = obj.get("basis", {})
     try:
         if basis_record.get("kind") == "random":
-            basis = np.stack(random_orthonormal_basis(int(basis_record["n"]), int(basis_record["seed"])))
+            basis = random_orthonormal_basis(int(basis_record["n"]), int(basis_record["seed"]))
+            basis_digest = digest_vectors(basis)
         elif args.basis is not None:
-            vectors, _ = _load_vectors(args.basis)
-            basis = np.stack(vectors)
+            basis, basis_digest = _load_vectors(args.basis)
         else:
             return _fail("family was built from a basis file; pass it with --basis", EXIT_INPUT)
-        basis_digest = digest_vectors(basis)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     stored = obj.get("certificate", {})
@@ -310,7 +313,7 @@ def cmd_demo(args, argv) -> int:
     z = fam_rng.standard_normal((1000, 128)) + 1j * fam_rng.standard_normal((1000, 128))
     vectors = z / np.linalg.norm(z, axis=1, keepdims=True)
     search_seed = derive_seed(root, "demo", "incline", "search")
-    cert = find_inclined_vector(list(vectors), 0.9, 10_000, search_seed)
+    cert = find_inclined_vector(vectors, 0.9, 10_000, search_seed)
     incline_payload = {
         "manifest": _manifest("demo", argv, root, {}),
         "certificate": {**inclination_to_obj(cert), "status": "ok"},
@@ -322,7 +325,7 @@ def cmd_demo(args, argv) -> int:
     # Toy stage, shared random basis, all eight depth-3 branches.
     stage = toy_stage([4, 4, 2])
     basis_seed = derive_seed(root, "demo", "basis")
-    basis = np.stack(random_orthonormal_basis(stage.dim, basis_seed))
+    basis = random_orthonormal_basis(stage.dim, basis_seed)
     basis_digest = digest_vectors(basis)
     build_seed = derive_seed(root, "demo", "family")
     rho = 0.9
@@ -391,16 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("incline", help="search for an inclined unit vector")
     p.add_argument("input", help="JSON array of vectors")
     p.add_argument("--bound", type=float, required=True)
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker-count hint; outputs never depend on it")
 
     p = sub.add_parser("cover", help="search for a point missed by a candidate net")
     p.add_argument("input", help="JSON array of vectors (net points)")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
@@ -412,11 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branch", required=True, help="binary branch string")
     p.add_argument("--basis", required=True, help="basis JSON file, or 'random'")
     p.add_argument("--rho", type=float, default=0.9, help="target squared leakage ratio")
-    p.add_argument("--budget", type=int, default=10_000)
+    p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker-count hint; outputs never depend on it")
 
     p = fam_sub.add_parser("verify")
     p.add_argument("family", help="family JSON file")
@@ -430,8 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="chained end-to-end run with one root seed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", type=str, default="demo_out")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker-count hint; outputs never depend on it")
 
     return parser
 

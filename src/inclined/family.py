@@ -43,7 +43,7 @@ import numpy as np
 from .hilbert import as_vector
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
-from .tensor_index import TensorIndexSpace
+from .tensor_index import TensorIndexSpace, blocks_matrix
 from .tensor_projection import AxisProjectionSpec, ProductProjectionSpec, apply_axis, joint_fixed_vector
 
 MIN_PAPER_ALPHABET = 2 ** 7
@@ -170,20 +170,21 @@ def paper_stage(alphabet_sizes: Sequence[int]) -> StageParameters:
 
 
 def basis_matrix(basis, dim: int | None = None) -> np.ndarray:
-    """Stack a vector family into rows and check orthonormality.
+    """A vector family as the rows of an (n, d) array, checked orthonormal.
 
-    Accepts a sequence of vectors or an already-stacked 2-D array.  The Gram
-    matrix must equal the identity within 1e-8 entrywise.
+    The entries must be finite and the Gram matrix must equal the identity
+    within 1e-8 entrywise.
     """
-    if isinstance(basis, np.ndarray) and basis.ndim == 2:
-        mat = np.ascontiguousarray(basis, dtype=np.complex128)
-    else:
-        mat = np.stack([as_vector(v) for v in basis])
+    mat = np.ascontiguousarray(basis, dtype=np.complex128)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"expected a nonempty (n, d) vector family, got shape {mat.shape}")
     if dim is not None and mat.shape[1] != dim:
         raise ValueError(f"basis vectors have dimension {mat.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("basis has non-finite entries")
     gram = mat @ mat.conj().T
     err = np.abs(gram - np.eye(mat.shape[0])).max()
-    if err > _ORTHONORMAL_TOL:
+    if not err <= _ORTHONORMAL_TOL:
         raise ValueError(f"basis is not orthonormal: max Gram residual {err:.3g}")
     return mat
 
@@ -303,14 +304,8 @@ def _level_block_rows(stage: StageParameters, mat: np.ndarray, m: int, sigma: st
     Returns an array of shape (len(indices), d^(2^m - 1), d): for each chosen
     basis vector, its level-m coordinates split into blocks along sigma.
     """
-    lv = stage.levels[m - 1]
-    space = lv.space
-    pos = space.axis_position(sigma)
-    d, naxes = lv.d, len(space.axes)
-    sl = stage.level_slice(m)
-    comp = mat[np.asarray(indices, dtype=int), sl]
-    cube = comp.reshape((len(indices),) + (d,) * naxes)
-    return np.moveaxis(cube, 1 + pos, -1).reshape(len(indices), -1, d)
+    rows = mat[np.asarray(indices, dtype=int), stage.level_slice(m)]
+    return blocks_matrix(stage.levels[m - 1].space, rows, sigma)
 
 
 def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:

@@ -86,8 +86,8 @@ def random_unit_vector(dim: int, seed: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def random_orthonormal_basis(n: int, seed: int) -> list[np.ndarray]:
-    """Haar-random orthonormal basis of C^n as a list of n vectors.
+def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
+    """Haar-random orthonormal basis of C^n as the rows of an (n, n) array.
 
     QR factorization of a complex Gaussian matrix with the R-diagonal phases
     absorbed into Q, which makes the distribution unitarily invariant.
@@ -100,4 +100,4 @@ def random_orthonormal_basis(n: int, seed: int) -> list[np.ndarray]:
     diag = np.diagonal(r)
     phases = np.where(diag == 0, 1.0, diag / np.abs(diag))
     q = q * phases.conj()
-    return [np.ascontiguousarray(q[:, j]) for j in range(n)]
+    return np.ascontiguousarray(q.T)

@@ -213,21 +213,22 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     return best_v, best_f, evals, False
 
 
-def _clean_family(vectors) -> tuple[list[np.ndarray], int]:
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
-        raise ValueError("vector family is empty")
-    d = vs[0].size
-    for v in vs[1:]:
-        if v.size != d:
-            raise ValueError(f"dimension mismatch in family: {v.size} != {d}")
-    return vs, d
+def _clean_family(vectors) -> np.ndarray:
+    """The family as one finite (n, d) complex128 array, n and d >= 1.
+
+    Members of different dimensions raise ValueError from numpy."""
+    mat = np.asarray(vectors, dtype=np.complex128)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"expected a nonempty family of 1-D vectors, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("vector has non-finite entries")
+    return mat
 
 
 def recompute_achieved(candidate, vectors) -> float:
     """max_j |inner(candidate, x_j)| / ||x_j|| over the nonzero family members."""
-    vs, d = _clean_family(vectors)
-    cand = as_vector(candidate, dim=d)
+    vs = _clean_family(vectors)
+    cand = as_vector(candidate, dim=vs.shape[1])
     worst = 0.0
     for v in vs:
         nv = np.linalg.norm(v)
@@ -247,7 +248,8 @@ def find_inclined_vector(vectors, c: float, budget: int, seed: int) -> Inclinati
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")
-    vs, d = _clean_family(vectors)
+    vs = _clean_family(vectors)
+    d = vs.shape[1]
     digest = digest_vectors(vs)
     nonzero = [v for v in vs if np.linalg.norm(v) > 0.0]
     if nonzero:
@@ -275,7 +277,7 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
     raises ValueError on digest mismatch, on disagreement with the stored
     achieved beyond 1e-10, or if the bound is violated.
     """
-    vs, _ = _clean_family(vectors)
+    vs = _clean_family(vectors)
     digest = digest_vectors(vs)
     if digest != cert.family_digest:
         raise ValueError("family digest mismatch: certificate does not belong to these vectors")

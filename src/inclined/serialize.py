@@ -8,7 +8,7 @@ cannot change any result.
 
 Schemas:
   vector        {"dim": d, "entries": [[re, im], ...]}
-  vectors file  [vector, ...]
+  vectors file  [vector, ...], all of one dimension
   stage         {"regime": "toy"|"paper", "levels": [{"m": 1, "d": 4}, ...]}
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -38,77 +38,65 @@ def derive_seed(root: int, *tags) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+# Names the digest scheme; changing how digest_vectors hashes a family means
+# changing this tag, so old and new digests can never collide.
+DIGEST_SCHEME = "inclined.digest_vectors/2"
+
+
 def vector_to_obj(v: np.ndarray) -> dict:
     arr = np.asarray(v, dtype=np.complex128)
-    return {
-        "dim": int(arr.size),
-        "entries": [[float(z.real), float(z.imag)] for z in arr],
-    }
+    return {"dim": int(arr.size), "entries": np.stack([arr.real, arr.imag], 1).tolist()}
 
 
 def vector_from_obj(obj: Any) -> np.ndarray:
-    if not isinstance(obj, dict) or "dim" not in obj or "entries" not in obj:
-        raise ValueError("vector object must have 'dim' and 'entries'")
-    entries = obj["entries"]
-    dim = int(obj["dim"])
-    if len(entries) != dim or dim < 1:
-        raise ValueError(f"vector has {len(entries)} entries but dim={dim}")
-    out = np.empty(dim, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        re, im = pair
-        out[k] = complex(float(re), float(im))
-    if not np.all(np.isfinite(out)):
-        raise ValueError("vector has non-finite entries")
-    return out
+    return vectors_from_obj([obj])[0]
 
 
-def vectors_to_obj(vectors: Sequence[np.ndarray]) -> list:
+def vectors_to_obj(vectors) -> list:
     return [vector_to_obj(v) for v in vectors]
 
 
-def vectors_from_obj(obj: Any) -> list[np.ndarray]:
+def vectors_from_obj(obj: Any) -> np.ndarray:
+    """Decode a vectors file to one (n, d) complex128 array, bit for bit.
+
+    The [re, im] pairs become a float64 (n, d, 2) array viewed as complex;
+    building re + 1j*im instead would turn a -0.0 imaginary part into +0.0.
+    Every member must have the same dimension.
+    """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty JSON array of vectors")
-    return [vector_from_obj(item) for item in obj]
+    if not all(isinstance(v, dict) and "dim" in v and "entries" in v for v in obj):
+        raise ValueError("vector object must have 'dim' and 'entries'")
+    try:
+        dims = sorted({int(v["dim"]) for v in obj})
+        if len(dims) == 1:
+            pairs = np.array([v["entries"] for v in obj], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed vectors: {exc}") from None
+    if len(dims) != 1:
+        raise ValueError(f"vectors differ in dimension: {dims}")
+    (dim,) = dims
+    if dim < 1 or pairs.shape != (len(obj), dim, 2):
+        raise ValueError(f"expected {len(obj)} vectors of dim={dim} as [re, im] pairs, "
+                         f"got entries of shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise ValueError("vector has non-finite entries")
+    return pairs.view(np.complex128).reshape(len(obj), dim)
 
 
-def digest_vectors(vectors: Sequence[np.ndarray]) -> str:
-    """Content digest of a vector family: sha256 of its canonical file bytes."""
-    return sha256_hex(canonical_json(vectors_to_obj(vectors)))
+def digest_vectors(vectors) -> str:
+    """Content digest of a vector family, the one place its scheme is defined.
 
-
-def space_to_obj(space) -> dict:
-    return {"axes": list(space.axes), "alphabet_size": space.alphabet_size}
-
-
-def space_from_obj(obj: Any):
-    from .tensor_index import TensorIndexSpace
-
-    if not isinstance(obj, dict) or "axes" not in obj or "alphabet_size" not in obj:
-        raise ValueError("index space object must have 'axes' and 'alphabet_size'")
-    return TensorIndexSpace(tuple(str(a) for a in obj["axes"]), int(obj["alphabet_size"]))
-
-
-def projection_spec_to_obj(spec) -> dict:
-    """Wire form of an axis or product projection: space plus directions."""
-    if hasattr(spec, "axis"):
-        directions = {spec.axis: spec.direction}
-    else:
-        directions = dict(spec.directions)
-    return {
-        **space_to_obj(spec.space),
-        "directions": {axis: vector_to_obj(v) for axis, v in directions.items()},
-    }
-
-
-def projection_spec_from_obj(obj: Any):
-    """Decode to the general product form; a single direction acts identically
-    to the corresponding single-axis projection."""
-    from .tensor_projection import ProductProjectionSpec
-
-    space = space_from_obj(obj)
-    directions = {str(a): vector_from_obj(v) for a, v in obj["directions"].items()}
-    return ProductProjectionSpec(space, directions)
+    sha256 over the ASCII header "<DIGEST_SCHEME> <c16 <n>x<d>" and a newline,
+    followed by the family as an (n, d) little-endian complex128 array in
+    row-major order.  A list of rows and an array of any memory order give
+    the same digest; the same bytes under another shape do not.
+    """
+    mat = np.asarray(vectors, dtype="<c16")
+    if mat.ndim != 2:
+        raise ValueError(f"a vector family is an (n, d) array, got shape {mat.shape}")
+    n, d = mat.shape
+    return sha256_hex(f"{DIGEST_SCHEME} <c16 {n}x{d}\n".encode("ascii") + mat.tobytes())
 
 
 def stage_to_obj(stage) -> dict:

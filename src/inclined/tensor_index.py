@@ -18,7 +18,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .hilbert import as_vector
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,20 @@ def blocks_matrix(space: TensorIndexSpace, x, axis: str) -> np.ndarray:
 
     Row s holds the block x(s), x(s)_b = x_{s | {(axis, b)}}, with the rows
     ordered like the enumeration of the reduced space without ``axis``.
+    Leading axes of x are batch axes: x of shape (..., dim) gives blocks of
+    shape (..., d^(|A|-1), d).
     """
     d = space.alphabet_size
     n = len(space.axes)
-    xv = as_vector(x, dim=space.dim)
+    xv = np.asarray(x, dtype=np.complex128)
+    if xv.ndim == 0 or xv.shape[-1] != space.dim:
+        raise ValueError(f"dimension mismatch: expected (..., {space.dim}), got shape {xv.shape}")
+    if not np.all(np.isfinite(xv)):
+        raise ValueError("vector has non-finite entries")
     pos = space.axis_position(axis)
-    cube = xv.reshape((d,) * n)
-    return np.moveaxis(cube, pos, -1).reshape(-1, d)
+    batch = xv.shape[:-1]
+    cube = xv.reshape(batch + (d,) * n)
+    return np.moveaxis(cube, len(batch) + pos, -1).reshape(batch + (space.dim // d, d))
 
 
 def unblocks_matrix(space: TensorIndexSpace, blocks: np.ndarray, axis: str) -> np.ndarray:

@@ -207,14 +207,37 @@ def test_family_intersect_duplicate_branch_exits_two(tmp_path, toy_stage_file):
     assert main(["family", "intersect", str(fam), str(fam)]) == 2
 
 
-def test_threads_flag_does_not_change_results(basis2, tmp_path):
-    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["incline", basis2, "--bound", "0.9", "--seed", "4", "--out", str(out_a)]) == 0
-    assert main(["incline", basis2, "--bound", "0.9", "--seed", "4",
-                 "--out", str(out_b), "--threads", "8"]) == 0
-    cert_a = json.loads(out_a.read_text())["certificate"]
-    cert_b = json.loads(out_b.read_text())["certificate"]
-    assert cert_a == cert_b
+# --------------------------------------------------------- input errors
+
+def _ragged_family():
+    return [{"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0]]},
+            {"dim": 3, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}]
+
+
+def _scalar_entry_family():
+    return [{"dim": 2, "entries": [[1.0, 0.0], 5]}]
+
+
+@pytest.mark.parametrize("family, argv", [
+    (None, ["incline", "{v}", "--bound", "0.9", "--budget", "0"]),
+    (None, ["cover", "{v}", "--radius", "0.5", "--trials", "0"]),
+    (_ragged_family(), ["incline", "{v}", "--bound", "0.9"]),
+    (_ragged_family(), ["cover", "{v}", "--radius", "0.5"]),
+    (_scalar_entry_family(), ["incline", "{v}", "--bound", "0.9"]),
+], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry"])
+def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, tmp_path, capsys):
+    path = basis2
+    if family is not None:
+        path = str(tmp_path / "bad.json")
+        write_json(path, family)
+    try:
+        rc = main([arg.format(v=path) for arg in argv])
+    except SystemExit as exc:  # argparse usage errors
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 # --------------------------------------------------------------- demo

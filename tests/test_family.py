@@ -12,6 +12,7 @@ from inclined import (
     branch_diagonals,
     branch_intersection,
     build_branch_projection,
+    digest_vectors,
     inner,
     leakage_set,
     level_leakage_sets,
@@ -25,7 +26,6 @@ from inclined import (
     verify_suppression,
 )
 from inclined.family import LEAKAGE_COEFF, LevelSpec, StageParameters, level_axes
-from inclined.serialize import sha256_hex
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -275,6 +275,18 @@ def test_verify_dimension_mismatch():
         verify_suppression(spec, np.eye(7, dtype=complex), 0.95)
 
 
+@pytest.mark.parametrize("basis_digest", [None, "0" * 64])
+def test_non_finite_basis_is_rejected(basis_digest):
+    stage = toy_stage([2])
+    basis = np.full((4, 4), np.nan, dtype=complex)
+    spec = BranchProjectionSpec(
+        stage=stage, branch="0", directions=(np.array([1, 0], dtype=complex),))
+    with pytest.raises(ValueError, match="non-finite"):
+        build_branch_projection(stage, basis, "0", C, 100, 0, basis_digest=basis_digest)
+    with pytest.raises(ValueError, match="non-finite"):
+        verify_suppression(spec, basis, 0.95, basis_digest=basis_digest)
+
+
 def test_paper_regime_build_at_level_one():
     # full per-block certification at the true minimal alphabet size; the
     # orthonormal family spans only a slice of the 347^2-dimensional stage
@@ -283,9 +295,8 @@ def test_paper_regime_build_at_level_one():
     g = rng.standard_normal((stage.dim, 12)) + 1j * rng.standard_normal((stage.dim, 12))
     q, _ = np.linalg.qr(g)
     basis = np.ascontiguousarray(q.T)
-    digest = sha256_hex(basis.tobytes())
-    spec, cert = build_branch_projection(stage, basis, "1", C, 2_000, 32,
-                                         basis_digest=digest)
+    spec, cert = build_branch_projection(stage, basis, "1", C, 2_000, 32)
+    assert cert.basis_digest == digest_vectors(basis)
     assert cert.regime == "paper"
     assert cert.max_diagonal <= 19 / 20
     # per-block guarantee: every block of every family member is suppressed

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import inclined
 from inclined import (
     BranchProjectionSpec,
     canonical_json,
@@ -21,7 +23,12 @@ from inclined.serialize import (
     vector_from_obj,
     vector_to_obj,
     vectors_from_obj,
+    vectors_to_obj,
 )
+
+# Pinned so that any change to the digest scheme fails here: reruns compare
+# digests only within one version and would not notice.
+GOLDEN_DIGEST = "da3fee8ff73c6b5c6e8dd2557dc8344d5f9dd24f3102241bad85f0f862312939"
 
 
 def test_canonical_json_is_sorted_and_compact():
@@ -78,31 +85,40 @@ def test_stage_round_trip():
     assert again == stage
 
 
-def test_index_space_round_trip():
-    from inclined import TensorIndexSpace
-    from inclined.serialize import space_from_obj, space_to_obj
+def test_vectors_round_trip_is_bit_exact():
+    tiny = np.nextafter(0.0, 1.0)  # smallest subnormal
+    family = np.array([[-0.0 + 0.0j, complex(0.0, -0.0), complex(-0.0, -0.0)],
+                       [complex(tiny, -tiny), complex(-2.5e-310, 1e-320), 1.5 - 2.25j],
+                       [complex(1e308, -1e308), complex(-1.7976931348623157e308, 0.1), 1e-17j]])
+    again = vectors_from_obj(json.loads(canonical_json(vectors_to_obj(family))))
+    assert again.shape == family.shape and again.dtype == np.complex128
+    assert again.tobytes() == family.tobytes()
 
-    sp = TensorIndexSpace(("a", "b", "c"), 3)
-    obj = space_to_obj(sp)
-    assert obj == {"axes": ["a", "b", "c"], "alphabet_size": 3}
-    assert space_from_obj(json.loads(canonical_json(obj))) == sp
+
+def test_digest_golden_value():
+    family = np.array([[1.0, -0.0, 2.5 - 1j], [1j, -3.0, 0.5 + 0.25j]])
+    assert digest_vectors(family) == GOLDEN_DIGEST
 
 
-def test_projection_spec_wire_round_trip():
-    from inclined import AxisProjectionSpec, ProductProjectionSpec, TensorIndexSpace, apply_axis, apply_product
-    from inclined.serialize import projection_spec_from_obj, projection_spec_to_obj
+def test_digest_depends_on_shape():
+    flat = np.arange(4, dtype=complex)
+    assert digest_vectors(flat.reshape(1, 4)) != digest_vectors(flat.reshape(2, 2))
 
-    rng = np.random.default_rng(3)
-    sp = TensorIndexSpace(("a", "b"), 3)
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    axis_spec = AxisProjectionSpec(sp, "b", v)
-    decoded = projection_spec_from_obj(json.loads(canonical_json(projection_spec_to_obj(axis_spec))))
-    x = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    np.testing.assert_allclose(apply_product(decoded, x), apply_axis(axis_spec, x), atol=1e-12)
 
-    prod = ProductProjectionSpec(sp, {"a": v, "b": rng.standard_normal(3) + 0j})
-    decoded = projection_spec_from_obj(json.loads(canonical_json(projection_spec_to_obj(prod))))
-    np.testing.assert_allclose(apply_product(decoded, x), apply_product(prod, x), atol=1e-12)
+def test_digest_ignores_container_and_memory_order():
+    rng = np.random.default_rng(4)
+    family = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    digests = {digest_vectors(list(family)),
+               digest_vectors(np.ascontiguousarray(family)),
+               digest_vectors(np.asfortranarray(family))}
+    assert len(digests) == 1
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == inclined.__version__
 
 
 def test_branch_spec_round_trip():
