@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -90,8 +91,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _load_vectors(path: str) -> tuple[np.ndarray, str]:
-    vectors = vectors_from_obj(json.loads(Path(path).read_text(encoding="utf-8")))
+    vectors = vectors_from_obj(read_json(path))
     return vectors, digest_vectors(vectors)
 
 
@@ -130,7 +138,8 @@ def cmd_incline(args, argv) -> int:
     t0 = time.perf_counter()
     manifest = _manifest("incline", argv, args.seed, {"input": digest})
     try:
-        cert = find_inclined_vector(vectors, args.bound, args.budget, args.seed)
+        cert = find_inclined_vector(vectors, args.bound, args.budget, args.seed,
+                                    family_digest=digest)
     except BudgetExhausted as exc:
         payload = {
             "manifest": manifest,
@@ -393,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("incline", help="search for an inclined unit vector")
     p.add_argument("input", help="JSON array of vectors")
-    p.add_argument("--bound", type=float, required=True)
+    p.add_argument("--bound", type=_finite_float, required=True)
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("cover", help="search for a point missed by a candidate net")
     p.add_argument("input", help="JSON array of vectors (net points)")
-    p.add_argument("--radius", type=float, required=True)
+    p.add_argument("--radius", type=_finite_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=str, default=None)
@@ -412,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", required=True, help="stage JSON file")
     p.add_argument("--branch", required=True, help="binary branch string")
     p.add_argument("--basis", required=True, help="basis JSON file, or 'random'")
-    p.add_argument("--rho", type=float, default=0.9, help="target squared leakage ratio")
+    p.add_argument("--rho", type=_finite_float, default=0.9, help="target squared leakage ratio")
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -420,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fam_sub.add_parser("verify")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--basis", default=None, help="basis JSON file (if not seed-recorded)")
-    p.add_argument("--bound", type=float, default=DEFAULT_SUPPRESSION_BOUND)
+    p.add_argument("--bound", type=_finite_float, default=DEFAULT_SUPPRESSION_BOUND)
 
     p = fam_sub.add_parser("intersect")
     p.add_argument("families", nargs="+", help="two or more family JSON files")

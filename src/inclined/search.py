@@ -30,6 +30,11 @@ CERT_MARGIN = 1e-9
 # Step sizes tried per descent step; 1.0 annihilates the active constraint.
 _STEP_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
 
+# A trial step is scored by linearity only while ||v - eta grad||^2 keeps at
+# least this share of ||v||^2 + eta^2 ||grad||^2, which bounds the digits the
+# subtraction can cancel; below it the trial point is formed and evaluated.
+_LINEAR_MIN_SHARE = 1.0 / 16.0
+
 CAPACITY_BASE = Fraction(100, 91)
 MIN_CAPACITY_DIMENSION = 2 ** 7
 
@@ -142,39 +147,65 @@ def capacity(d: int) -> CapacityReport:
     )
 
 
-def _group_scores(rows: np.ndarray, group_ids: np.ndarray, n_groups: int, v: np.ndarray) -> np.ndarray:
-    """Per-group energies q_k(v) = sum_{j in group k} |inner(v, rows_j)|^2."""
-    s = rows @ v.conj()
-    return np.bincount(group_ids, weights=np.abs(s) ** 2, minlength=n_groups)
-
-
 def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: int,
                             dim: int, target: float, budget: int, seed: int,
                             ) -> tuple[np.ndarray, float, int, bool]:
     """Search for a unit v with max_k sqrt(q_k(v)) <= target.
 
-    Multi-start random sampling on the unit sphere refined by projected
-    subgradient descent on the active group: step along -M_k v (M_k the
-    group's Gram operator), renormalize, accept the first strictly improving
-    step size.  Restarts are evaluated in order, and the first one reaching
-    the target wins, so the output is deterministic given the seed even if
-    restarts were to run in parallel.
+    q_k(v) = sum_{j in group k} |inner(v, rows_j)|^2 = v* M_k v, where group
+    k is the contiguous row range whose ``group_ids`` equal k; the ids must
+    be sorted (ValueError otherwise).
 
-    Returns (candidate, achieved, evaluations_used, success).  ``budget``
-    caps the number of objective evaluations.
+    Multi-start random sampling on the unit sphere refined by projected
+    subgradient descent on the active group: step along -M_k v, renormalize,
+    accept the first strictly improving step size.  Restarts are evaluated
+    in order, and the first one reaching the target wins, so the output is
+    deterministic given the seed.
+
+    The inner products s = rows v* of the current point are kept, so a
+    descent step costs one mat-vec, sg = rows grad*.  Each trial step size
+    eta is scored by linearity as (s - eta sg) / ||v - eta grad||, the norm
+    taken from the scalars <v, v>, Re <v, grad> and <grad, grad>; only an
+    accepted trial point is formed.  A trial whose norm would lose too many
+    digits to cancellation is formed and evaluated directly instead.
+
+    ``budget`` caps the number of objective evaluations: one per restart and
+    one per tried step size with nonzero norm.  A point that reaches the
+    target is evaluated directly once more (not counted), so rounding drift
+    in the kept inner products can never report a miss as a success; if it
+    misses after all, the descent goes on from the direct values.  The
+    returned value is always a direct evaluation of the returned candidate.
+
+    Returns (candidate, achieved, evaluations_used, success).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    group_ids = np.asarray(group_ids)
+    if group_ids.shape != rows.shape[:1]:
+        raise ValueError(f"expected one group id per row, got {group_ids.shape} for {rows.shape[0]} rows")
+    if np.any(group_ids[1:] < group_ids[:-1]):
+        raise ValueError("group ids must be sorted: each group is a contiguous range of rows")
+    if group_ids.size and not 0 <= group_ids[0] <= group_ids[-1] < n_groups:
+        raise ValueError(f"group ids must lie in [0, {n_groups})")
     rng = np.random.default_rng(seed)
     if rows.shape[0] == 0:
         # No constraints: any unit vector qualifies; pick a deterministic one.
         v = np.zeros(dim, dtype=np.complex128)
         v[0] = 1.0
         return v, 0.0, 0, True
+    # Group k is rows[bounds[k]:bounds[k + 1]].
+    bounds = np.searchsorted(group_ids, np.arange(n_groups + 1))
+    singletons = np.array_equal(group_ids, np.arange(n_groups))
 
-    def evaluate(v: np.ndarray) -> tuple[float, np.ndarray]:
-        q = _group_scores(rows, group_ids, n_groups, v)
-        return float(np.sqrt(q.max())), q
+    def energies(s: np.ndarray) -> np.ndarray:
+        """q_k = sum_{j in group k} |s_j|^2 for the inner products s."""
+        e = np.abs(s) ** 2
+        return e if singletons else np.bincount(group_ids, weights=e, minlength=n_groups)
+
+    def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        s = rows @ v.conj()
+        q = energies(s)
+        return s, q, float(np.sqrt(q.max()))
 
     evals = 0
     best_f = math.inf
@@ -182,35 +213,48 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     while evals < budget:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v = z / np.linalg.norm(z)
-        f, q = evaluate(v)
+        s, q, f = evaluate(v)
         evals += 1
         while f > target and evals < budget:
             k = int(np.argmax(q))
-            members = group_ids == k
-            s = rows[members].conj() @ v  # inner(v, r_j) per member
-            grad = rows[members].T @ s  # sum_j inner(v, r_j) r_j = M_k v
+            a, b = bounds[k], bounds[k + 1]
+            grad = rows[a:b].T @ s[a:b].conj()  # sum_j inner(v, r_j) r_j = M_k v
+            sg = rows @ grad.conj()
+            vv = np.vdot(v, v).real
+            vg = np.vdot(v, grad).real
+            gg = np.vdot(grad, grad).real
             improved = False
             for eta in _STEP_SCHEDULE:
                 if evals >= budget:
                     break
-                w = v - eta * grad
-                wn = np.linalg.norm(w)
-                if wn == 0.0:
-                    continue
-                w /= wn
-                fw, qw = evaluate(w)
+                wn2 = vv - 2.0 * eta * vg + eta * eta * gg  # ||v - eta grad||^2
+                if wn2 >= _LINEAR_MIN_SHARE * (vv + eta * eta * gg):
+                    st = s - eta * sg
+                else:
+                    w = v - eta * grad
+                    wn2 = np.vdot(w, w).real
+                    if wn2 == 0.0:
+                        continue
+                    st = rows @ w.conj()
+                qt = energies(st)
                 evals += 1
+                fw = math.sqrt(qt.max() / wn2)
                 if fw < f:
-                    v, f, q = w, fw, qw
+                    w = v - eta * grad
+                    wn = np.linalg.norm(w)
+                    # q only picks the active group, so it needs no rescaling.
+                    v, s, q, f = w / wn, st / wn, qt, fw
                     improved = True
                     break
             if not improved:
                 break  # local minimax point for this restart
+            if f <= target:
+                s, q, f = evaluate(v)
         if f < best_f:
             best_f, best_v = f, v
         if f <= target:
             return v, f, evals, True
-    return best_v, best_f, evals, False
+    return best_v, evaluate(best_v)[2], evals, False
 
 
 def _clean_family(vectors) -> np.ndarray:
@@ -225,37 +269,37 @@ def _clean_family(vectors) -> np.ndarray:
     return mat
 
 
+def _unit_rows(vs: np.ndarray) -> np.ndarray:
+    """The nonzero members of a clean family, each scaled to unit norm; zero
+    vectors impose no constraint."""
+    norms = np.linalg.norm(vs, axis=1)
+    keep = norms > 0.0
+    return vs[keep] / norms[keep, None]
+
+
 def recompute_achieved(candidate, vectors) -> float:
     """max_j |inner(candidate, x_j)| / ||x_j|| over the nonzero family members."""
     vs = _clean_family(vectors)
     cand = as_vector(candidate, dim=vs.shape[1])
-    worst = 0.0
-    for v in vs:
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue  # zero vectors impose no constraint
-        worst = max(worst, abs(np.vdot(v, cand)) / nv)
-    return worst
+    return float(np.abs(_unit_rows(vs) @ cand.conj()).max(initial=0.0))
 
 
-def find_inclined_vector(vectors, c: float, budget: int, seed: int) -> InclinationCertificate:
+def find_inclined_vector(vectors, c: float, budget: int, seed: int,
+                         family_digest: str | None = None) -> InclinationCertificate:
     """Search for a unit vector inclined against the whole family.
 
     On success the certificate's ``achieved`` is recomputed in a single full
     pass over the raw inputs and satisfies achieved <= c - 1e-9, so the
     margin absorbs any re-verification rounding.  Raises BudgetExhausted
-    with the best value seen otherwise.
+    with the best value seen otherwise.  ``family_digest``, when given, is
+    the family's ``digest_vectors`` and is not computed again.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")
     vs = _clean_family(vectors)
     d = vs.shape[1]
-    digest = digest_vectors(vs)
-    nonzero = [v for v in vs if np.linalg.norm(v) > 0.0]
-    if nonzero:
-        rows = np.stack([v / np.linalg.norm(v) for v in nonzero])
-    else:
-        rows = np.zeros((0, d), dtype=np.complex128)
+    digest = digest_vectors(vs) if family_digest is None else family_digest
+    rows = _unit_rows(vs)
     group_ids = np.arange(rows.shape[0])
     target = c - CERT_MARGIN
     cand, achieved, evals, ok = minimize_max_group_norm(

@@ -14,6 +14,7 @@ Schemas:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -181,4 +182,16 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 
 def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file with the cyclic garbage collector paused.
+
+    Decoding creates no reference cycles, yet a large vectors file allocates
+    millions of lists and floats, which would trigger many needless
+    collection passes.  The collector's previous state is restored."""
+    text = Path(path).read_text(encoding="utf-8")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()

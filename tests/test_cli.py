@@ -224,7 +224,11 @@ def _scalar_entry_family():
     (_ragged_family(), ["incline", "{v}", "--bound", "0.9"]),
     (_ragged_family(), ["cover", "{v}", "--radius", "0.5"]),
     (_scalar_entry_family(), ["incline", "{v}", "--bound", "0.9"]),
-], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry"])
+    (None, ["cover", "{v}", "--radius", "nan"]),
+    (None, ["family", "verify", "{v}", "--bound", "nan"]),
+    (None, ["family", "verify", "{v}", "--bound", "inf"]),
+], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
+        "radius-nan", "verify-bound-nan", "verify-bound-inf"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, tmp_path, capsys):
     path = basis2
     if family is not None:

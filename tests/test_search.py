@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inclined import (
     BudgetExhausted,
@@ -19,7 +21,7 @@ from inclined import (
     recompute_achieved,
     verify_inclination,
 )
-from inclined.search import InclinationCertificate
+from inclined.search import _STEP_SCHEDULE, InclinationCertificate, minimize_max_group_norm
 
 E2 = np.eye(2, dtype=complex)
 
@@ -272,6 +274,169 @@ def test_moderate_dimension_search_with_independent_reverification():
 def test_recompute_achieved_skips_zero_members():
     family = [np.zeros(2, dtype=complex), E2[0]]
     assert recompute_achieved(E2[1], family) == 0.0
+    assert recompute_achieved(E2[1], [np.zeros(2, dtype=complex)]) == 0.0
+
+
+def test_recompute_achieved_matches_a_loop_over_members():
+    rng = np.random.default_rng(12)
+    family = rng.standard_normal((30, 6)) + 1j * rng.standard_normal((30, 6))
+    family[[3, 17]] = 0.0
+    cand = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    cand /= np.linalg.norm(cand)
+    loop = max(abs(np.vdot(v, cand)) / np.linalg.norm(v) for v in family if np.linalg.norm(v) > 0)
+    assert recompute_achieved(cand, family) == pytest.approx(loop, abs=1e-15)
+
+
+def test_given_family_digest_is_not_recomputed():
+    family = [E2[0], E2[1]]
+    cert = find_inclined_vector(family, 0.9, 100, 0, family_digest="given")
+    assert cert.family_digest == "given"
+    computed = find_inclined_vector(family, 0.9, 100, 0)
+    np.testing.assert_array_equal(cert.candidate, computed.candidate)
+
+
+# ------------------------------------------------------- search kernel
+
+def _reference_kernel(rows, group_ids, n_groups, dim, target, budget, seed):
+    """The kernel before it kept inner products: a full mat-vec for every
+    evaluation and groups picked by boolean masks.  Test oracle only."""
+    rng = np.random.default_rng(seed)
+
+    def evaluate(v):
+        q = np.bincount(group_ids, weights=np.abs(rows @ v.conj()) ** 2, minlength=n_groups)
+        return float(np.sqrt(q.max())), q
+
+    evals = 0
+    best_f, best_v = math.inf, None
+    while evals < budget:
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        v = z / np.linalg.norm(z)
+        f, q = evaluate(v)
+        evals += 1
+        while f > target and evals < budget:
+            members = group_ids == int(np.argmax(q))
+            grad = rows[members].T @ (rows[members].conj() @ v)
+            improved = False
+            for eta in _STEP_SCHEDULE:
+                if evals >= budget:
+                    break
+                w = v - eta * grad
+                wn = np.linalg.norm(w)
+                if wn == 0.0:
+                    continue
+                w /= wn
+                fw, qw = evaluate(w)
+                evals += 1
+                if fw < f:
+                    v, f, q = w, fw, qw
+                    improved = True
+                    break
+            if not improved:
+                break
+        if f < best_f:
+            best_f, best_v = f, v
+        if f <= target:
+            return v, f, evals, True
+    return best_v, best_f, evals, False
+
+
+def _grouped_rows(sizes, dim, seed):
+    """Random rows in contiguous groups of the given sizes, each group scaled
+    to unit Frobenius norm (as the toy regime scales by level mass)."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((sum(sizes), dim)) + 1j * rng.standard_normal((sum(sizes), dim))
+    group_ids = np.repeat(np.arange(len(sizes)), sizes)
+    norms = np.sqrt(np.bincount(group_ids, weights=(np.abs(rows) ** 2).sum(axis=1)))
+    return rows / norms[group_ids, None], group_ids
+
+
+def _direct_value(rows, group_ids, n_groups, v):
+    q = np.bincount(group_ids, weights=np.abs(rows @ v.conj()) ** 2, minlength=n_groups)
+    return float(np.sqrt(q.max()))
+
+
+def _assert_matches_reference(rows, group_ids, n_groups, dim, target, budget, seed):
+    args = (rows, group_ids, n_groups, dim, target, budget, seed)
+    v, f, evals, ok = minimize_max_group_norm(*args)
+    ref_v, ref_f, ref_evals, ref_ok = _reference_kernel(*args)
+    assert (evals, ok) == (ref_evals, ref_ok)
+    assert f == pytest.approx(ref_f, abs=1e-9)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert f == pytest.approx(_direct_value(rows, group_ids, n_groups, v), abs=1e-12)
+    assert not ok or _direct_value(rows, group_ids, n_groups, v) <= target
+    return evals, ok
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("target", [0.4, 0.3])  # reached after descent steps; out of reach
+def test_kernel_matches_reference_on_single_row_groups(seed, target):
+    rows, group_ids = _grouped_rows([1] * 80, 12, seed)
+    _assert_matches_reference(rows, group_ids, 80, 12, target, 1500, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("target", [0.6, 0.45])  # reached after descent steps; out of reach
+def test_kernel_matches_reference_on_toy_shaped_groups(seed, target):
+    # as in the toy regime: one group of n_blocks rows per leaked vector
+    rows, group_ids = _grouped_rows([4] * 25, 4, seed)
+    _assert_matches_reference(rows, group_ids, 25, 4, target, 1500, seed)
+
+
+@pytest.mark.parametrize("seed, target", [(0, 0.5610826091145885), (1, 0.5705572923058743)])
+def test_success_is_confirmed_directly(seed, target):
+    # Each target lies between a descent point's kept value and its direct
+    # value (on numpy 2.4 with OpenBLAS), so only the direct confirmation
+    # keeps rounding drift from reporting a miss as a success.  The target
+    # sits on a rounding boundary, so the reference path may differ here.
+    rows, group_ids = _grouped_rows([1] * 60, 8, seed)
+    v, f, evals, ok = minimize_max_group_norm(rows, group_ids, 60, 8, target, 1000, seed)
+    assert ok
+    assert f == _direct_value(rows, group_ids, 60, v) <= target
+
+
+def test_unreachable_target_spends_exactly_the_budget():
+    rows, group_ids = _grouped_rows([1] * 40, 6, 3)
+    for budget in (1, 2, 7, 333):
+        v, f, evals, ok = minimize_max_group_norm(rows, group_ids, 40, 6, 0.0, budget, 5)
+        assert (evals, ok) == (budget, False)
+        assert f == pytest.approx(_direct_value(rows, group_ids, 40, v), abs=1e-12)
+
+
+def test_a_group_the_step_annihilates_stays_finite():
+    # M_k = I: the full step v - grad cancels to rounding noise, so the
+    # trial is formed and evaluated directly; every point scores 1.
+    rows = np.eye(3, dtype=complex)
+    v, f, evals, ok = minimize_max_group_norm(rows, np.zeros(3, dtype=int), 1, 3, 0.5, 40, 0)
+    assert (evals, ok) == (40, False)
+    assert f == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+
+
+def test_unsorted_group_ids_are_rejected():
+    rows, _ = _grouped_rows([2, 2], 3, 0)
+    with pytest.raises(ValueError, match="sorted"):
+        minimize_max_group_norm(rows, np.array([0, 1, 0, 1]), 2, 3, 0.5, 10, 0)
+    with pytest.raises(ValueError):
+        minimize_max_group_norm(rows, np.array([0, 0, 1, 2]), 2, 3, 0.5, 10, 0)
+
+
+def test_empty_groups_impose_no_constraint():
+    rows, _ = _grouped_rows([3], 3, 0)
+    with_empty = minimize_max_group_norm(rows, np.array([1, 1, 1]), 3, 3, 0.2, 200, 4)
+    alone = minimize_max_group_norm(rows, np.array([0, 0, 0]), 1, 3, 0.2, 200, 4)
+    np.testing.assert_array_equal(with_empty[0], alone[0])
+    assert with_empty[1:] == alone[1:]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
+       dim=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
+       target=st.floats(0.05, 0.9), budget=st.integers(1, 300))
+def test_kernel_follows_the_reference_path(sizes, dim, seed, target, budget):
+    rows, group_ids = _grouped_rows(sizes, dim, seed)
+    evals, ok = _assert_matches_reference(rows, group_ids, len(sizes), dim, target, budget, seed)
+    assert evals <= budget
+    assert ok or evals == budget
 
 
 # --------------------------------------------------------- cover witness

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from inclined.serialize import (
     branch_spec_to_obj,
     inclination_from_obj,
     inclination_to_obj,
+    read_json,
     stage_from_obj,
     stage_to_obj,
     vector_from_obj,
@@ -151,3 +153,20 @@ def test_inclination_certificate_round_trip():
     assert again.achieved == cert.achieved
     assert again.family_digest == cert.family_digest
     np.testing.assert_array_equal(again.candidate, cert.candidate)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_json_restores_the_collector_state(tmp_path, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('[{"dim": 1, "entries": [[1.0, 0.0]]}]', encoding="utf-8")
+    bad.write_text("[1,", encoding="utf-8")
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert read_json(good) == [{"dim": 1, "entries": [[1.0, 0.0]]}]
+        assert gc.isenabled() == enabled
+        with pytest.raises(json.JSONDecodeError):
+            read_json(bad)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
