@@ -91,10 +91,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+def _open_unit_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
     return value
 
 
@@ -129,8 +143,6 @@ def cmd_params(args, argv) -> int:
 
 
 def cmd_incline(args, argv) -> int:
-    if not 0.0 < args.bound < 1.0:
-        return _fail(f"--bound must lie in (0, 1), got {args.bound}", EXIT_INPUT)
     try:
         vectors, digest = _load_vectors(args.input)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -202,8 +214,6 @@ def _resolve_basis(args, stage, root_seed: int):
 
 
 def cmd_family_build(args, argv) -> int:
-    if not 0.0 < args.rho < 1.0:
-        return _fail(f"--rho must lie in (0, 1), got {args.rho}", EXIT_INPUT)
     try:
         stage = stage_from_obj(read_json(args.stage))
         basis, basis_record, basis_digest = _resolve_basis(args, stage, args.seed)
@@ -402,16 +412,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("incline", help="search for an inclined unit vector")
     p.add_argument("input", help="JSON array of vectors")
-    p.add_argument("--bound", type=_finite_float, required=True)
+    p.add_argument("--bound", type=_open_unit_float, required=True)
     p.add_argument("--budget", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("cover", help="search for a point missed by a candidate net")
     p.add_argument("input", help="JSON array of vectors (net points)")
     p.add_argument("--radius", type=_finite_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None)
 
     fam = sub.add_parser("family", help="build / verify / intersect branch projections")
@@ -421,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", required=True, help="stage JSON file")
     p.add_argument("--branch", required=True, help="binary branch string")
     p.add_argument("--basis", required=True, help="basis JSON file, or 'random'")
-    p.add_argument("--rho", type=_finite_float, default=0.9, help="target squared leakage ratio")
+    p.add_argument("--rho", type=_open_unit_float, default=0.9, help="target squared leakage ratio")
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -429,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = fam_sub.add_parser("verify")
     p.add_argument("family", help="family JSON file")
     p.add_argument("--basis", default=None, help="basis JSON file (if not seed-recorded)")
-    p.add_argument("--bound", type=_finite_float, default=DEFAULT_SUPPRESSION_BOUND)
+    p.add_argument("--bound", type=_open_unit_float, default=DEFAULT_SUPPRESSION_BOUND)
 
     p = fam_sub.add_parser("intersect")
     p.add_argument("families", nargs="+", help="two or more family JSON files")

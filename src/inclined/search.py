@@ -35,6 +35,11 @@ _STEP_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
 # subtraction can cancel; below it the trial point is formed and evaluated.
 _LINEAR_MIN_SHARE = 1.0 / 16.0
 
+# Memory for the Gram columns rows @ rows[k]* that single-row searches keep
+# per activated member; once it is full, further columns are computed and
+# not kept.
+_GRAM_CACHE_BYTES = 64 * 2 ** 20
+
 CAPACITY_BASE = Fraction(100, 91)
 MIN_CAPACITY_DIMENSION = 2 ** 7
 
@@ -163,7 +168,12 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     deterministic given the seed.
 
     The inner products s = rows v* of the current point are kept, so a
-    descent step costs one mat-vec, sg = rows grad*.  Each trial step size
+    descent step costs one mat-vec, sg = rows grad*.  When every group is a
+    single row, grad = conj(s_k) rows_k and sg = s_k G_k for the Gram column
+    G_k = rows rows_k*; G_k is computed the first time member k is active
+    and kept (up to ``_GRAM_CACHE_BYTES`` of columns, beyond which columns
+    are computed and not kept), so a reactivated member's step costs one
+    scaling of a length-n column.  Each trial step size
     eta is scored by linearity as (s - eta sg) / ||v - eta grad||, the norm
     taken from the scalars <v, v>, Re <v, grad> and <grad, grad>; only an
     accepted trial point is formed.  A trial whose norm would lose too many
@@ -196,6 +206,8 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     # Group k is rows[bounds[k]:bounds[k + 1]].
     bounds = np.searchsorted(group_ids, np.arange(n_groups + 1))
     singletons = np.array_equal(group_ids, np.arange(n_groups))
+    gram_cols: dict[int, np.ndarray] = {}
+    max_cols = _GRAM_CACHE_BYTES // (rows.shape[0] * rows.itemsize)
 
     def energies(s: np.ndarray) -> np.ndarray:
         """q_k = sum_{j in group k} |s_j|^2 for the inner products s."""
@@ -219,7 +231,15 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
             k = int(np.argmax(q))
             a, b = bounds[k], bounds[k + 1]
             grad = rows[a:b].T @ s[a:b].conj()  # sum_j inner(v, r_j) r_j = M_k v
-            sg = rows @ grad.conj()
+            if singletons:
+                col = gram_cols.get(k)
+                if col is None:
+                    col = rows @ rows[k].conj()
+                    if len(gram_cols) < max_cols:
+                        gram_cols[k] = col
+                sg = s[k] * col  # rows @ grad*, grad = conj(s_k) rows_k
+            else:
+                sg = rows @ grad.conj()
             vv = np.vdot(v, v).real
             vg = np.vdot(v, grad).real
             gg = np.vdot(grad, grad).real

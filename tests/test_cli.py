@@ -225,17 +225,29 @@ def _scalar_entry_family():
     (_ragged_family(), ["cover", "{v}", "--radius", "0.5"]),
     (_scalar_entry_family(), ["incline", "{v}", "--bound", "0.9"]),
     (None, ["cover", "{v}", "--radius", "nan"]),
-    (None, ["family", "verify", "{v}", "--bound", "nan"]),
-    (None, ["family", "verify", "{v}", "--bound", "inf"]),
+    (None, ["family", "verify", "{fam}", "--bound", "nan"]),
+    (None, ["family", "verify", "{fam}", "--bound", "inf"]),
+    (None, ["incline", "{v}", "--bound", "0.9", "--seed", "-1"]),
+    (None, ["cover", "{v}", "--radius", "0.5", "--seed", "-1"]),
+    (None, ["family", "verify", "{fam}", "--bound", "-1"]),
+    (None, ["family", "verify", "{fam}", "--bound", "0"]),
+    (None, ["family", "verify", "{fam}", "--bound", "2"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
-        "radius-nan", "verify-bound-nan", "verify-bound-inf"])
-def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, tmp_path, capsys):
+        "radius-nan", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
+        "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2"])
+def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
+                                                 capsys):
     path = basis2
     if family is not None:
         path = str(tmp_path / "bad.json")
         write_json(path, family)
+    fam = None
+    if "{fam}" in argv:  # a valid family file, so only the bad option can fail
+        rc, fam = _build(tmp_path, toy_stage_file, "01")
+        assert rc == 0
+        capsys.readouterr()
     try:
-        rc = main([arg.format(v=path) for arg in argv])
+        rc = main([arg.format(v=path, fam=fam) for arg in argv])
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code
     assert rc == 2
