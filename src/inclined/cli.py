@@ -7,8 +7,8 @@ intersect (family ...), and an end-to-end demo.
 Exit codes distinguish outcomes:
   0  success
   1  verified negative / failed bound (a definite answer at this budget)
-  2  input or usage error
-  3  family build ran out of search budget (named level reported)
+  2  input or usage error, including a file that cannot be read or written
+  3  family build or demo ran out of search budget (build names the level)
 
 Every output file embeds a manifest (command, argument vector, root seed,
 artifact version, input digests) and is written as canonical JSON, so
@@ -51,11 +51,11 @@ from .serialize import (
     digest_vectors,
     inclination_to_obj,
     read_json,
+    read_vectors,
     sha256_hex,
     stage_from_obj,
     suppression_to_obj,
     vector_to_obj,
-    vectors_from_obj,
     write_json,
     canonical_json,
 )
@@ -113,7 +113,7 @@ def _open_unit_float(text: str) -> float:
 
 
 def _load_vectors(path: str) -> tuple[np.ndarray, str]:
-    vectors = vectors_from_obj(read_json(path))
+    vectors = read_vectors(path)
     return vectors, digest_vectors(vectors)
 
 
@@ -456,6 +456,19 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Whatever a command leaves uncaught still maps to the exit-code contract;
+    # an uncaught traceback would exit 1 and read as a verified negative.
+    try:
+        return _run(args, argv)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_INPUT)
+    except BudgetExhausted as exc:
+        return _fail(str(exc), EXIT_BUDGET)
+    except SuppressionFailure as exc:
+        return _fail(str(exc), EXIT_NEGATIVE)
+
+
+def _run(args, argv: list[str]) -> int:
     if args.command == "params":
         return cmd_params(args, argv)
     if args.command == "incline":

@@ -195,3 +195,53 @@ def read_json(path: str | Path) -> Any:
     finally:
         if enabled:
             gc.enable()
+
+
+# What the canonical layout [{"dim":d,"entries":[[re,im],...]},...] keeps once
+# numbers, quotes, colons, the newline and the two key names are deleted.
+_SKELETON_DELETE = b'0123456789.eE+-":\ndimentrs'
+
+
+def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
+    """Decode a vectors file in the compact layout write_json produces.
+
+    Returns None when the bytes are in any other layout or anything about
+    them is in doubt; the caller then decodes them the general way.  On a
+    canonical file every pair boundary "],[" lies inside an entries list, so
+    turning it into "," leaves entries [[re, im, re, im, ...]]: one float
+    list per member, which json builds without a list per entry.
+    """
+    skeleton = raw.translate(None, _SKELETON_DELETE)
+    n = skeleton.count(b"{")
+    d = (skeleton.find(b"}") - 4) // 4  # a member is "{,[" + d "[,]" joined by "," + "]}"
+    if n < 1 or d < 1 or raw.count(b'"') != 4 * n:  # no strings besides the keys
+        return None
+    member = b"{,[" + b",".join([b"[,]"] * d) + b"]}"
+    if skeleton != b"[" + b",".join([member] * n) + b"]":
+        return None
+    obj = json.loads(raw.replace(b"],[", b","))
+    if not all(type(v) is dict and v.keys() == {"dim", "entries"}
+               and type(v["dim"]) is int and v["dim"] == d for v in obj):
+        return None
+    flat = np.array([v["entries"] for v in obj], dtype=np.float64)
+    if flat.shape != (n, 1, 2 * d) or not np.isfinite(flat).all():
+        return None
+    return flat.view(np.complex128).reshape(n, d)
+
+
+def read_vectors(path: str | Path) -> np.ndarray:
+    """Read a vectors file as one (n, d) complex128 array.
+
+    A file in the canonical layout takes a fast decode; any other layout,
+    and any file the fast decode has doubts about, goes through
+    vectors_from_obj(read_json(path)), which alone raises the errors.  Both
+    give the same array bit for bit.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        vectors = _read_canonical_vectors(raw)
+    except (ValueError, TypeError, OverflowError):
+        vectors = None
+    if vectors is None:
+        return vectors_from_obj(read_json(path))
+    return vectors

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from inclined import cli
 from inclined.cli import main
+from inclined.family import SuppressionFailure
+from inclined.search import BudgetExhausted
 from inclined.serialize import vectors_to_obj, write_json
 
 RHO_DEFAULT_BOUND = 19 / 20
@@ -232,9 +235,13 @@ def _scalar_entry_family():
     (None, ["family", "verify", "{fam}", "--bound", "-1"]),
     (None, ["family", "verify", "{fam}", "--bound", "0"]),
     (None, ["family", "verify", "{fam}", "--bound", "2"]),
+    (None, ["incline", "{v}", "--bound", "0.25", "--out", "{missing}/c.json"]),
+    (None, ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
+            "--out", "{missing}/f.json"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "radius-nan", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
-        "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2"])
+        "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
+        "incline-out-missing-dir", "build-out-missing-dir"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
@@ -247,10 +254,35 @@ def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage
         assert rc == 0
         capsys.readouterr()
     try:
-        rc = main([arg.format(v=path, fam=fam) for arg in argv])
+        rc = main([arg.format(v=path, fam=fam, stage=toy_stage_file, missing=tmp_path / "missing")
+                   for arg in argv])
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code
     assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+@pytest.mark.parametrize("target, exc, argv, code", [
+    ("find_inclined_vector", BudgetExhausted("no vector", best_achieved=1.0,
+                                             best_candidate=np.ones(1), iterations_used=1),
+     ["demo", "--outdir", "{out}"], 3),
+    ("build_branch_projection", SuppressionFailure("over the bound", max_diagonal=1.0, bound=0.9,
+                                                   diagonals=np.ones(1)),
+     ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
+      "--out", "{out}/f.json"], 1),
+], ids=["demo-budget", "build-suppression"])
+def test_uncaught_outcomes_keep_the_exit_code_contract(target, exc, argv, code, toy_stage_file,
+                                                       tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    assert main([arg.format(stage=toy_stage_file, out=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1

@@ -1,9 +1,12 @@
 import gc
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import inclined
 from inclined import (
@@ -14,18 +17,21 @@ from inclined import (
     find_inclined_vector,
     toy_stage,
 )
+from inclined import serialize
 from inclined.serialize import (
     branch_spec_from_obj,
     branch_spec_to_obj,
     inclination_from_obj,
     inclination_to_obj,
     read_json,
+    read_vectors,
     stage_from_obj,
     stage_to_obj,
     vector_from_obj,
     vector_to_obj,
     vectors_from_obj,
     vectors_to_obj,
+    write_json,
 )
 
 # Pinned so that any change to the digest scheme fails here: reruns compare
@@ -170,3 +176,103 @@ def test_read_json_restores_the_collector_state(tmp_path, enabled):
         assert gc.isenabled() == enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# ------------------------------------------------------- read_vectors
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.5e-310, 1e-320, 1e308, -1e308, 1.7976931348623157e308,
+            0.1 + 2 ** -56, 1 / 3, -2 / 3, 1.0000000000000002, 123456789.01234567]
+_FLOATS = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _families(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    values = draw(st.lists(_FLOATS, min_size=2 * n * d, max_size=2 * n * d))
+    return np.array(values, dtype=np.float64).view(np.complex128).reshape(n, d)
+
+
+def _general(text: str):
+    """The reference decode of a vectors file, or None where it rejects one."""
+    try:
+        return vectors_from_obj(json.loads(text))
+    except ValueError:
+        return None
+
+
+def _read(text: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "v.json"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            return read_vectors(path)
+        except ValueError:
+            return None
+
+
+def _same(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(family=_families())
+def test_read_vectors_matches_the_general_decode(family):
+    text = canonical_json(vectors_to_obj(family)) + "\n"
+    got = _read(text)
+    assert _same(got, _general(text))
+    assert got.tobytes() == family.tobytes()
+
+
+_MUTATION_BYTES = '[]{},:"0123456789.eE+- \n'
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(family=_families(), data=st.data())
+def test_mutated_files_decode_alike_or_fail_alike(family, data):
+    text = canonical_json(vectors_to_obj(family)) + "\n"
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text) - 1))
+        byte = data.draw(st.sampled_from(_MUTATION_BYTES))
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        if kind == "insert":
+            text = text[:at] + byte + text[at:]
+        elif kind == "delete":
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + byte + text[at + 1:]
+    assert _same(_read(text), _general(text))
+
+
+_PAIRS = [[1.5, -0.0], [0.25, 2.0]]
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps([{"dim": 2, "entries": _PAIRS}], indent=2),
+    json.dumps([{"entries": _PAIRS, "dim": 2}], separators=(",", ":")),
+    canonical_json([{"dim": 2, "entries": _PAIRS, "extra": 1}]),
+    json.dumps([{"dim": 2, "entries": _PAIRS}, {"dim": 2, "entries": _PAIRS}]),
+    json.dumps([{"dim": 2, "entries": [[1.0, float("nan")], [0.0, 1.0]]}], separators=(",", ":")),
+    '[{"dim":2,"entries":[[1e400,0.0],[0.0,1.0]]}]',
+    '[{"dim":2.0,"entries":[[1.0,0.0],[0.0,1.0]]}]',
+    '[{"dim":2,"entries":[["1.0",0.0],[0.0,1.0]]}]',
+], ids=["indent-2", "entries-first", "extra-key", "spaces", "nan", "1e400",
+        "float-dim", "string-entry"])
+def test_non_canonical_layouts_take_the_general_decode(text):
+    assert serialize._read_canonical_vectors(text.encode("utf-8")) is None
+    assert _same(_read(text), _general(text))
+
+
+def test_canonical_files_take_the_fast_decode(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    family = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    path = tmp_path / "v.json"
+    write_json(path, vectors_to_obj(family))
+
+    def general_decode(path):
+        raise AssertionError("a canonical vectors file fell back to the general decode")
+
+    monkeypatch.setattr(serialize, "read_json", general_decode)
+    got = read_vectors(path)
+    assert got.shape == (3, 7) and got.tobytes() == family.tobytes()
