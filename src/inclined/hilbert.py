@@ -17,6 +17,10 @@ import numpy as np
 # Dense operators exist only as test oracles; above this size they are refused.
 DENSE_ORACLE_CAP = 4096
 
+# Largest (n, n) complex128 matrix random_orthonormal_basis will draw: 1 GiB,
+# n <= 8192.  The QR of it needs a few such matrices at once.
+RANDOM_BASIS_CAP_BYTES = 2 ** 30
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce ``x`` to a 1-D complex128 array, optionally checking its length."""
@@ -91,9 +95,15 @@ def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
 
     QR factorization of a complex Gaussian matrix with the R-diagonal phases
     absorbed into Q, which makes the distribution unitarily invariant.
+    Raises ValueError, before drawing anything, when the n x n complex128
+    matrix (n * n * 16 bytes) passes ``RANDOM_BASIS_CAP_BYTES`` (1 GiB,
+    n <= 8192).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n * n * 16 > RANDOM_BASIS_CAP_BYTES:
+        raise ValueError(f"a random basis of C^{n} needs {n * n * 16 / 2 ** 30:.3g} GiB per copy, "
+                         f"above the {RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)

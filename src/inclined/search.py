@@ -40,6 +40,12 @@ _LINEAR_MIN_SHARE = 1.0 / 16.0
 # not kept.
 _GRAM_CACHE_BYTES = 64 * 2 ** 20
 
+# A restart that no step on the active group improves takes one tie step on
+# all groups whose energy q_k is within this share of the largest ...
+_TIE_SHARE = 0.1
+# ... at most this many of them, largest first.
+_TIE_MAX_GROUPS = 16
+
 CAPACITY_BASE = Fraction(100, 91)
 MIN_CAPACITY_DIMENSION = 2 ** 7
 
@@ -163,9 +169,15 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
 
     Multi-start random sampling on the unit sphere refined by projected
     subgradient descent on the active group: step along -M_k v, renormalize,
-    accept the first strictly improving step size.  Restarts are evaluated
-    in order, and the first one reaching the target wins, so the output is
-    deterministic given the seed.
+    accept the first strictly improving step size.  Where no size improves,
+    the active group ties with others, and one tie step descends along
+    grad = sum_{k in T} M_k v instead: T is the groups with
+    q_k >= (1 - ``_TIE_SHARE``) max q (0.1), at most ``_TIE_MAX_GROUPS``
+    (16) of them, largest first, and the step sizes are the schedule scaled
+    by Re <v, grad> / <grad, grad>.  If it improves, ordinary steps resume;
+    if it does not, or fewer than two groups tie, the restart ends.
+    Restarts are evaluated in order, and the first one reaching the target
+    wins, so the output is deterministic given the seed.
 
     The inner products s = rows v* of the current point are kept, so a
     descent step costs one mat-vec, sg = rows grad*.  When every group is a
@@ -173,18 +185,20 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     G_k = rows rows_k*; G_k is computed the first time member k is active
     and kept (up to ``_GRAM_CACHE_BYTES`` of columns, beyond which columns
     are computed and not kept), so a reactivated member's step costs one
-    scaling of a length-n column.  Each trial step size
-    eta is scored by linearity as (s - eta sg) / ||v - eta grad||, the norm
-    taken from the scalars <v, v>, Re <v, grad> and <grad, grad>; only an
-    accepted trial point is formed.  A trial whose norm would lose too many
-    digits to cancellation is formed and evaluated directly instead.
+    scaling of a length-n column.  A tie step costs one mat-vec,
+    sg = rows grad*.  Each trial step size eta is scored by linearity as
+    (s - eta sg) / ||v - eta grad||, the norm taken from the scalars
+    <v, v>, Re <v, grad> and <grad, grad>; only an accepted trial point is
+    formed.  A trial whose norm would lose too many digits to cancellation
+    is formed and evaluated directly instead.
 
     ``budget`` caps the number of objective evaluations: one per restart and
-    one per tried step size with nonzero norm.  A point that reaches the
-    target is evaluated directly once more (not counted), so rounding drift
-    in the kept inner products can never report a miss as a success; if it
-    misses after all, the descent goes on from the direct values.  The
-    returned value is always a direct evaluation of the returned candidate.
+    one per tried step size with nonzero norm, tie steps included.  A point
+    that reaches the target is evaluated directly once more (not counted),
+    so rounding drift in the kept inner products can never report a miss as
+    a success; if it misses after all, the descent goes on from the direct
+    values.  The returned value is always a direct evaluation of the
+    returned candidate.
 
     Returns (candidate, achieved, evaluations_used, success).
     """
@@ -219,6 +233,51 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
         q = energies(s)
         return s, q, float(np.sqrt(q.max()))
 
+    def tied_rows(q: np.ndarray) -> np.ndarray | None:
+        """Rows of the groups with q_k >= (1 - _TIE_SHARE) max q, at most
+        _TIE_MAX_GROUPS of them, largest first; None for fewer than two."""
+        top = q.max()
+        tied = np.flatnonzero(q >= (1.0 - _TIE_SHARE) * top)
+        tied = tied[np.argsort(-q[tied], kind="stable")][:_TIE_MAX_GROUPS]
+        if tied.size < 2 or top == 0.0:
+            return None
+        if singletons:
+            return tied
+        return np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in tied])
+
+    def descend(v, s, f, grad, sg, tie):
+        """The first step v - eta grad that strictly lowers f, as the new
+        (v, s, q, f); None if no size does or the budget runs out.  eta runs
+        over the step schedule, scaled by Re<v, grad> / <grad, grad> for a
+        tie step."""
+        nonlocal evals
+        vv = np.vdot(v, v).real
+        vg = np.vdot(v, grad).real
+        gg = np.vdot(grad, grad).real
+        scale = vg / gg if tie else 1.0
+        for eta in _STEP_SCHEDULE:
+            if evals >= budget:
+                return None
+            eta *= scale
+            wn2 = vv - 2.0 * eta * vg + eta * eta * gg  # ||v - eta grad||^2
+            if wn2 >= _LINEAR_MIN_SHARE * (vv + eta * eta * gg):
+                st = s - eta * sg
+            else:
+                w = v - eta * grad
+                wn2 = np.vdot(w, w).real
+                if wn2 == 0.0:
+                    continue
+                st = rows @ w.conj()
+            qt = energies(st)
+            evals += 1
+            fw = math.sqrt(qt.max() / wn2)
+            if fw < f:
+                w = v - eta * grad
+                wn = np.linalg.norm(w)
+                # q is only compared with itself, so it needs no rescaling.
+                return w / wn, st / wn, qt, fw
+        return None
+
     evals = 0
     best_f = math.inf
     best_v = None
@@ -240,34 +299,16 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
                 sg = s[k] * col  # rows @ grad*, grad = conj(s_k) rows_k
             else:
                 sg = rows @ grad.conj()
-            vv = np.vdot(v, v).real
-            vg = np.vdot(v, grad).real
-            gg = np.vdot(grad, grad).real
-            improved = False
-            for eta in _STEP_SCHEDULE:
-                if evals >= budget:
-                    break
-                wn2 = vv - 2.0 * eta * vg + eta * eta * gg  # ||v - eta grad||^2
-                if wn2 >= _LINEAR_MIN_SHARE * (vv + eta * eta * gg):
-                    st = s - eta * sg
-                else:
-                    w = v - eta * grad
-                    wn2 = np.vdot(w, w).real
-                    if wn2 == 0.0:
-                        continue
-                    st = rows @ w.conj()
-                qt = energies(st)
-                evals += 1
-                fw = math.sqrt(qt.max() / wn2)
-                if fw < f:
-                    w = v - eta * grad
-                    wn = np.linalg.norm(w)
-                    # q only picks the active group, so it needs no rescaling.
-                    v, s, q, f = w / wn, st / wn, qt, fw
-                    improved = True
-                    break
-            if not improved:
+            stepped = descend(v, s, f, grad, sg, False)
+            if stepped is None and evals < budget:
+                # A tie: descend along the sum of the tied groups' M_k v.
+                tied = tied_rows(q)
+                if tied is not None:
+                    grad = rows[tied].T @ s[tied].conj()
+                    stepped = descend(v, s, f, grad, rows @ grad.conj(), True)
+            if stepped is None:
                 break  # local minimax point for this restart
+            v, s, q, f = stepped
             if f <= target:
                 s, q, f = evaluate(v)
         if f < best_f:

@@ -24,7 +24,10 @@ import numpy as np
 
 
 def canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+    # The payloads are built by this package and hold no cycles, so the
+    # encoder's cycle check (same bytes, more time) is skipped.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=False, check_circular=False)
 
 
 def sha256_hex(data: bytes | str) -> str:

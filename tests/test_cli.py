@@ -238,23 +238,35 @@ def _scalar_entry_family():
     (None, ["incline", "{v}", "--bound", "0.25", "--out", "{missing}/c.json"]),
     (None, ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
             "--out", "{missing}/f.json"]),
+    (None, ["family", "build", "--stage", "{paper}", "--branch", "0", "--basis", "random",
+            "--out", "{out}/f.json"]),
+    (None, ["family", "verify", "{bigfam}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "radius-nan", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
         "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
-        "incline-out-missing-dir", "build-out-missing-dir"])
+        "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
+        "verify-random-basis-too-large"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
     if family is not None:
         path = str(tmp_path / "bad.json")
         write_json(path, family)
-    fam = None
-    if "{fam}" in argv:  # a valid family file, so only the bad option can fail
+    fam = bigfam = None
+    if "{fam}" in argv or "{bigfam}" in argv:  # a valid family, so only the bad input can fail
         rc, fam = _build(tmp_path, toy_stage_file, "01")
         assert rc == 0
         capsys.readouterr()
+        # the same family with its random basis record naming the paper stage's n = 347^2
+        payload = json.loads(fam.read_text())
+        payload["basis"]["n"] = 347 ** 2
+        bigfam = tmp_path / "bigfam.json"
+        write_json(bigfam, payload)
+    paper = tmp_path / "paper.json"
+    write_json(paper, {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
     try:
-        rc = main([arg.format(v=path, fam=fam, stage=toy_stage_file, missing=tmp_path / "missing")
+        rc = main([arg.format(v=path, fam=fam, bigfam=bigfam, stage=toy_stage_file, paper=paper,
+                              out=tmp_path, missing=tmp_path / "missing")
                    for arg in argv])
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from inclined import (
     random_unit_vector,
     rank_one_apply,
 )
+from inclined.hilbert import RANDOM_BASIS_CAP_BYTES
 
 E2 = np.eye(2, dtype=complex)
 
@@ -120,3 +123,14 @@ def test_random_basis_64_reproducible_with_small_gram_residual():
     # oracle: direct Gram-matrix computation
     residual = np.abs(mat @ mat.conj().T - np.eye(64)).max()
     assert residual < 1e-10
+
+
+def test_random_basis_above_the_cap_is_refused_before_drawing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a random matrix")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    n = math.isqrt(RANDOM_BASIS_CAP_BYTES // 16) + 1
+    with pytest.raises(ValueError, match="cap"):
+        random_orthonormal_basis(n, 0)
+    with pytest.raises(ValueError, match="cap"):
+        random_orthonormal_basis(347 ** 2, 0)  # the paper stage at d = 347

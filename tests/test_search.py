@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -23,6 +24,8 @@ from inclined import (
 )
 from inclined import search
 from inclined.search import _STEP_SCHEDULE, InclinationCertificate, minimize_max_group_norm
+
+TIE_SHARE, TIE_MAX_GROUPS = 0.1, 16  # the kernel's tie-step constants, restated
 
 E2 = np.eye(2, dtype=complex)
 
@@ -298,14 +301,36 @@ def test_given_family_digest_is_not_recomputed():
 
 # ------------------------------------------------------- search kernel
 
-def _reference_kernel(rows, group_ids, n_groups, dim, target, budget, seed):
-    """The kernel before it kept inner products: a full mat-vec for every
-    evaluation and groups picked by boolean masks.  Test oracle only."""
+def _reference_kernel(rows, group_ids, n_groups, dim, target, budget, seed, tie_steps=True):
+    """The kernel written the plain way: a full mat-vec for every evaluation
+    and groups picked by boolean masks.  ``tie_steps=False`` ends a restart
+    where no step on the active group improves, as the kernel did before it
+    took tie steps.  Test oracle only."""
     rng = np.random.default_rng(seed)
 
     def evaluate(v):
         q = np.bincount(group_ids, weights=np.abs(rows @ v.conj()) ** 2, minlength=n_groups)
         return float(np.sqrt(q.max())), q
+
+    def group_gradient(k, v):
+        members = group_ids == k
+        return rows[members].T @ (rows[members].conj() @ v)
+
+    def first_improving_step(v, f, grad, scale):
+        nonlocal evals
+        for eta in _STEP_SCHEDULE:
+            if evals >= budget:
+                return None
+            w = v - eta * scale * grad
+            wn = np.linalg.norm(w)
+            if wn == 0.0:
+                continue
+            w /= wn
+            fw, qw = evaluate(w)
+            evals += 1
+            if fw < f:
+                return w, fw, qw
+        return None
 
     evals = 0
     best_f, best_v = math.inf, None
@@ -315,25 +340,17 @@ def _reference_kernel(rows, group_ids, n_groups, dim, target, budget, seed):
         f, q = evaluate(v)
         evals += 1
         while f > target and evals < budget:
-            members = group_ids == int(np.argmax(q))
-            grad = rows[members].T @ (rows[members].conj() @ v)
-            improved = False
-            for eta in _STEP_SCHEDULE:
-                if evals >= budget:
-                    break
-                w = v - eta * grad
-                wn = np.linalg.norm(w)
-                if wn == 0.0:
-                    continue
-                w /= wn
-                fw, qw = evaluate(w)
-                evals += 1
-                if fw < f:
-                    v, f, q = w, fw, qw
-                    improved = True
-                    break
-            if not improved:
+            stepped = first_improving_step(v, f, group_gradient(int(np.argmax(q)), v), 1.0)
+            if stepped is None and tie_steps and evals < budget:
+                tied = [k for k in np.argsort(-q, kind="stable") if q[k] >= (1 - TIE_SHARE) * q.max()]
+                tied = tied[:TIE_MAX_GROUPS]
+                if len(tied) >= 2 and q.max() > 0.0:
+                    grad = sum(group_gradient(k, v) for k in tied)
+                    scale = np.vdot(v, grad).real / np.vdot(grad, grad).real
+                    stepped = first_improving_step(v, f, grad, scale)
+            if stepped is None:
                 break
+            v, f, q = stepped
         if f < best_f:
             best_f, best_v = f, v
         if f <= target:
@@ -411,6 +428,28 @@ def test_gram_cache_limit_keeps_the_result(monkeypatch, cache_bytes):
     _, f_capped, evals_capped, ok_capped = minimize_max_group_norm(*args)
     assert (evals_capped, ok_capped) == (evals, ok)
     assert f_capped == pytest.approx(f, abs=1e-12)
+
+
+def test_tie_steps_reach_lower_on_the_same_budget():
+    # 80 unit rows in C^12 and a target out of reach: without tie steps,
+    # every restart ends where no step on the single active row descends.
+    rows, group_ids = _grouped_rows([1] * 80, 12, 0)
+    args = (rows, group_ids, 80, 12, 0.3, 1500, 0)
+    _, f, evals, ok = minimize_max_group_norm(*args)
+    _, f_without, evals_without, ok_without = _reference_kernel(*args, tie_steps=False)
+    assert (evals, ok) == (evals_without, ok_without) == (1500, False)
+    assert f < 0.9 * f_without
+
+
+def test_success_before_any_stall_keeps_the_pinned_result():
+    # This search reaches its target before any restart stalls, so no tie
+    # step is taken and the result is the one pinned before tie steps
+    # existed (on numpy 2.4 with OpenBLAS).
+    rows, group_ids = _grouped_rows([1] * 80, 12, 0)
+    v, f, evals, ok = minimize_max_group_norm(rows, group_ids, 80, 12, 0.4, 1500, 0)
+    assert (f, evals, ok) == (0.3937710498660465, 46, True)
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "d7256a26b0b9dce40bdad05c0d4d2112a5ab3f2d4266947b996d99914e917e19")
 
 
 def test_unreachable_target_spends_exactly_the_budget():
