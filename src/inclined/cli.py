@@ -20,6 +20,7 @@ the files would break that reproducibility.
 from __future__ import annotations
 
 import argparse
+import decimal
 import itertools
 import json
 import math
@@ -98,10 +99,10 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _finite_float(text: str) -> float:
+def _positive_finite_float(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -117,17 +118,21 @@ def _load_vectors(path: str) -> tuple[np.ndarray, str]:
     return vectors, digest_vectors(vectors)
 
 
+def _digits(n: int) -> str:
+    # str(int) refuses more than 4300 digits (sys.set_int_max_str_digits);
+    # Decimal gives the same digits without that limit.
+    return str(decimal.Decimal(n))
+
+
 def cmd_params(args, argv) -> int:
-    if args.m < 1:
-        return _fail("--m must be a positive integer", EXIT_INPUT)
     t0 = time.perf_counter()
     d_min = min_level_dimension(args.m)
     trace: dict = {"first_success": None, "last_fail": None}
     lhs, rhs = predicate_sides(args.m, d_min)
-    trace["first_success"] = {"d": d_min, "lhs": str(lhs), "rhs": str(rhs)}
+    trace["first_success"] = {"d": d_min, "lhs": _digits(lhs), "rhs": _digits(rhs)}
     if d_min > MIN_PAPER_ALPHABET:
         lhs, rhs = predicate_sides(args.m, d_min - 1)
-        trace["last_fail"] = {"d": d_min - 1, "lhs": str(lhs), "rhs": str(rhs)}
+        trace["last_fail"] = {"d": d_min - 1, "lhs": _digits(lhs), "rhs": _digits(rhs)}
     out = {
         "manifest": _manifest("params", argv, None, {}),
         "m": args.m,
@@ -180,8 +185,6 @@ def cmd_incline(args, argv) -> int:
 
 
 def cmd_cover(args, argv) -> int:
-    if args.radius <= 0:
-        return _fail("--radius must be positive", EXIT_INPUT)
     try:
         points, digest = _load_vectors(args.input)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -407,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="minimal alphabet size for a level index")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("incline", help="search for an inclined unit vector")
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="search for a point missed by a candidate net")
     p.add_argument("input", help="JSON array of vectors (net points)")
-    p.add_argument("--radius", type=_finite_float, required=True)
+    p.add_argument("--radius", type=_positive_finite_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--out", type=str, default=None)

@@ -44,7 +44,8 @@ from .hilbert import as_vector
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
-from .tensor_projection import AxisProjectionSpec, ProductProjectionSpec, apply_axis, joint_fixed_vector
+from .tensor_projection import (
+    AxisProjectionSpec, ProductProjectionSpec, _frozen_unit, apply_axis, joint_fixed_vector)
 
 MIN_PAPER_ALPHABET = 2 ** 7
 
@@ -260,13 +261,10 @@ class BranchProjectionSpec:
             raise ValueError("need exactly one direction per level")
         frozen = []
         for lv, v in zip(self.stage.levels, self.directions):
-            u = as_vector(v, dim=lv.d)
-            n = np.linalg.norm(u)
-            if n == 0.0:
-                raise ValueError(f"zero direction at level {lv.m}")
-            u = u / n
-            u.flags.writeable = False
-            frozen.append(u)
+            try:
+                frozen.append(_frozen_unit(v, lv.d))
+            except ValueError as exc:
+                raise ValueError(f"direction at level {lv.m}: {exc}") from None
         object.__setattr__(self, "directions", tuple(frozen))
 
     def sigma(self, m: int) -> str:
@@ -297,17 +295,6 @@ class SuppressionCertificate:
             raise ValueError(f"max diagonal {self.max_diagonal} exceeds bound {self.bound}")
 
 
-def _level_block_rows(stage: StageParameters, mat: np.ndarray, m: int, sigma: str,
-                      indices: Sequence[int]) -> np.ndarray:
-    """Blocks along axis sigma of the level-m component of the chosen rows.
-
-    Returns an array of shape (len(indices), d^(2^m - 1), d): for each chosen
-    basis vector, its level-m coordinates split into blocks along sigma.
-    """
-    rows = mat[np.asarray(indices, dtype=int), stage.level_slice(m)]
-    return blocks_matrix(stage.levels[m - 1].space, rows, sigma)
-
-
 def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:
     """Block-diagonal action: each level block is projected independently."""
     xv = as_vector(x, dim=spec.stage.dim)
@@ -322,7 +309,7 @@ def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
     n = mat.shape[0]
     diag = np.zeros(n)
     for lv in spec.stage.levels:
-        blocks = _level_block_rows(spec.stage, mat, lv.m, spec.sigma(lv.m), range(n))
+        blocks = blocks_matrix(lv.space, mat[:, spec.stage.level_slice(lv.m)], spec.sigma(lv.m))
         coeff = blocks @ spec.directions[lv.m - 1].conj()
         diag += (np.abs(coeff) ** 2).sum(axis=1)
     return diag
@@ -375,7 +362,7 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
             v[0] = 1.0
             directions.append(v)
             continue
-        blocks = _level_block_rows(stage, mat, lv.m, sigma, leaked)
+        blocks = blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
         n_blocks = blocks.shape[1]
         rows = blocks.reshape(-1, lv.d)
         if stage.regime == "paper":

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .hilbert import DENSE_ORACLE_CAP, as_vector, dense_rank_one, normalized
-from .tensor_index import TensorIndexSpace, blocks_matrix, unblocks_matrix
+from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
 
 
 def _frozen_unit(v, dim: int) -> np.ndarray:
@@ -63,9 +63,13 @@ class ProductProjectionSpec:
 def apply_axis(spec: AxisProjectionSpec, x) -> np.ndarray:
     """Apply R_v to every block x(s) along the spec's axis."""
     v = spec.direction
-    blocks = blocks_matrix(spec.space, x, spec.axis)
-    coeff = blocks @ v.conj()  # inner(x(s), v) per block, first-slot linear
-    return unblocks_matrix(spec.space, np.multiply.outer(coeff, v), spec.axis)
+    # The product runs on blocks_matrix, not on the strided block view: the
+    # same sums taken over a strided view can round differently.
+    coeff = blocks_matrix(spec.space, x, spec.axis) @ v.conj()  # inner(x(s), v) per block
+    out = np.empty(spec.space.dim, dtype=np.complex128)
+    blocks = block_view(spec.space, out, spec.axis)
+    np.multiply.outer(coeff.reshape(blocks.shape[:-1]), v, out=blocks)
+    return out
 
 
 def apply_product(spec: ProductProjectionSpec, x) -> np.ndarray:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from inclined import cli
 from inclined.cli import main
-from inclined.family import SuppressionFailure
+from inclined.family import SuppressionFailure, predicate_sides
 from inclined.search import BudgetExhausted
 from inclined.serialize import vectors_to_obj, write_json
 
@@ -44,8 +45,15 @@ def test_params_reports_minimum_and_trace(capsys):
     assert int(trace["first_success"]["lhs"]) < int(trace["first_success"]["rhs"])
 
 
-def test_params_rejects_nonpositive_m(capsys):
-    assert main(["params", "--m", "0"]) == 2
+def test_params_beyond_the_int_string_limit(capsys):
+    # The sides at m = 4 have more digits than str(int) converts by default.
+    assert main(["params", "--m", "4"]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert out["d_min"] == 4228
+    for key, d in (("first_success", 4228), ("last_fail", 4227)):
+        lhs, rhs = predicate_sides(4, d)
+        assert out["trace"][key] == {"d": d, "lhs": str(decimal.Decimal(lhs)),
+                                     "rhs": str(decimal.Decimal(rhs))}
 
 
 # ------------------------------------------------------------ incline
@@ -228,6 +236,8 @@ def _scalar_entry_family():
     (_ragged_family(), ["cover", "{v}", "--radius", "0.5"]),
     (_scalar_entry_family(), ["incline", "{v}", "--bound", "0.9"]),
     (None, ["cover", "{v}", "--radius", "nan"]),
+    (None, ["cover", "{v}", "--radius", "0"]),
+    (None, ["params", "--m", "0"]),
     (None, ["family", "verify", "{fam}", "--bound", "nan"]),
     (None, ["family", "verify", "{fam}", "--bound", "inf"]),
     (None, ["incline", "{v}", "--bound", "0.9", "--seed", "-1"]),
@@ -242,7 +252,7 @@ def _scalar_entry_family():
             "--out", "{out}/f.json"]),
     (None, ["family", "verify", "{bigfam}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
-        "radius-nan", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
+        "radius-nan", "radius-0", "params-m-0", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
         "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
         "verify-random-basis-too-large"])

@@ -9,6 +9,7 @@ from inclined import (
     BudgetExhausted,
     SuppressionFailure,
     apply_branch_projection,
+    blocks_matrix,
     branch_diagonals,
     branch_intersection,
     build_branch_projection,
@@ -267,6 +268,16 @@ def test_diagonals_always_in_unit_interval():
     assert diag.max() <= 1.0 + 1e-10
 
 
+def test_branch_spec_names_the_level_of_a_zero_direction():
+    stage = toy_stage([2, 3])
+    e0 = np.array([1, 0], dtype=complex)
+    with pytest.raises(ValueError, match="level 2"):
+        BranchProjectionSpec(stage=stage, branch="01", directions=(e0, np.zeros(3)))
+    spec = BranchProjectionSpec(stage=stage, branch="01", directions=(2 * e0, [0, 3, 4]))
+    np.testing.assert_allclose(spec.directions[1], [0, 0.6, 0.8], atol=1e-15)
+    assert not spec.directions[1].flags.writeable
+
+
 def test_verify_dimension_mismatch():
     stage = toy_stage([2])
     spec = BranchProjectionSpec(
@@ -301,8 +312,7 @@ def test_paper_regime_build_at_level_one():
     assert cert.max_diagonal <= 19 / 20
     # per-block guarantee: every block of every family member is suppressed
     v = spec.directions[0]
-    from inclined.family import _level_block_rows
-    blocks = _level_block_rows(stage, basis, 1, "1", list(range(12)))
+    blocks = blocks_matrix(stage.levels[0].space, basis[:, stage.level_slice(1)], "1")
     scores = np.abs(blocks.conj() @ v)
     norms = np.linalg.norm(blocks, axis=2)
     mask = norms > 0

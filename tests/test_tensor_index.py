@@ -3,47 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from inclined import (
-    TensorIndexSpace,
-    basis_vector,
-    block_view,
-    blocks_matrix,
-    join,
-    split,
-    unblocks_matrix,
-)
+from inclined import TensorIndexSpace, block_view, blocks_matrix
 
 
-def test_linearize_single_axis():
-    sp = TensorIndexSpace(("a",), 3)
-    assert sp.linearize({"a": 2}) == 2
-
-
-def test_linearize_lexicographic_layout():
-    sp = TensorIndexSpace(("a", "b"), 2)
-    assert sp.linearize({"a": 1, "b": 0}) == 2
-
-
-def test_linearize_round_trip_all_indices():
-    sp = TensorIndexSpace(("a", "b"), 4)
-    seen = set()
-    for t in sp.function_indices():
-        i = sp.linearize(t)
-        seen.add(i)
-        assert sp.delinearize(i) == t
-    assert seen == set(range(16))
-
-
-def test_linearize_rejects_out_of_range_symbol():
-    sp = TensorIndexSpace(("a", "b"), 2)
-    with pytest.raises(ValueError, match="out of range"):
-        sp.linearize({"a": 0, "b": 2})
-
-
-def test_linearize_rejects_partial_index():
-    sp = TensorIndexSpace(("a", "b"), 2)
-    with pytest.raises(ValueError, match="not total"):
-        sp.linearize({"a": 0})
+def _kron_basis_vector(t, d):
+    """e_t in the dense oracle's Kronecker order, first axis most significant."""
+    out = np.ones(1, dtype=complex)
+    for b in t:
+        out = np.kron(out, np.eye(d, dtype=complex)[b])
+    return out
 
 
 def test_space_validation():
@@ -55,42 +23,30 @@ def test_space_validation():
         TensorIndexSpace(("a",), 0)
 
 
-def test_split_example():
-    s, b = split({"a": 0, "b": 1}, "a")
-    assert s == {"b": 1}
-    assert b == 0
-
-
-def test_join_example():
-    assert join({"b": 1}, "a", 0) == {"a": 0, "b": 1}
-
-
-def test_split_join_round_trip_all_indices():
-    sp = TensorIndexSpace(("a", "b", "c"), 2)
-    for t in sp.function_indices():
-        for axis in sp.axes:
-            s, b = split(t, axis)
-            assert join(s, axis, b) == t
-
-
-def test_split_unknown_axis():
-    with pytest.raises(ValueError):
-        split({"a": 0}, "z")
-
-
-def test_join_duplicate_axis():
-    with pytest.raises(ValueError):
-        join({"a": 0}, "a", 1)
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_every_index_sits_where_the_kronecker_order_puts_it(n, d):
+    # e_t = e_{t(a0)} (x) ... (x) e_{t(a_{n-1})} sits at ravel_multi_index(t),
+    # and splitting t = s | (axis, b) puts it in block row s, column b
+    sp = TensorIndexSpace(tuple(f"a{i}" for i in range(n)), d)
+    for t in itertools.product(range(d), repeat=n):
+        x = _kron_basis_vector(t, d)
+        assert np.flatnonzero(x).tolist() == [np.ravel_multi_index(t, (d,) * n)]
+        for pos, axis in enumerate(sp.axes):
+            s = t[:pos] + t[pos + 1:]
+            expected = np.zeros((d ** (n - 1), d), dtype=complex)
+            expected[np.ravel_multi_index(s, (d,) * (n - 1)) if s else 0, t[pos]] = 1.0
+            np.testing.assert_array_equal(blocks_matrix(sp, x, axis), expected)
+            np.testing.assert_array_equal(block_view(sp, x, axis)[s], np.eye(d)[t[pos]])
 
 
 def test_block_view_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 3)
-    x = basis_vector(sp, {"a": 0, "b": 1})
+    x = _kron_basis_vector((0, 1), 3)
     blocks = block_view(sp, x, "a")
     np.testing.assert_array_equal(blocks[(1,)], [1, 0, 0])  # e_0 at s = {b: 1}
-    for key, blk in blocks.items():
+    for key in itertools.product(range(3), repeat=1):
         if key != (1,):
-            np.testing.assert_array_equal(blk, np.zeros(3))
+            np.testing.assert_array_equal(blocks[key], np.zeros(3))
 
 
 def test_block_view_parseval():
@@ -99,29 +55,27 @@ def test_block_view_parseval():
     x = rng.standard_normal(27) + 1j * rng.standard_normal(27)
     for axis in sp.axes:
         blocks = block_view(sp, x, axis)
-        total = sum(np.linalg.norm(b) ** 2 for b in blocks.values())
+        total = sum(np.linalg.norm(blocks[s]) ** 2 for s in itertools.product(range(3), repeat=2))
         assert total == pytest.approx(np.linalg.norm(x) ** 2, abs=1e-12)
 
 
-def test_block_view_layout_matches_linearize():
-    # derived from the coordinate layout: with axes (a, b) and the first
-    # axis most significant, splitting along b groups consecutive entries
+def test_block_view_layout_matches_ravel_multi_index():
+    # with axes (a, b) and the first axis most significant, splitting along b
+    # groups consecutive entries
     sp = TensorIndexSpace(("a", "b"), 2)
     x = np.array([0, 1, 2, 3], dtype=complex)
     blocks = block_view(sp, x, "b")
     np.testing.assert_array_equal(blocks[(0,)], [0, 1])
     np.testing.assert_array_equal(blocks[(1,)], [2, 3])
-    # cross-check every entry against linearize directly
-    for t in sp.function_indices():
-        s, b = split(t, "b")
-        assert blocks[(s["a"],)][b] == x[sp.linearize(t)]
+    for t in itertools.product(range(2), repeat=2):
+        assert blocks[(t[0],)][t[1]] == x[np.ravel_multi_index(t, (2, 2))]
 
 
 def test_block_view_single_axis_space():
     sp = TensorIndexSpace(("a",), 4)
     x = np.arange(4, dtype=complex)
     blocks = block_view(sp, x, "a")
-    assert list(blocks) == [()]
+    assert blocks.shape == (4,)
     np.testing.assert_array_equal(blocks[()], x)
 
 
@@ -133,29 +87,42 @@ def test_block_view_dimension_mismatch():
 
 def test_basis_vectors_have_exactly_one_standard_block():
     sp = TensorIndexSpace(("a", "b", "c"), 2)
-    for t in sp.function_indices():
-        x = basis_vector(sp, t)
+    for t in itertools.product(range(2), repeat=3):
+        x = _kron_basis_vector(t, 2)
         for axis in sp.axes:
-            blocks = block_view(sp, x, axis)
-            nonzero = {k: b for k, b in blocks.items() if np.linalg.norm(b) > 0}
+            mat = blocks_matrix(sp, x, axis)
+            nonzero = mat[np.linalg.norm(mat, axis=1) > 0]
             assert len(nonzero) == 1
-            (blk,) = nonzero.values()
-            assert sorted(np.abs(blk)) == [0] * (sp.alphabet_size - 1) + [1]
+            assert sorted(np.abs(nonzero[0])) == [0] * (sp.alphabet_size - 1) + [1]
 
 
 def test_blocks_matrix_round_trip():
+    # writing the rows of blocks_matrix back through block_view restores x
     sp = TensorIndexSpace(("a", "b", "c"), 3)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(27) + 1j * rng.standard_normal(27)
     for axis in sp.axes:
         mat = blocks_matrix(sp, x, axis)
-        np.testing.assert_array_equal(unblocks_matrix(sp, mat, axis), x)
+        out = np.empty_like(x)
+        view = block_view(sp, out, axis)
+        view[...] = mat.reshape(view.shape)
+        np.testing.assert_array_equal(out, x)
 
 
-def test_function_indices_enumeration_is_lexicographic():
+def test_blocks_matrix_batch_axes():
     sp = TensorIndexSpace(("a", "b"), 3)
-    order = [sp.linearize(t) for t in sp.function_indices()]
-    assert order == list(range(9))
-    symbols = [tuple(t[a] for a in sp.axes) for t in sp.function_indices()]
-    assert symbols == sorted(symbols)
-    assert symbols == list(itertools.product(range(3), repeat=2))
+    rng = np.random.default_rng(6)
+    xs = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    for axis in sp.axes:
+        batched = blocks_matrix(sp, xs, axis)
+        assert batched.shape == (4, 3, 3)
+        for k in range(4):
+            np.testing.assert_array_equal(batched[k], blocks_matrix(sp, xs[k], axis))
+
+
+def test_blocks_matrix_rejects_non_finite_and_unknown_axis():
+    sp = TensorIndexSpace(("a", "b"), 2)
+    with pytest.raises(ValueError, match="non-finite"):
+        blocks_matrix(sp, np.array([0, 1, np.nan, 0]), "a")
+    with pytest.raises(ValueError, match="not in"):
+        blocks_matrix(sp, np.zeros(4), "z")
