@@ -39,6 +39,32 @@ def test_every_index_sits_where_the_kronecker_order_puts_it(n, d):
             np.testing.assert_array_equal(block_view(sp, x, axis)[s], np.eye(d)[t[pos]])
 
 
+def test_linearize_round_trip_all_indices():
+    # every index of a (4, 4) space has its own position, and the position
+    # gives the index back
+    sp = TensorIndexSpace(("a", "b"), 4)
+    shape = (sp.alphabet_size,) * len(sp.axes)
+    seen = set()
+    for t in itertools.product(range(sp.alphabet_size), repeat=len(sp.axes)):
+        i = int(np.ravel_multi_index(t, shape))
+        seen.add(i)
+        assert tuple(int(b) for b in np.unravel_index(i, shape)) == t
+        assert np.flatnonzero(_kron_basis_vector(t, sp.alphabet_size)).tolist() == [i]
+    assert seen == set(range(sp.dim))
+
+
+def test_function_indices_enumeration_is_lexicographic():
+    # enumerating indices in itertools.product order walks the positions
+    # 0, 1, ..., dim - 1 of the Kronecker order
+    sp = TensorIndexSpace(("a", "b"), 3)
+    indices = list(itertools.product(range(sp.alphabet_size), repeat=len(sp.axes)))
+    assert indices == sorted(indices)
+    order = [int(np.flatnonzero(_kron_basis_vector(t, 3))[0]) for t in indices]
+    assert order == list(range(9))
+    stacked = np.array([_kron_basis_vector(t, 3) for t in indices])
+    np.testing.assert_array_equal(stacked, np.eye(9))
+
+
 def test_block_view_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 3)
     x = _kron_basis_vector((0, 1), 3)
