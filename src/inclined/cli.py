@@ -4,7 +4,7 @@ Commands: parameter queries (params), inclined-vector search (incline),
 covering-witness experiments (cover), projection-family build / verify /
 intersect (family ...), and an end-to-end demo.
 
-Exit codes distinguish outcomes:
+Exit codes distinguish outcomes (main alone maps exceptions to them):
   0  success
   1  verified negative / failed bound (a definite answer at this budget)
   2  input or usage error, including a file that cannot be read or written
@@ -27,6 +27,7 @@ import math
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,11 +81,6 @@ def _manifest(command: str, argv: list[str], root_seed: int | None,
     }
 
 
-def _fail(message: str, code: int) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -113,9 +109,47 @@ def _open_unit_float(text: str) -> float:
     return value
 
 
-def _load_vectors(path: str) -> tuple[np.ndarray, str]:
-    vectors = read_vectors(path)
-    return vectors, digest_vectors(vectors)
+def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
+    """The basis a basis record names, the record that identifies it, and its digest.
+
+    A "random" record is identified by its integer seed and n, and the basis
+    is redrawn from them.  A threaded QR rounds differently from a serial
+    one, so the bits of the redraw, and with them its digest, depend on the
+    BLAS build and thread count; a redraw is checked by the Gram check and
+    the recorded diagonals instead.  A "file" record is identified by the
+    digest of the basis read from ``path``; comparing the returned record
+    with a recorded one compares those digests.
+    """
+    if not isinstance(record, dict):
+        raise TypeError(f"a basis record must be a JSON object, got {record!r}")
+    if record["kind"] == "random":
+        seed, n = record["seed"], record["n"]
+        if type(seed) is not int or type(n) is not int:
+            raise TypeError(f"a random basis record needs integer 'seed' and 'n', "
+                            f"got {seed!r} and {n!r}")
+        basis = random_orthonormal_basis(n, seed)
+        return basis, {"kind": "random", "seed": seed, "n": n}, digest_vectors(basis)
+    if record["kind"] != "file":
+        raise ValueError(f"basis kind must be 'random' or 'file', got {record['kind']!r}")
+    if path is None:
+        raise ValueError("family was built from a basis file; pass it with --basis")
+    basis = read_vectors(path)
+    digest = digest_vectors(basis)
+    return basis, {"kind": "file", "digest": digest}, digest
+
+
+def _incline_payload(manifest: dict, cert, status: str) -> dict:
+    return {"manifest": manifest, "certificate": {**inclination_to_obj(cert), "status": status}}
+
+
+def _family_payload(manifest: dict, spec, basis_record: dict, rho: float, cert) -> dict:
+    return {
+        "manifest": manifest,
+        **branch_spec_to_obj(spec),
+        "basis": basis_record,
+        "rho": rho,
+        "certificate": suppression_to_obj(cert),
+    }
 
 
 def _digits(n: int) -> str:
@@ -127,12 +161,11 @@ def _digits(n: int) -> str:
 def cmd_params(args, argv) -> int:
     t0 = time.perf_counter()
     d_min = min_level_dimension(args.m)
-    trace: dict = {"first_success": None, "last_fail": None}
-    lhs, rhs = predicate_sides(args.m, d_min)
-    trace["first_success"] = {"d": d_min, "lhs": _digits(lhs), "rhs": _digits(rhs)}
-    if d_min > MIN_PAPER_ALPHABET:
-        lhs, rhs = predicate_sides(args.m, d_min - 1)
-        trace["last_fail"] = {"d": d_min - 1, "lhs": _digits(lhs), "rhs": _digits(rhs)}
+    trace = {}
+    # d_min > 2^7 for every m (see min_level_dimension), so d_min - 1 is a failure.
+    for key, d in (("first_success", d_min), ("last_fail", d_min - 1)):
+        lhs, rhs = predicate_sides(args.m, d)
+        trace[key] = {"d": d, "lhs": _digits(lhs), "rhs": _digits(rhs)}
     out = {
         "manifest": _manifest("params", argv, None, {}),
         "m": args.m,
@@ -148,47 +181,33 @@ def cmd_params(args, argv) -> int:
 
 
 def cmd_incline(args, argv) -> int:
-    try:
-        vectors, digest = _load_vectors(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read vectors from {args.input}: {exc}", EXIT_INPUT)
+    vectors = read_vectors(args.input)
+    digest = digest_vectors(vectors)
     t0 = time.perf_counter()
-    manifest = _manifest("incline", argv, args.seed, {"input": digest})
     try:
         cert = find_inclined_vector(vectors, args.bound, args.budget, args.seed,
                                     family_digest=digest)
+        status, code = "ok", EXIT_OK
     except BudgetExhausted as exc:
-        payload = {
-            "manifest": manifest,
-            "certificate": {
-                "d": int(exc.best_candidate.size),
-                "family_digest": digest,
-                "candidate": vector_to_obj(exc.best_candidate),
-                "achieved": float(exc.best_achieved),
-                "bound": float(args.bound),
-                "seed": args.seed,
-                "iterations_used": int(exc.iterations_used),
-                "status": "failed",
-            },
-        }
-        if args.out:
-            write_json(args.out, payload)
-        print(canonical_json(payload))
-        print(f"[inclined] incline failed the bound in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-        return EXIT_NEGATIVE
-    payload = {"manifest": manifest, "certificate": {**inclination_to_obj(cert), "status": "ok"}}
+        # A failed certificate has the fields of a successful one.
+        cert = SimpleNamespace(
+            dimension=exc.best_candidate.size, family_digest=digest,
+            candidate=exc.best_candidate, achieved=exc.best_achieved, bound=args.bound,
+            seed=args.seed, iterations_used=exc.iterations_used)
+        status, code = "failed", EXIT_NEGATIVE
+    payload = _incline_payload(_manifest("incline", argv, args.seed, {"input": digest}),
+                               cert, status)
     if args.out:
         write_json(args.out, payload)
     print(canonical_json(payload))
-    print(f"[inclined] incline succeeded in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
-    return EXIT_OK
+    outcome = "succeeded" if code == EXIT_OK else "failed the bound"
+    print(f"[inclined] incline {outcome} in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    return code
 
 
 def cmd_cover(args, argv) -> int:
-    try:
-        points, digest = _load_vectors(args.input)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read points from {args.input}: {exc}", EXIT_INPUT)
+    points = read_vectors(args.input)
+    digest = digest_vectors(points)
     t0 = time.perf_counter()
     witness = cover_witness(points, args.radius, args.trials, args.seed)
     payload = {
@@ -205,72 +224,36 @@ def cmd_cover(args, argv) -> int:
     return EXIT_OK if witness is not None else EXIT_NEGATIVE
 
 
-def _resolve_basis(args, stage, root_seed: int):
-    """Returns (matrix, basis_record, digest) for --basis FILE|random."""
-    if args.basis == "random":
-        basis_seed = derive_seed(root_seed, "basis")
-        basis = random_orthonormal_basis(stage.dim, basis_seed)
-        record = {"kind": "random", "seed": basis_seed, "n": stage.dim}
-        return basis, record, digest_vectors(basis)
-    basis, digest = _load_vectors(args.basis)
-    return basis, {"kind": "file", "digest": digest}, digest
-
-
 def cmd_family_build(args, argv) -> int:
-    try:
-        stage = stage_from_obj(read_json(args.stage))
-        basis, basis_record, basis_digest = _resolve_basis(args, stage, args.seed)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    c = float(np.sqrt(args.rho))
+    stage = stage_from_obj(read_json(args.stage))
+    if args.basis == "random":
+        request = {"kind": "random", "seed": derive_seed(args.seed, "basis"), "n": stage.dim}
+    else:
+        request = {"kind": "file"}
+    basis, basis_record, basis_digest = _load_basis(request, args.basis)
     t0 = time.perf_counter()
-    try:
-        spec, cert = build_branch_projection(
-            stage, basis, args.branch, c, args.budget, args.seed, basis_digest=basis_digest)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    except BudgetExhausted as exc:
-        print(f"error: budget exhausted at level {exc.level}: best achieved "
-              f"{exc.best_achieved:.6g}", file=sys.stderr)
-        return EXIT_BUDGET
-    payload = {
-        "manifest": _manifest("family build", argv, args.seed, {"basis": basis_digest}),
-        **branch_spec_to_obj(spec),
-        "basis": basis_record,
-        "rho": args.rho,
-        "certificate": suppression_to_obj(cert),
-    }
-    write_json(args.out, payload)
+    spec, cert = build_branch_projection(
+        stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed,
+        basis_digest=basis_digest)
+    manifest = _manifest("family build", argv, args.seed, {"basis": basis_digest})
+    write_json(args.out, _family_payload(manifest, spec, basis_record, args.rho, cert))
     print(canonical_json({"out": str(args.out), "max_diagonal": cert.max_diagonal, "bound": cert.bound}))
     print(f"[inclined] family build finished in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
-def _load_family(path: str):
-    obj = read_json(path)
-    spec = branch_spec_from_obj(obj)
-    return obj, spec
-
-
 def cmd_family_verify(args, argv) -> int:
-    try:
-        obj, spec = _load_family(args.family)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read family file: {exc}", EXIT_INPUT)
-    basis_record = obj.get("basis", {})
-    try:
-        if basis_record.get("kind") == "random":
-            basis = random_orthonormal_basis(int(basis_record["n"]), int(basis_record["seed"]))
-            basis_digest = digest_vectors(basis)
-        elif args.basis is not None:
-            basis, basis_digest = _load_vectors(args.basis)
-        else:
-            return _fail("family was built from a basis file; pass it with --basis", EXIT_INPUT)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    stored = obj.get("certificate", {})
-    if stored.get("basis_digest") != basis_digest:
-        return _fail("basis digest mismatch: supplied basis is not the certified one", EXIT_INPUT)
+    obj = read_json(args.family)
+    spec = branch_spec_from_obj(obj)
+    stored = obj["certificate"]
+    if not isinstance(stored, dict):
+        raise TypeError(f"the certificate must be a JSON object, got {stored!r}")
+    recorded = np.asarray(stored["diagonals"])
+    if recorded.ndim != 1 or recorded.dtype.kind not in "iuf":
+        raise TypeError("the certificate's diagonals must be a list of numbers")
+    basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
+    if basis_record != obj["basis"]:
+        raise ValueError("basis mismatch: the supplied basis is not the one the family records")
     t0 = time.perf_counter()
     try:
         cert = verify_suppression(spec, basis, args.bound, basis_digest=basis_digest)
@@ -280,8 +263,7 @@ def cmd_family_verify(args, argv) -> int:
         return EXIT_NEGATIVE
     # The stored diagonals must match the recomputation; tampering with the
     # directions or the recorded values shows up here.
-    recorded = np.asarray(stored.get("diagonals", []), dtype=float)
-    if recorded.size != len(cert.diagonals) or np.abs(recorded - np.asarray(cert.diagonals)).max() > 1e-10:
+    if recorded.size != len(cert.diagonals) or not np.abs(recorded - cert.diagonals).max() <= 1e-10:
         print(canonical_json({"ok": False, "reason": "certificate mismatch"}))
         return EXIT_NEGATIVE
     print(canonical_json({"ok": True, "max_diagonal": cert.max_diagonal, "bound": args.bound}))
@@ -290,18 +272,13 @@ def cmd_family_verify(args, argv) -> int:
 
 
 def cmd_family_intersect(args, argv) -> int:
-    if len(args.families) < 2:
-        return _fail("need at least two family files", EXIT_INPUT)
     specs = []
     digests = {}
-    try:
-        for path in args.families:
-            _, spec = _load_family(path)
-            specs.append(spec)
-            digests[path] = sha256_hex(Path(path).read_bytes())
-        vec = branch_intersection(specs)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    for path in args.families:
+        raw = Path(path).read_bytes()
+        specs.append(branch_spec_from_obj(json.loads(raw)))
+        digests[path] = sha256_hex(raw)
+    vec = branch_intersection(specs)
     residuals = {
         s.branch: float(np.linalg.norm(apply_branch_projection(s, vec) - vec)) for s in specs
     }
@@ -330,44 +307,34 @@ def cmd_demo(args, argv) -> int:
     t0 = time.perf_counter()
     written: dict[str, str] = {}
 
+    def write(name: str, payload: dict) -> None:
+        write_json(outdir / name, payload)
+        written[name] = sha256_hex((outdir / name).read_bytes())
+
     # Inclined search at full dimension: 1000 directions in C^128.
     fam_rng = np.random.default_rng(derive_seed(root, "demo", "incline", "vectors"))
     z = fam_rng.standard_normal((1000, 128)) + 1j * fam_rng.standard_normal((1000, 128))
     vectors = z / np.linalg.norm(z, axis=1, keepdims=True)
     search_seed = derive_seed(root, "demo", "incline", "search")
     cert = find_inclined_vector(vectors, 0.9, 10_000, search_seed)
-    incline_payload = {
-        "manifest": _manifest("demo", argv, root, {}),
-        "certificate": {**inclination_to_obj(cert), "status": "ok"},
-    }
-    path = outdir / "incline_certificate.json"
-    write_json(path, incline_payload)
-    written[path.name] = sha256_hex(path.read_bytes())
+    write("incline_certificate.json", _incline_payload(_manifest("demo", argv, root, {}), cert, "ok"))
 
     # Toy stage, shared random basis, all eight depth-3 branches.
     stage = toy_stage([4, 4, 2])
-    basis_seed = derive_seed(root, "demo", "basis")
-    basis = random_orthonormal_basis(stage.dim, basis_seed)
-    basis_digest = digest_vectors(basis)
+    request = {"kind": "random", "seed": derive_seed(root, "demo", "basis"), "n": stage.dim}
+    basis, basis_record, basis_digest = _load_basis(request, None)
+    manifest = _manifest("demo", argv, root, {"basis": basis_digest})
     build_seed = derive_seed(root, "demo", "family")
     rho = 0.9
-    c = float(np.sqrt(rho))
     specs = []
+    max_diagonal = 0.0
     for bits in itertools.product("01", repeat=stage.depth):
-        branch = "".join(bits)
         spec, scert = build_branch_projection(
-            stage, basis, branch, c, 10_000, build_seed, basis_digest=basis_digest)
+            stage, basis, "".join(bits), float(np.sqrt(rho)), 10_000, build_seed,
+            basis_digest=basis_digest)
         specs.append(spec)
-        payload = {
-            "manifest": _manifest("demo", argv, root, {"basis": basis_digest}),
-            **branch_spec_to_obj(spec),
-            "basis": {"kind": "random", "seed": basis_seed, "n": stage.dim},
-            "rho": rho,
-            "certificate": suppression_to_obj(scert),
-        }
-        path = outdir / f"family_{branch}.json"
-        write_json(path, payload)
-        written[path.name] = sha256_hex(path.read_bytes())
+        max_diagonal = max(max_diagonal, scert.max_diagonal)
+        write(f"family_{spec.branch}.json", _family_payload(manifest, spec, basis_record, rho, scert))
 
     # Common fixed vectors for every pair and triple of branches.
     entries = []
@@ -382,19 +349,13 @@ def cmd_demo(args, argv) -> int:
                 "vector_digest": digest_vectors([vec]),
                 "max_residual": residual,
             })
-    inter_payload = {"manifest": _manifest("demo", argv, root, {"basis": basis_digest}),
-                     "intersections": entries}
-    path = outdir / "intersections.json"
-    write_json(path, inter_payload)
-    written[path.name] = sha256_hex(path.read_bytes())
+    write("intersections.json", {"manifest": manifest, "intersections": entries})
 
     summary = {
-        "manifest": _manifest("demo", argv, root, {"basis": basis_digest}),
+        "manifest": manifest,
         "files": written,
         "incline_achieved": cert.achieved,
-        "max_diagonal": max(
-            float(max(json.loads(Path(outdir / f).read_text())["certificate"]["diagonals"]))
-            for f in written if f.startswith("family_")),
+        "max_diagonal": max_diagonal,
         "max_intersection_residual": max(e["max_residual"] for e in entries),
     }
     write_json(outdir / "demo_summary.json", summary)
@@ -410,10 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("params", help="minimal alphabet size for a level index")
+    p.set_defaults(run=cmd_params)
     p.add_argument("--m", type=_positive_int, required=True)
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("incline", help="search for an inclined unit vector")
+    p.set_defaults(run=cmd_incline)
     p.add_argument("input", help="JSON array of vectors")
     p.add_argument("--bound", type=_open_unit_float, required=True)
     p.add_argument("--budget", type=_positive_int, default=10_000)
@@ -421,6 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("cover", help="search for a point missed by a candidate net")
+    p.set_defaults(run=cmd_cover)
     p.add_argument("input", help="JSON array of vectors (net points)")
     p.add_argument("--radius", type=_positive_finite_float, required=True)
     p.add_argument("--trials", type=_positive_int, default=100_000)
@@ -431,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     fam_sub = fam.add_subparsers(dest="family_command", required=True)
 
     p = fam_sub.add_parser("build")
+    p.set_defaults(run=cmd_family_build)
     p.add_argument("--stage", required=True, help="stage JSON file")
     p.add_argument("--branch", required=True, help="binary branch string")
     p.add_argument("--basis", required=True, help="basis JSON file, or 'random'")
@@ -440,15 +405,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = fam_sub.add_parser("verify")
+    p.set_defaults(run=cmd_family_verify)
     p.add_argument("family", help="family JSON file")
     p.add_argument("--basis", default=None, help="basis JSON file (if not seed-recorded)")
     p.add_argument("--bound", type=_open_unit_float, default=DEFAULT_SUPPRESSION_BOUND)
 
     p = fam_sub.add_parser("intersect")
+    p.set_defaults(run=cmd_family_intersect)
     p.add_argument("families", nargs="+", help="two or more family JSON files")
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("demo", help="chained end-to-end run with one root seed")
+    p.set_defaults(run=cmd_demo)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", type=str, default="demo_out")
 
@@ -456,35 +424,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.
+
+    This is the only place where an exception becomes an exit code, with one
+    `error:` line on stderr; an uncaught traceback would exit 1 and read as
+    a verified negative.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # Whatever a command leaves uncaught still maps to the exit-code contract;
-    # an uncaught traceback would exit 1 and read as a verified negative.
+    args = build_parser().parse_args(argv)
     try:
-        return _run(args, argv)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        return args.run(args, argv)
+    except KeyError as exc:
+        message, code = f"missing field {exc}", EXIT_INPUT
+    except (OSError, ValueError, TypeError) as exc:  # ValueError includes json.JSONDecodeError
+        message, code = str(exc), EXIT_INPUT
     except BudgetExhausted as exc:
-        return _fail(str(exc), EXIT_BUDGET)
+        message, code = str(exc), EXIT_BUDGET
     except SuppressionFailure as exc:
-        return _fail(str(exc), EXIT_NEGATIVE)
-
-
-def _run(args, argv: list[str]) -> int:
-    if args.command == "params":
-        return cmd_params(args, argv)
-    if args.command == "incline":
-        return cmd_incline(args, argv)
-    if args.command == "cover":
-        return cmd_cover(args, argv)
-    if args.command == "family":
-        if args.family_command == "build":
-            return cmd_family_build(args, argv)
-        if args.family_command == "verify":
-            return cmd_family_verify(args, argv)
-        return cmd_family_intersect(args, argv)
-    return cmd_demo(args, argv)
+        message, code = str(exc), EXIT_NEGATIVE
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

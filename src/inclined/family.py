@@ -86,15 +86,28 @@ def predicate_sides(m: int, d: int) -> tuple[int, int]:
 def min_level_dimension(m: int) -> int:
     """Smallest alphabet size d >= 2^7 satisfying the growth predicate.
 
-    Upward scan with exact integer comparisons; the predicate is monotone in
-    d once it first holds, but only the first success is ever used.
+    With k = 3*2^m - 1 the predicate reads g(d) < 1 for
+    g(d) = 32 m^2 d^k (91/100)^d.  The derivative of log g is
+    k/d - log(100/91): positive below d = k / log(100/91) and negative
+    above, so g rises and then falls.  g(2^7) >= 1 for every m >= 1
+    (at m = 1 it is about 6e6, and it grows with m), so g >= 1 until past
+    its peak, and the d >= 2^7 where the predicate holds are exactly
+    [d_min, inf).  Doubling d from 2^7 therefore finds a d where it holds,
+    and bisection with the same exact integer test finds d_min in
+    O(log d_min) tests.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    d = MIN_PAPER_ALPHABET
-    while not stage_predicate(m, d):
-        d += 1
-    return d
+    fails, holds = MIN_PAPER_ALPHABET, 2 * MIN_PAPER_ALPHABET
+    while not stage_predicate(m, holds):
+        fails, holds = holds, 2 * holds
+    while holds - fails > 1:
+        mid = (fails + holds) // 2
+        if stage_predicate(m, mid):
+            holds = mid
+        else:
+            fails = mid
+    return holds
 
 
 def level_axes(m: int) -> tuple[str, ...]:

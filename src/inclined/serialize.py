@@ -65,7 +65,12 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
 
     The [re, im] pairs become a float64 (n, d, 2) array viewed as complex;
     building re + 1j*im instead would turn a -0.0 imaginary part into +0.0.
-    Every member must have the same dimension.
+    Every member must have the same dimension, and every entry must be a
+    JSON number: numpy infers the array's type, so a string, null or
+    all-boolean entry shows in its dtype, at a fraction of the cost of a
+    scan over the entries.  Booleans mixed with numbers are inferred as
+    floats and pass; integers beyond 64 bits are inferred as objects and
+    are refused.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty JSON array of vectors")
@@ -74,11 +79,14 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
     try:
         dims = sorted({int(v["dim"]) for v in obj})
         if len(dims) == 1:
-            pairs = np.array([v["entries"] for v in obj], dtype=np.float64)
+            pairs = np.array([v["entries"] for v in obj])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed vectors: {exc}") from None
     if len(dims) != 1:
         raise ValueError(f"vectors differ in dimension: {dims}")
+    if pairs.dtype.kind not in "iuf":
+        raise ValueError("vector entries must be JSON numbers")
+    pairs = pairs.astype(np.float64, copy=False)
     (dim,) = dims
     if dim < 1 or pairs.shape != (len(obj), dim, 2):
         raise ValueError(f"expected {len(obj)} vectors of dim={dim} as [re, im] pairs, "

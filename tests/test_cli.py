@@ -1,10 +1,20 @@
+import contextlib
+import copy
 import decimal
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import inclined
 from inclined import cli
 from inclined.cli import main
 from inclined.family import SuppressionFailure, predicate_sides
@@ -157,6 +167,37 @@ def test_family_verify_tight_bound_exits_one(tmp_path, toy_stage_file):
     assert main(["family", "verify", str(fam), "--bound", str(max_diag / 2)]) == 1
 
 
+def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, capsys):
+    _, fam = _build(tmp_path, toy_stage_file, "01")
+    payload = json.loads(fam.read_text())
+    payload["basis"]["seed"] += 1
+    write_json(fam, payload)
+    capsys.readouterr()
+    assert main(["family", "verify", str(fam)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch"}
+
+
+def _cli_in_subprocess(argv, cwd, blas_threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
+               PYTHONPATH=str(Path(inclined.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "inclined.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_random_basis_family_verifies_under_another_blas_thread_count(tmp_path):
+    # A threaded QR rounds differently from a serial one, so the two thread
+    # counts draw the basis of C^528 with different bits.
+    write_json(tmp_path / "stage.json",
+               {"regime": "toy", "levels": [{"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]})
+    built = _cli_in_subprocess(["family", "build", "--stage", "stage.json", "--branch", "010",
+                                "--basis", "random", "--seed", "7", "--out", "fam.json"],
+                               tmp_path, blas_threads=2)
+    assert built.returncode == 0, built.stderr
+    verified = _cli_in_subprocess(["family", "verify", "fam.json"], tmp_path, blas_threads=1)
+    assert verified.returncode == 0, verified.stderr
+    assert json.loads(verified.stdout)["ok"] is True
+
+
 def test_family_build_from_basis_file_and_verify(tmp_path, toy_stage_file):
     from inclined import random_orthonormal_basis
 
@@ -229,12 +270,25 @@ def _scalar_entry_family():
     return [{"dim": 2, "entries": [[1.0, 0.0], 5]}]
 
 
+# Edits of a valid family file, each written to the file named by its key.
+_FAMILY_EDITS = {
+    # the random basis record naming the paper stage's n = 347^2
+    "bigfam": lambda payload: payload["basis"].update(n=347 ** 2),
+    "n_list": lambda payload: payload.update(basis={"kind": "random", "seed": 5, "n": [528]}),
+    "seed_null": lambda payload: payload["basis"].update(seed=None),
+    "cert_str": lambda payload: payload.update(certificate="x"),
+}
+
+
 @pytest.mark.parametrize("family, argv", [
     (None, ["incline", "{v}", "--bound", "0.9", "--budget", "0"]),
     (None, ["cover", "{v}", "--radius", "0.5", "--trials", "0"]),
     (_ragged_family(), ["incline", "{v}", "--bound", "0.9"]),
     (_ragged_family(), ["cover", "{v}", "--radius", "0.5"]),
     (_scalar_entry_family(), ["incline", "{v}", "--bound", "0.9"]),
+    ([{"dim": 2, "entries": [["0.6", 0], [True, False]]}], ["incline", "{v}", "--bound", "0.9"]),
+    ([{"dim": 2, "entries": [[True, False], [False, True]]}], ["incline", "{v}", "--bound", "0.9"]),
+    ([{"dim": 2, "entries": [[1.0, 0.0], [None, 1.0]]}], ["incline", "{v}", "--bound", "0.9"]),
     (None, ["cover", "{v}", "--radius", "nan"]),
     (None, ["cover", "{v}", "--radius", "0"]),
     (None, ["params", "--m", "0"]),
@@ -251,32 +305,38 @@ def _scalar_entry_family():
     (None, ["family", "build", "--stage", "{paper}", "--branch", "0", "--basis", "random",
             "--out", "{out}/f.json"]),
     (None, ["family", "verify", "{bigfam}"]),
+    (None, ["family", "verify", "{n_list}"]),
+    (None, ["family", "verify", "{seed_null}"]),
+    (None, ["family", "verify", "{cert_str}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
+        "string-entry", "bool-entry", "null-entry",
         "radius-nan", "radius-0", "params-m-0", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
         "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
-        "verify-random-basis-too-large"])
+        "verify-random-basis-too-large", "verify-basis-n-list", "verify-basis-seed-null",
+        "verify-certificate-string"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
     if family is not None:
         path = str(tmp_path / "bad.json")
         write_json(path, family)
-    fam = bigfam = None
-    if "{fam}" in argv or "{bigfam}" in argv:  # a valid family, so only the bad input can fail
-        rc, fam = _build(tmp_path, toy_stage_file, "01")
+    families = {}
+    if any(arg.strip("{}") in ("fam", *_FAMILY_EDITS) for arg in argv):
+        # a valid family, so only the bad input can fail
+        rc, families["fam"] = _build(tmp_path, toy_stage_file, "01")
         assert rc == 0
         capsys.readouterr()
-        # the same family with its random basis record naming the paper stage's n = 347^2
-        payload = json.loads(fam.read_text())
-        payload["basis"]["n"] = 347 ** 2
-        bigfam = tmp_path / "bigfam.json"
-        write_json(bigfam, payload)
+        for name, edit in _FAMILY_EDITS.items():
+            payload = json.loads(families["fam"].read_text())
+            edit(payload)
+            families[name] = tmp_path / f"{name}.json"
+            write_json(families[name], payload)
     paper = tmp_path / "paper.json"
     write_json(paper, {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
     try:
-        rc = main([arg.format(v=path, fam=fam, bigfam=bigfam, stage=toy_stage_file, paper=paper,
-                              out=tmp_path, missing=tmp_path / "missing")
+        rc = main([arg.format(v=path, stage=toy_stage_file, paper=paper, out=tmp_path,
+                              missing=tmp_path / "missing", **families)
                    for arg in argv])
     except SystemExit as exc:  # argparse usage errors
         rc = exc.code
@@ -308,6 +368,71 @@ def test_uncaught_outcomes_keep_the_exit_code_contract(target, exc, argv, code, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) == 1
+
+
+# ----------------------------------------------------- fuzzed families
+
+@pytest.fixture(scope="module")
+def valid_families(tmp_path_factory):
+    """Two valid toy families, built once: branch 01 to edit and branch 10."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    stage = workdir / "stage.json"
+    write_json(stage, {"regime": "toy", "levels": [{"m": 1, "d": 4}, {"m": 2, "d": 4}]})
+    paths = []
+    for branch in ("01", "10"):
+        paths.append(workdir / f"fam{branch}.json")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["family", "build", "--stage", str(stage), "--branch", branch,
+                         "--basis", "random", "--seed", "7", "--out", str(paths[-1])]) == 0
+    return workdir, json.loads(paths[0].read_text()), paths[1]
+
+
+_JSON_VALUES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers() | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=8),
+    "array": st.lists(st.integers() | st.text(max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=3),
+}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_family_files_keep_the_exit_code_contract(valid_families, data):
+    workdir, payload, other = valid_families
+    payload = copy.deepcopy(payload)
+    # Walk down from the root, stopping at each container with chance 1/3,
+    # so every field of the file is reached, not mostly the long lists.
+    parent, key = None, None
+    value = payload
+    while isinstance(value, (dict, list)) and value and (
+            parent is None or data.draw(st.integers(0, 2), label="descend")):
+        parent = value
+        key = data.draw(st.sampled_from(sorted(value) if isinstance(value, dict)
+                                        else range(len(value))), label="key")
+        value = parent[key]
+    kind = data.draw(st.sampled_from(sorted(set(_JSON_VALUES) - {_json_type(value)})))
+    parent[key] = data.draw(_JSON_VALUES[kind], label="replacement")
+    fuzzed = workdir / "fuzzed.json"
+    fuzzed.write_text(json.dumps(payload))
+    for argv in (["family", "verify", str(fuzzed)],
+                 ["family", "intersect", str(fuzzed), str(other)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 # --------------------------------------------------------------- demo

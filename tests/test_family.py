@@ -69,6 +69,18 @@ def test_min_level_dimension_matches_exact_oracle():
     assert stage_predicate(1, MIN_D_LEVEL_1)
 
 
+def _linear_scan(m: int) -> int:
+    d = 128
+    while not stage_predicate(m, d):
+        d += 1
+    return d
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_min_level_dimension_matches_the_linear_scan(m):
+    assert min_level_dimension(m) == _linear_scan(m)
+
+
 def test_min_level_dimension_validation():
     with pytest.raises(ValueError):
         min_level_dimension(0)
