@@ -251,6 +251,10 @@ def cmd_family_verify(args, argv) -> int:
     recorded = np.asarray(stored["diagonals"])
     if recorded.ndim != 1 or recorded.dtype.kind not in "iuf":
         raise TypeError("the certificate's diagonals must be a list of numbers")
+    numbers = (stored["max_diagonal"], stored["bound"], obj["rho"])
+    if any(type(x) not in (int, float) for x in numbers):
+        raise TypeError(f"max_diagonal, bound and rho must be JSON numbers, got {numbers!r}")
+    max_diagonal, bound, rho = (float(x) for x in numbers)
     basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
@@ -261,9 +265,15 @@ def cmd_family_verify(args, argv) -> int:
         print(canonical_json({"ok": False, "max_diagonal": exc.max_diagonal, "bound": exc.bound}))
         print(f"[inclined] family verify failed in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
         return EXIT_NEGATIVE
-    # The stored diagonals must match the recomputation; tampering with the
-    # directions or the recorded values shows up here.
-    if recorded.size != len(cert.diagonals) or not np.abs(recorded - cert.diagonals).max() <= 1e-10:
+    # Every stored field must match the recomputation; tampering with the
+    # directions or with any recorded value shows up here.  A random basis
+    # is checked by its record alone (see _load_basis).
+    if (recorded.size != len(cert.diagonals)
+            or not np.abs(recorded - cert.diagonals).max() <= 1e-10
+            or not abs(max_diagonal - cert.max_diagonal) <= 1e-10
+            or not abs(bound - (1.0 + rho) / 2.0) <= 1e-10 or max_diagonal > bound
+            or stored["branch"] != cert.branch or stored["regime"] != cert.regime
+            or basis_record["kind"] == "file" and stored["basis_digest"] != basis_digest):
         print(canonical_json({"ok": False, "reason": "certificate mismatch"}))
         return EXIT_NEGATIVE
     print(canonical_json({"ok": True, "max_diagonal": cert.max_diagonal, "bound": args.bound}))
@@ -436,7 +446,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args, argv)
     except KeyError as exc:
         message, code = f"missing field {exc}", EXIT_INPUT
-    except (OSError, ValueError, TypeError) as exc:  # ValueError includes json.JSONDecodeError
+    # ValueError includes json.JSONDecodeError; OverflowError is a JSON
+    # integer too large for a float.
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         message, code = str(exc), EXIT_INPUT
     except BudgetExhausted as exc:
         message, code = str(exc), EXIT_BUDGET

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import as_vector
-from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
+from .search import CERT_MARGIN, BudgetExhausted, _unit_rows, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
 from .tensor_projection import (
@@ -155,7 +155,9 @@ class StageParameters:
             for lv in self.levels:
                 if lv.d < MIN_PAPER_ALPHABET:
                     raise ValueError(f"paper regime requires d >= {MIN_PAPER_ALPHABET} at level {lv.m}")
-                if not stage_predicate(lv.m, lv.d):
+                # d >= 2^7 here, where the predicate holds exactly from
+                # min_level_dimension on; this never forms 91^d for a huge d.
+                if lv.d < min_level_dimension(lv.m):
                     raise ValueError(f"paper regime growth predicate fails at level {lv.m} with d={lv.d}")
 
     @property
@@ -337,6 +339,24 @@ def branch_diagonals(spec: BranchProjectionSpec, basis) -> np.ndarray:
     return _diagonals(spec, basis_matrix(basis, dim=spec.stage.dim))
 
 
+def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
+             basis_digest: str | None, failure: str) -> SuppressionCertificate:
+    """Every diagonal of spec on the basis rows of mat, certified max <= bound.
+
+    Raises SuppressionFailure with ``failure`` formatted on max_diag and
+    bound otherwise.  A basis_digest of None is computed from mat.
+    """
+    diagonals = _diagonals(spec, mat)
+    max_diag = float(diagonals.max())
+    if max_diag > bound:
+        raise SuppressionFailure(failure.format(max_diag=max_diag, bound=bound),
+                                 max_diagonal=max_diag, bound=bound, diagonals=diagonals)
+    return SuppressionCertificate(
+        basis_digest=digest_vectors(mat) if basis_digest is None else basis_digest,
+        branch=spec.branch, diagonals=tuple(diagonals), max_diagonal=max_diag, bound=bound,
+        regime=spec.stage.regime)
+
+
 def build_branch_projection(stage: StageParameters, basis, branch: str, c: float,
                             budget: int, seed: int, basis_digest: str | None = None,
                             ) -> tuple[BranchProjectionSpec, SuppressionCertificate]:
@@ -360,8 +380,6 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
     if len(branch) != stage.depth or any(ch not in "01" for ch in branch):
         raise ValueError(f"branch must be a binary string of length {stage.depth}, got {branch!r}")
     mat = basis_matrix(basis, dim=stage.dim)
-    if basis_digest is None:
-        basis_digest = digest_vectors(mat)
     masses = _masses(stage, mat)
     leakage = _leakage_from_masses(stage, masses)
     target = c - CERT_MARGIN
@@ -376,26 +394,16 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
             directions.append(v)
             continue
         blocks = blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
-        n_blocks = blocks.shape[1]
-        rows = blocks.reshape(-1, lv.d)
         if stage.regime == "paper":
             # One constraint per nonzero block, each normalized to a direction.
-            norms = np.linalg.norm(rows, axis=1)
-            keep = norms > 0.0
-            rows = rows[keep] / norms[keep, None]
-            group_ids = np.arange(rows.shape[0])
-            n_groups = rows.shape[0]
+            groups = _unit_rows(blocks.reshape(-1, lv.d))[:, None, :]
         else:
-            # One constraint per leaked vector: rows scaled by the inverse
-            # level norm make the group energy equal the squared ratio
-            # ||P(Q_m e_k)||^2 / ||Q_m e_k||^2.
-            scale = 1.0 / np.sqrt(masses[i][leaked])
-            rows = rows * np.repeat(scale, n_blocks)[:, None]
-            group_ids = np.repeat(np.arange(len(leaked)), n_blocks)
-            n_groups = len(leaked)
+            # One constraint per leaked vector: its blocks scaled by the
+            # inverse level norm make the group energy equal the squared
+            # ratio ||P(Q_m e_k)||^2 / ||Q_m e_k||^2.
+            groups = blocks * (1.0 / np.sqrt(masses[i][leaked]))[:, None, None]
         level_seed = derive_seed(seed, "level", lv.m)
-        v, achieved, evals, ok = minimize_max_group_norm(
-            rows, group_ids, n_groups, lv.d, target, budget, level_seed)
+        v, achieved, evals, ok = minimize_max_group_norm(groups, target, budget, level_seed)
         if not ok:
             raise BudgetExhausted(
                 f"level {lv.m}: no direction found within budget {budget} "
@@ -405,17 +413,8 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
         directions.append(v)
 
     spec = BranchProjectionSpec(stage=stage, branch=branch, directions=tuple(directions))
-    bound = (1.0 + c * c) / 2.0
-    diagonals = _diagonals(spec, mat)
-    max_diag = float(diagonals.max())
-    if max_diag > bound:
-        raise SuppressionFailure(
-            f"built projection violates its own bound: {max_diag} > {bound}",
-            max_diagonal=max_diag, bound=bound, diagonals=diagonals)
-    cert = SuppressionCertificate(
-        basis_digest=basis_digest, branch=branch, diagonals=tuple(diagonals),
-        max_diagonal=max_diag, bound=bound, regime=stage.regime)
-    return spec, cert
+    return spec, _certify(spec, mat, (1.0 + c * c) / 2.0, basis_digest,
+                          "built projection violates its own bound: {max_diag} > {bound}")
 
 
 def verify_suppression(spec: BranchProjectionSpec, basis, bound: float,
@@ -425,18 +424,8 @@ def verify_suppression(spec: BranchProjectionSpec, basis, bound: float,
     Raises SuppressionFailure when some diagonal exceeds the bound; raises
     ValueError on a stage/basis dimension mismatch.
     """
-    mat = basis_matrix(basis, dim=spec.stage.dim)
-    if basis_digest is None:
-        basis_digest = digest_vectors(mat)
-    diagonals = _diagonals(spec, mat)
-    max_diag = float(diagonals.max())
-    if max_diag > bound:
-        raise SuppressionFailure(
-            f"diagonal suppression fails: max {max_diag} > bound {bound}",
-            max_diagonal=max_diag, bound=bound, diagonals=diagonals)
-    return SuppressionCertificate(
-        basis_digest=basis_digest, branch=spec.branch, diagonals=tuple(diagonals),
-        max_diagonal=max_diag, bound=bound, regime=spec.stage.regime)
+    return _certify(spec, basis_matrix(basis, dim=spec.stage.dim), bound, basis_digest,
+                    "diagonal suppression fails: max {max_diag} > bound {bound}")
 
 
 def separating_level(branches: Sequence[str]) -> int:

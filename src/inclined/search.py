@@ -158,14 +158,13 @@ def capacity(d: int) -> CapacityReport:
     )
 
 
-def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: int,
-                            dim: int, target: float, budget: int, seed: int,
+def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed: int,
                             ) -> tuple[np.ndarray, float, int, bool]:
     """Search for a unit v with max_k sqrt(q_k(v)) <= target.
 
-    q_k(v) = sum_{j in group k} |inner(v, rows_j)|^2 = v* M_k v, where group
-    k is the contiguous row range whose ``group_ids`` equal k; the ids must
-    be sorted (ValueError otherwise).
+    ``groups`` is an (n, r, d) complex array and q_k(v) = v* M_k v =
+    sum_j |inner(v, groups[k, j])|^2 for group k, the r rows groups[k];
+    any other shape raises ValueError.
 
     Multi-start random sampling on the unit sphere refined by projected
     subgradient descent on the active group: step along -M_k v, renormalize,
@@ -179,9 +178,9 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     Restarts are evaluated in order, and the first one reaching the target
     wins, so the output is deterministic given the seed.
 
-    The inner products s = rows v* of the current point are kept, so a
-    descent step costs one mat-vec, sg = rows grad*.  When every group is a
-    single row, grad = conj(s_k) rows_k and sg = s_k G_k for the Gram column
+    The inner products s of the current point with all n*r rows are kept,
+    so a descent step costs one mat-vec, sg = rows grad*.  For r == 1,
+    grad = conj(s_k) rows_k and sg = s_k G_k for the Gram column
     G_k = rows rows_k*; G_k is computed the first time member k is active
     and kept (up to ``_GRAM_CACHE_BYTES`` of columns, beyond which columns
     are computed and not kept), so a reactivated member's step costs one
@@ -204,46 +203,36 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    group_ids = np.asarray(group_ids)
-    if group_ids.shape != rows.shape[:1]:
-        raise ValueError(f"expected one group id per row, got {group_ids.shape} for {rows.shape[0]} rows")
-    if np.any(group_ids[1:] < group_ids[:-1]):
-        raise ValueError("group ids must be sorted: each group is a contiguous range of rows")
-    if group_ids.size and not 0 <= group_ids[0] <= group_ids[-1] < n_groups:
-        raise ValueError(f"group ids must lie in [0, {n_groups})")
+    if groups.ndim != 3:
+        raise ValueError(f"expected an (n, r, d) array of groups, got shape {groups.shape}")
+    n, r, dim = groups.shape
     rng = np.random.default_rng(seed)
-    if rows.shape[0] == 0:
+    if n * r == 0:
         # No constraints: any unit vector qualifies; pick a deterministic one.
         v = np.zeros(dim, dtype=np.complex128)
         v[0] = 1.0
         return v, 0.0, 0, True
-    # Group k is rows[bounds[k]:bounds[k + 1]].
-    bounds = np.searchsorted(group_ids, np.arange(n_groups + 1))
-    singletons = np.array_equal(group_ids, np.arange(n_groups))
+    rows = groups.reshape(n * r, dim)
     gram_cols: dict[int, np.ndarray] = {}
     max_cols = _GRAM_CACHE_BYTES // (rows.shape[0] * rows.itemsize)
 
     def energies(s: np.ndarray) -> np.ndarray:
-        """q_k = sum_{j in group k} |s_j|^2 for the inner products s."""
+        """q_k = sum_j |s_kj|^2, summed in row order."""
         e = np.abs(s) ** 2
-        return e if singletons else np.bincount(group_ids, weights=e, minlength=n_groups)
+        return e if r == 1 else np.add.accumulate(e.reshape(n, r), axis=1)[:, -1]
 
     def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         s = rows @ v.conj()
         q = energies(s)
         return s, q, float(np.sqrt(q.max()))
 
-    def tied_rows(q: np.ndarray) -> np.ndarray | None:
-        """Rows of the groups with q_k >= (1 - _TIE_SHARE) max q, at most
+    def tied_groups(q: np.ndarray) -> np.ndarray | None:
+        """The groups with q_k >= (1 - _TIE_SHARE) max q, at most
         _TIE_MAX_GROUPS of them, largest first; None for fewer than two."""
         top = q.max()
         tied = np.flatnonzero(q >= (1.0 - _TIE_SHARE) * top)
         tied = tied[np.argsort(-q[tied], kind="stable")][:_TIE_MAX_GROUPS]
-        if tied.size < 2 or top == 0.0:
-            return None
-        if singletons:
-            return tied
-        return np.concatenate([np.arange(bounds[k], bounds[k + 1]) for k in tied])
+        return None if tied.size < 2 or top == 0.0 else tied
 
     def descend(v, s, f, grad, sg, tie):
         """The first step v - eta grad that strictly lowers f, as the new
@@ -288,9 +277,9 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
         evals += 1
         while f > target and evals < budget:
             k = int(np.argmax(q))
-            a, b = bounds[k], bounds[k + 1]
+            a, b = k * r, (k + 1) * r
             grad = rows[a:b].T @ s[a:b].conj()  # sum_j inner(v, r_j) r_j = M_k v
-            if singletons:
+            if r == 1:
                 col = gram_cols.get(k)
                 if col is None:
                     col = rows @ rows[k].conj()
@@ -302,9 +291,9 @@ def minimize_max_group_norm(rows: np.ndarray, group_ids: np.ndarray, n_groups: i
             stepped = descend(v, s, f, grad, sg, False)
             if stepped is None and evals < budget:
                 # A tie: descend along the sum of the tied groups' M_k v.
-                tied = tied_rows(q)
+                tied = tied_groups(q)
                 if tied is not None:
-                    grad = rows[tied].T @ s[tied].conj()
+                    grad = groups[tied].reshape(-1, dim).T @ s.reshape(n, r)[tied].ravel().conj()
                     stepped = descend(v, s, f, grad, rows @ grad.conj(), True)
             if stepped is None:
                 break  # local minimax point for this restart
@@ -360,11 +349,9 @@ def find_inclined_vector(vectors, c: float, budget: int, seed: int,
     vs = _clean_family(vectors)
     d = vs.shape[1]
     digest = digest_vectors(vs) if family_digest is None else family_digest
-    rows = _unit_rows(vs)
-    group_ids = np.arange(rows.shape[0])
     target = c - CERT_MARGIN
     cand, achieved, evals, ok = minimize_max_group_norm(
-        rows, group_ids, rows.shape[0], d, target, budget, seed)
+        _unit_rows(vs)[:, None, :], target, budget, seed)
     achieved = recompute_achieved(cand, vs)
     if not ok or achieved > target:
         raise BudgetExhausted(

@@ -47,6 +47,14 @@ def derive_seed(root: int, *tags) -> int:
 DIGEST_SCHEME = "inclined.digest_vectors/2"
 
 
+def _json_int(value: Any, name: str) -> int:
+    """A field that must be a JSON integer; int() would also take 4.9,
+    "4" or true."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def vector_to_obj(v: np.ndarray) -> dict:
     arr = np.asarray(v, dtype=np.complex128)
     return {"dim": int(arr.size), "entries": np.stack([arr.real, arr.imag], 1).tolist()}
@@ -65,19 +73,19 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
 
     The [re, im] pairs become a float64 (n, d, 2) array viewed as complex;
     building re + 1j*im instead would turn a -0.0 imaginary part into +0.0.
-    Every member must have the same dimension, and every entry must be a
-    JSON number: numpy infers the array's type, so a string, null or
-    all-boolean entry shows in its dtype, at a fraction of the cost of a
-    scan over the entries.  Booleans mixed with numbers are inferred as
-    floats and pass; integers beyond 64 bits are inferred as objects and
-    are refused.
+    Every member must have the same dimension, a JSON integer, and every
+    entry must be a JSON number: numpy infers the array's type, so a
+    string, null or all-boolean entry shows in its dtype, at a fraction of
+    the cost of a scan over the entries.  Booleans mixed with numbers are
+    inferred as floats and pass; integers beyond 64 bits are inferred as
+    objects and are refused.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty JSON array of vectors")
     if not all(isinstance(v, dict) and "dim" in v and "entries" in v for v in obj):
         raise ValueError("vector object must have 'dim' and 'entries'")
     try:
-        dims = sorted({int(v["dim"]) for v in obj})
+        dims = sorted({_json_int(v["dim"], "dim") for v in obj})
         if len(dims) == 1:
             pairs = np.array([v["entries"] for v in obj])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -123,7 +131,8 @@ def stage_from_obj(obj: Any):
 
     if not isinstance(obj, dict) or "regime" not in obj or "levels" not in obj:
         raise ValueError("stage object must have 'regime' and 'levels'")
-    levels = tuple(LevelSpec(int(lv["m"]), int(lv["d"])) for lv in obj["levels"])
+    levels = tuple(LevelSpec(_json_int(lv["m"], "m"), _json_int(lv["d"], "d"))
+                   for lv in obj["levels"])
     return StageParameters(levels=levels, regime=str(obj["regime"]))
 
 
@@ -142,11 +151,11 @@ def branch_spec_from_obj(obj: Any):
     from .family import BranchProjectionSpec
 
     stage = stage_from_obj(obj["stage"])
-    levels = sorted(obj["levels"], key=lambda lv: int(lv["m"]))
+    levels = sorted(obj["levels"], key=lambda lv: _json_int(lv["m"], "m"))
     directions = tuple(vector_from_obj(lv["direction"]) for lv in levels)
     spec = BranchProjectionSpec(stage=stage, branch=str(obj["branch"]), directions=directions)
     for lv in levels:
-        if lv["sigma"] != spec.sigma(int(lv["m"])):
+        if lv["sigma"] != spec.sigma(lv["m"]):
             raise ValueError(f"level {lv['m']}: sigma {lv['sigma']!r} is not the branch prefix")
     return spec
 

@@ -177,11 +177,11 @@ def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, caps
     assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch"}
 
 
-def _cli_in_subprocess(argv, cwd, blas_threads):
+def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=str(Path(inclined.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "inclined.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_random_basis_family_verifies_under_another_blas_thread_count(tmp_path):
@@ -215,6 +215,45 @@ def test_family_build_from_basis_file_and_verify(tmp_path, toy_stage_file):
     other = tmp_path / "other.json"
     _write_vectors(other, random_orthonormal_basis(16 + 256, 10))
     assert main(["family", "verify", str(fam), "--basis", str(other)]) == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload["certificate"].update(max_diagonal=0.01),
+    lambda payload: payload["certificate"].update(bound=0.1),
+    lambda payload: payload["certificate"].update(branch="11"),
+    lambda payload: payload["certificate"].update(regime="paper"),
+    lambda payload: payload["certificate"].update(basis_digest="x"),
+    lambda payload: payload.update(rho=0.5),
+    # consistent with the recorded rho, but below the recomputed maximum
+    lambda payload: (payload.update(rho=-0.9), payload["certificate"].update(bound=0.05)),
+], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "rho", "bound-below-max"])
+def test_family_verify_edited_certificate_field_exits_one(edit, tmp_path, toy_stage_file,
+                                                          capsys):
+    from inclined import random_orthonormal_basis
+
+    basis_file = tmp_path / "basis.json"
+    _write_vectors(basis_file, random_orthonormal_basis(16 + 256, 9))
+    fam = tmp_path / "fam.json"
+    assert main(["family", "build", "--stage", toy_stage_file, "--branch", "01",
+                 "--basis", str(basis_file), "--seed", "3", "--out", str(fam)]) == 0
+    payload = json.loads(fam.read_text())
+    edit(payload)
+    write_json(fam, payload)
+    capsys.readouterr()
+    assert main(["family", "verify", str(fam), "--basis", str(basis_file)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch"}
+
+
+def test_paper_stage_with_a_huge_alphabet_is_decided_at_once(tmp_path):
+    # The growth predicate for d = 10^8 would form 91^d; deciding the level
+    # by min_level_dimension does not, so the stage passes at once and the
+    # random basis of C^(10^16) is refused before anything is drawn.
+    write_json(tmp_path / "huge.json", {"regime": "paper", "levels": [{"m": 1, "d": 10 ** 8}]})
+    done = _cli_in_subprocess(["family", "build", "--stage", "huge.json", "--branch", "0",
+                               "--basis", "random", "--out", "f.json"],
+                              tmp_path, blas_threads=1, timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
 
 
 def test_family_build_budget_exhausted_exits_three(tmp_path, capsys):
@@ -277,6 +316,11 @@ _FAMILY_EDITS = {
     "n_list": lambda payload: payload.update(basis={"kind": "random", "seed": 5, "n": [528]}),
     "seed_null": lambda payload: payload["basis"].update(seed=None),
     "cert_str": lambda payload: payload.update(certificate="x"),
+    "stage_d_str": lambda payload: payload["stage"]["levels"][0].update(d="4"),
+    "stage_m_float": lambda payload: payload["stage"]["levels"][1].update(m=2.7),
+    "level_m_float": lambda payload: payload["levels"][1].update(m=2.7),
+    "dim_float": lambda payload: payload["levels"][1]["direction"].update(dim=4.9),
+    "bound_huge": lambda payload: payload["certificate"].update(bound=10 ** 400),
 }
 
 
@@ -308,13 +352,19 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{n_list}"]),
     (None, ["family", "verify", "{seed_null}"]),
     (None, ["family", "verify", "{cert_str}"]),
+    (None, ["family", "verify", "{stage_d_str}"]),
+    (None, ["family", "verify", "{stage_m_float}"]),
+    (None, ["family", "verify", "{level_m_float}"]),
+    (None, ["family", "verify", "{dim_float}"]),
+    (None, ["family", "verify", "{bound_huge}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "string-entry", "bool-entry", "null-entry",
         "radius-nan", "radius-0", "params-m-0", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
         "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
         "verify-random-basis-too-large", "verify-basis-n-list", "verify-basis-seed-null",
-        "verify-certificate-string"])
+        "verify-certificate-string", "verify-stage-d-string", "verify-stage-m-float",
+        "verify-level-m-float", "verify-direction-dim-float", "verify-bound-too-large-for-float"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2

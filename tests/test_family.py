@@ -116,6 +116,14 @@ def test_paper_stage_validates_growth_predicate():
     assert stage.dim == MIN_D_LEVEL_1 ** 2
 
 
+def test_paper_stage_decides_each_level_at_its_minimum_dimension():
+    with pytest.raises(ValueError, match="predicate fails at level 1"):
+        paper_stage([MIN_D_LEVEL_1 - 1])
+    with pytest.raises(ValueError, match="predicate fails at level 2"):
+        paper_stage([MIN_D_LEVEL_1, MIN_D_LEVEL_2 - 1])
+    assert paper_stage([MIN_D_LEVEL_1, MIN_D_LEVEL_2]).depth == 2
+
+
 def test_unknown_regime_rejected():
     with pytest.raises(ValueError, match="regime"):
         StageParameters(levels=(LevelSpec(1, 4),), regime="huge")

@@ -301,20 +301,27 @@ def test_given_family_digest_is_not_recomputed():
 
 # ------------------------------------------------------- search kernel
 
-def _reference_kernel(rows, group_ids, n_groups, dim, target, budget, seed, tie_steps=True):
+def _energies(groups, v):
+    """q_k = sum_j |inner(v, groups[k, j])|^2, by bincount over group ids."""
+    n, r, dim = groups.shape
+    s = groups.reshape(n * r, dim) @ v.conj()
+    return np.bincount(np.repeat(np.arange(n), r), weights=np.abs(s) ** 2, minlength=n)
+
+
+def _reference_kernel(groups, target, budget, seed, tie_steps=True):
     """The kernel written the plain way: a full mat-vec for every evaluation
-    and groups picked by boolean masks.  ``tie_steps=False`` ends a restart
-    where no step on the active group improves, as the kernel did before it
-    took tie steps.  Test oracle only."""
+    and groups picked by index.  ``tie_steps=False`` ends a restart where no
+    step on the active group improves, as the kernel did before it took tie
+    steps.  Test oracle only."""
+    dim = groups.shape[2]
     rng = np.random.default_rng(seed)
 
     def evaluate(v):
-        q = np.bincount(group_ids, weights=np.abs(rows @ v.conj()) ** 2, minlength=n_groups)
+        q = _energies(groups, v)
         return float(np.sqrt(q.max())), q
 
     def group_gradient(k, v):
-        members = group_ids == k
-        return rows[members].T @ (rows[members].conj() @ v)
+        return groups[k].T @ (groups[k].conj() @ v)
 
     def first_improving_step(v, f, grad, scale):
         nonlocal evals
@@ -358,46 +365,55 @@ def _reference_kernel(rows, group_ids, n_groups, dim, target, budget, seed, tie_
     return best_v, best_f, evals, False
 
 
-def _grouped_rows(sizes, dim, seed):
-    """Random rows in contiguous groups of the given sizes, each group scaled
-    to unit Frobenius norm (as the toy regime scales by level mass)."""
+def _grouped_rows(n, r, dim, seed):
+    """n random groups of r rows in C^dim as an (n, r, dim) array, each
+    group scaled to unit Frobenius norm (as the toy regime scales by level
+    mass)."""
     rng = np.random.default_rng(seed)
-    rows = rng.standard_normal((sum(sizes), dim)) + 1j * rng.standard_normal((sum(sizes), dim))
-    group_ids = np.repeat(np.arange(len(sizes)), sizes)
-    norms = np.sqrt(np.bincount(group_ids, weights=(np.abs(rows) ** 2).sum(axis=1)))
-    return rows / norms[group_ids, None], group_ids
+    rows = rng.standard_normal((n * r, dim)) + 1j * rng.standard_normal((n * r, dim))
+    groups = rows.reshape(n, r, dim)
+    norms = np.sqrt((np.abs(rows) ** 2).sum(axis=1).reshape(n, r).sum(axis=1))
+    return groups / norms[:, None, None]
 
 
-def _direct_value(rows, group_ids, n_groups, v):
-    q = np.bincount(group_ids, weights=np.abs(rows @ v.conj()) ** 2, minlength=n_groups)
-    return float(np.sqrt(q.max()))
+def _direct_value(groups, v):
+    return float(np.sqrt(_energies(groups, v).max()))
 
 
-def _assert_matches_reference(rows, group_ids, n_groups, dim, target, budget, seed):
-    args = (rows, group_ids, n_groups, dim, target, budget, seed)
-    v, f, evals, ok = minimize_max_group_norm(*args)
-    ref_v, ref_f, ref_evals, ref_ok = _reference_kernel(*args)
+def _assert_matches_reference(groups, target, budget, seed):
+    v, f, evals, ok = minimize_max_group_norm(groups, target, budget, seed)
+    ref_v, ref_f, ref_evals, ref_ok = _reference_kernel(groups, target, budget, seed)
     assert (evals, ok) == (ref_evals, ref_ok)
     assert f == pytest.approx(ref_f, abs=1e-9)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-    assert f == pytest.approx(_direct_value(rows, group_ids, n_groups, v), abs=1e-12)
-    assert not ok or _direct_value(rows, group_ids, n_groups, v) <= target
+    # The returned value is a direct evaluation, and the kernel sums each
+    # group in row order, as bincount does, so the two agree bit for bit.
+    assert f == _direct_value(groups, v)
+    assert not ok or f <= target
     return evals, ok
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("target", [0.4, 0.3])  # reached after descent steps; out of reach
 def test_kernel_matches_reference_on_single_row_groups(seed, target):
-    rows, group_ids = _grouped_rows([1] * 80, 12, seed)
-    _assert_matches_reference(rows, group_ids, 80, 12, target, 1500, seed)
+    _assert_matches_reference(_grouped_rows(80, 1, 12, seed), target, 1500, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("target", [0.6, 0.45])  # reached after descent steps; out of reach
 def test_kernel_matches_reference_on_toy_shaped_groups(seed, target):
     # as in the toy regime: one group of n_blocks rows per leaked vector
-    rows, group_ids = _grouped_rows([4] * 25, 4, seed)
-    _assert_matches_reference(rows, group_ids, 25, 4, target, 1500, seed)
+    _assert_matches_reference(_grouped_rows(25, 4, 4, seed), target, 1500, seed)
+
+
+# Each first target is reached after descent steps, each second is out of
+# reach; tie steps change the path of all four.
+@pytest.mark.parametrize("r, dim, target", [(16, 2, 0.76), (16, 2, 0.73), (64, 4, 0.52),
+                                            (64, 4, 0.50)])
+def test_kernel_matches_reference_on_wide_toy_groups(r, dim, target):
+    # the toy stage [4, 4, 2] searches groups of 64 blocks at level 2 and
+    # of 128 at level 3
+    _assert_matches_reference(_grouped_rows(12, r, dim, 3), target, 600, 3)
 
 
 @pytest.mark.parametrize("seed, target", [(0, 0.5610826091145884), (1, 0.5269247092280528)])
@@ -406,23 +422,21 @@ def test_success_is_confirmed_directly(seed, target):
     # value (on numpy 2.4 with OpenBLAS), so only the direct confirmation
     # keeps rounding drift from reporting a miss as a success.  The target
     # sits on a rounding boundary, so the reference path may differ here.
-    rows, group_ids = _grouped_rows([1] * 60, 8, seed)
-    v, f, evals, ok = minimize_max_group_norm(rows, group_ids, 60, 8, target, 1000, seed)
+    groups = _grouped_rows(60, 1, 8, seed)
+    v, f, evals, ok = minimize_max_group_norm(groups, target, 1000, seed)
     assert ok
-    assert f == _direct_value(rows, group_ids, 60, v) <= target
+    assert f == _direct_value(groups, v) <= target
 
 
 def test_reactivated_single_rows_match_reference():
     # 200 members in C^12 and a target out of reach: most descent steps
     # reactivate a member whose Gram column is already kept.
-    rows, group_ids = _grouped_rows([1] * 200, 12, 9)
-    _assert_matches_reference(rows, group_ids, 200, 12, 0.0, 3000, 9)
+    _assert_matches_reference(_grouped_rows(200, 1, 12, 9), 0.0, 3000, 9)
 
 
 @pytest.mark.parametrize("cache_bytes", [0, 5 * 200 * 16])  # no column kept; full after five
 def test_gram_cache_limit_keeps_the_result(monkeypatch, cache_bytes):
-    rows, group_ids = _grouped_rows([1] * 200, 12, 9)
-    args = (rows, group_ids, 200, 12, 0.0, 3000, 9)
+    args = (_grouped_rows(200, 1, 12, 9), 0.0, 3000, 9)
     _, f, evals, ok = minimize_max_group_norm(*args)
     monkeypatch.setattr(search, "_GRAM_CACHE_BYTES", cache_bytes)
     _, f_capped, evals_capped, ok_capped = minimize_max_group_norm(*args)
@@ -433,8 +447,7 @@ def test_gram_cache_limit_keeps_the_result(monkeypatch, cache_bytes):
 def test_tie_steps_reach_lower_on_the_same_budget():
     # 80 unit rows in C^12 and a target out of reach: without tie steps,
     # every restart ends where no step on the single active row descends.
-    rows, group_ids = _grouped_rows([1] * 80, 12, 0)
-    args = (rows, group_ids, 80, 12, 0.3, 1500, 0)
+    args = (_grouped_rows(80, 1, 12, 0), 0.3, 1500, 0)
     _, f, evals, ok = minimize_max_group_norm(*args)
     _, f_without, evals_without, ok_without = _reference_kernel(*args, tie_steps=False)
     assert (evals, ok) == (evals_without, ok_without) == (1500, False)
@@ -445,54 +458,50 @@ def test_success_before_any_stall_keeps_the_pinned_result():
     # This search reaches its target before any restart stalls, so no tie
     # step is taken and the result is the one pinned before tie steps
     # existed (on numpy 2.4 with OpenBLAS).
-    rows, group_ids = _grouped_rows([1] * 80, 12, 0)
-    v, f, evals, ok = minimize_max_group_norm(rows, group_ids, 80, 12, 0.4, 1500, 0)
+    v, f, evals, ok = minimize_max_group_norm(_grouped_rows(80, 1, 12, 0), 0.4, 1500, 0)
     assert (f, evals, ok) == (0.3937710498660465, 46, True)
     assert hashlib.sha256(v.tobytes()).hexdigest() == (
         "d7256a26b0b9dce40bdad05c0d4d2112a5ab3f2d4266947b996d99914e917e19")
 
 
 def test_unreachable_target_spends_exactly_the_budget():
-    rows, group_ids = _grouped_rows([1] * 40, 6, 3)
+    groups = _grouped_rows(40, 1, 6, 3)
     for budget in (1, 2, 7, 333):
-        v, f, evals, ok = minimize_max_group_norm(rows, group_ids, 40, 6, 0.0, budget, 5)
+        v, f, evals, ok = minimize_max_group_norm(groups, 0.0, budget, 5)
         assert (evals, ok) == (budget, False)
-        assert f == pytest.approx(_direct_value(rows, group_ids, 40, v), abs=1e-12)
+        assert f == pytest.approx(_direct_value(groups, v), abs=1e-12)
 
 
 def test_a_group_the_step_annihilates_stays_finite():
     # M_k = I: the full step v - grad cancels to rounding noise, so the
     # trial is formed and evaluated directly; every point scores 1.
-    rows = np.eye(3, dtype=complex)
-    v, f, evals, ok = minimize_max_group_norm(rows, np.zeros(3, dtype=int), 1, 3, 0.5, 40, 0)
+    v, f, evals, ok = minimize_max_group_norm(np.eye(3, dtype=complex)[None], 0.5, 40, 0)
     assert (evals, ok) == (40, False)
     assert f == pytest.approx(1.0, abs=1e-12)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
-def test_unsorted_group_ids_are_rejected():
-    rows, _ = _grouped_rows([2, 2], 3, 0)
-    with pytest.raises(ValueError, match="sorted"):
-        minimize_max_group_norm(rows, np.array([0, 1, 0, 1]), 2, 3, 0.5, 10, 0)
-    with pytest.raises(ValueError):
-        minimize_max_group_norm(rows, np.array([0, 0, 1, 2]), 2, 3, 0.5, 10, 0)
+@pytest.mark.parametrize("shape", [(6, 3), (2, 1, 3, 3), (3,)])
+def test_groups_that_are_not_three_dimensional_are_rejected(shape):
+    with pytest.raises(ValueError, match=r"\(n, r, d\)"):
+        minimize_max_group_norm(np.ones(shape, dtype=complex), 0.5, 10, 0)
 
 
-def test_empty_groups_impose_no_constraint():
-    rows, _ = _grouped_rows([3], 3, 0)
-    with_empty = minimize_max_group_norm(rows, np.array([1, 1, 1]), 3, 3, 0.2, 200, 4)
-    alone = minimize_max_group_norm(rows, np.array([0, 0, 0]), 1, 3, 0.2, 200, 4)
-    np.testing.assert_array_equal(with_empty[0], alone[0])
-    assert with_empty[1:] == alone[1:]
+def test_an_all_zero_group_imposes_no_constraint():
+    groups = _grouped_rows(2, 3, 3, 0)
+    with_zero = np.concatenate([groups, np.zeros((1, 3, 3), dtype=complex)])
+    v, f, evals, ok = minimize_max_group_norm(with_zero, 0.2, 200, 4)
+    alone = minimize_max_group_norm(groups, 0.2, 200, 4)
+    np.testing.assert_array_equal(v, alone[0])
+    assert (f, evals, ok) == alone[1:]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=12),
-       dim=st.integers(2, 6), seed=st.integers(0, 2 ** 32 - 1),
-       target=st.floats(0.05, 0.9), budget=st.integers(1, 300))
-def test_kernel_follows_the_reference_path(sizes, dim, seed, target, budget):
-    rows, group_ids = _grouped_rows(sizes, dim, seed)
-    evals, ok = _assert_matches_reference(rows, group_ids, len(sizes), dim, target, budget, seed)
+@given(n=st.integers(1, 12), r=st.integers(1, 4), dim=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1), target=st.floats(0.05, 0.9),
+       budget=st.integers(1, 300))
+def test_kernel_follows_the_reference_path(n, r, dim, seed, target, budget):
+    evals, ok = _assert_matches_reference(_grouped_rows(n, r, dim, seed), target, budget, seed)
     assert evals <= budget
     assert ok or evals == budget
 
