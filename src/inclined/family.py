@@ -49,6 +49,13 @@ from .tensor_projection import (
 
 MIN_PAPER_ALPHABET = 2 ** 7
 
+# Deepest level index accepted.  Level m has 2^m axes and d^(2^m)
+# coordinates, and its growth predicate forms d^(3*2^m - 1): at m = 8 the
+# two sides at d_min = 93134 have about 186 000 digits each, and every
+# further level doubles the exponent.  Deeper levels are refused before
+# any of that work.
+MAX_LEVEL = 8
+
 # Per-level leakage threshold 3 / (pi^2 m^2); the off-leakage masses then
 # sum to at most (3/pi^2) * (pi^2/6) = 1/2.
 LEAKAGE_COEFF = 3.0 / math.pi ** 2
@@ -92,22 +99,34 @@ def min_level_dimension(m: int) -> int:
     above, so g rises and then falls.  g(2^7) >= 1 for every m >= 1
     (at m = 1 it is about 6e6, and it grows with m), so g >= 1 until past
     its peak, and the d >= 2^7 where the predicate holds are exactly
-    [d_min, inf).  Doubling d from 2^7 therefore finds a d where it holds,
-    and bisection with the same exact integer test finds d_min in
-    O(log d_min) tests.
+    [d_min, inf).  Bisection on the float log g past the peak brackets
+    d_min to within rounding; the exact integer test then moves d to the
+    boundary, where it holds at d and fails at d - 1, in a few tests.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    fails, holds = MIN_PAPER_ALPHABET, 2 * MIN_PAPER_ALPHABET
-    while not stage_predicate(m, holds):
-        fails, holds = holds, 2 * holds
-    while holds - fails > 1:
-        mid = (fails + holds) // 2
-        if stage_predicate(m, mid):
-            holds = mid
-        else:
+    if not 1 <= m <= MAX_LEVEL:
+        raise ValueError(f"m must lie in 1..{MAX_LEVEL}, got {m}")
+    k = 3 * 2 ** m - 1
+    rate = math.log(100 / 91)
+
+    def log_g(d: float) -> float:
+        return math.log(32 * m * m) + k * math.log(d) - d * rate
+
+    peak = max(k / rate, MIN_PAPER_ALPHABET)
+    fails, holds = peak, 2.0 * peak
+    while log_g(holds) >= 0.0:
+        fails, holds = holds, 2.0 * holds
+    while holds - fails > 0.5:
+        mid = (fails + holds) / 2.0
+        if log_g(mid) >= 0.0:
             fails = mid
-    return holds
+        else:
+            holds = mid
+    d = math.ceil(holds)  # > 2^7, where the predicate fails, so the walk down stops
+    while not stage_predicate(m, d):
+        d += 1
+    while stage_predicate(m, d - 1):
+        d -= 1
+    return d
 
 
 def level_axes(m: int) -> tuple[str, ...]:
@@ -125,6 +144,8 @@ class LevelSpec:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("level index and alphabet size must be >= 1")
+        if self.m > MAX_LEVEL:
+            raise ValueError(f"level index {self.m} exceeds the deepest level {MAX_LEVEL}")
 
     @property
     def space(self) -> TensorIndexSpace:

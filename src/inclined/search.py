@@ -4,7 +4,7 @@ Given a family of directions in C^d, an inclined vector is a unit vector
 whose normalized inner product against every family member stays below a
 target c.  Existence is a volume-counting fact once the family is smaller
 than an exponential capacity in d; this module supplies the constructive
-side: a multi-start projected-subgradient search whose output is wrapped in
+side: a restarted projected-subgradient search whose output is wrapped in
 a self-contained certificate that anyone can re-verify from the inputs
 alone, independent of how the candidate was found.
 
@@ -166,17 +166,20 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     sum_j |inner(v, groups[k, j])|^2 for group k, the r rows groups[k];
     any other shape raises ValueError.
 
-    Multi-start random sampling on the unit sphere refined by projected
-    subgradient descent on the active group: step along -M_k v, renormalize,
-    accept the first strictly improving step size.  Where no size improves,
-    the active group ties with others, and one tie step descends along
-    grad = sum_{k in T} M_k v instead: T is the groups with
-    q_k >= (1 - ``_TIE_SHARE``) max q (0.1), at most ``_TIE_MAX_GROUPS``
-    (16) of them, largest first, and the step sizes are the schedule scaled
-    by Re <v, grad> / <grad, grad>.  If it improves, ordinary steps resume;
-    if it does not, or fewer than two groups tie, the restart ends.
-    Restarts are evaluated in order, and the first one reaching the target
-    wins, so the output is deterministic given the seed.
+    Restarted projected subgradient descent on the active group: step along
+    -M_k v, renormalize, accept the first strictly improving step size.
+    Each restart draws a complex normal z.  The first starts at z / ||z||;
+    every later one starts at w / ||w|| for w = v_best + f_best z / ||z||,
+    the incumbent (the best point so far, of value f_best) perturbed by a
+    step as long as its value (iterated local search, or basin hopping).
+    Where no size improves, the active group ties with others, and one tie
+    step descends along grad = sum_{k in T} M_k v instead: T is the groups
+    with q_k >= (1 - ``_TIE_SHARE``) max q (0.1), at most
+    ``_TIE_MAX_GROUPS`` (16) of them, largest first, and the step sizes are
+    the schedule scaled by Re <v, grad> / <grad, grad>.  If it improves,
+    ordinary steps resume; if it does not, or fewer than two groups tie, the
+    restart ends.  Restarts are evaluated in order, and the first one
+    reaching the target wins, so the output is deterministic given the seed.
 
     The inner products s of the current point with all n*r rows are kept,
     so a descent step costs one mat-vec, sg = rows grad*.  For r == 1,
@@ -273,6 +276,9 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     while evals < budget:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v = z / np.linalg.norm(z)
+        if best_v is not None:
+            w = best_v + best_f * v  # the incumbent, perturbed by its value
+            v = w / np.linalg.norm(w)
         s, q, f = evaluate(v)
         evals += 1
         while f > target and evals < budget:

@@ -256,6 +256,24 @@ def test_paper_stage_with_a_huge_alphabet_is_decided_at_once(tmp_path):
     assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("argv, stage", [
+    (["params", "--m", "30"], None),
+    (["family", "build", "--stage", "deep.json", "--branch", "0" * 30, "--basis", "random",
+      "--out", "f.json"], "paper"),
+    (["family", "build", "--stage", "deep.json", "--branch", "0" * 30, "--basis", "random",
+      "--out", "f.json"], "toy"),
+], ids=["params-m-30", "paper-stage-30-levels", "toy-stage-30-levels"])
+def test_levels_beyond_the_deepest_are_refused_at_once(argv, stage, tmp_path):
+    # m = 30 would form d^(3 * 2^30 - 1) in the growth predicate, and a toy
+    # level 2^30 axis labels; both are refused before that work.
+    if stage is not None:
+        write_json(tmp_path / "deep.json",
+                   {"regime": stage, "levels": [{"m": m, "d": 400} for m in range(1, 31)]})
+    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1, timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
+
+
 def test_family_build_budget_exhausted_exits_three(tmp_path, capsys):
     stage_file = tmp_path / "tiny.json"
     write_json(stage_file, {"regime": "toy", "levels": [{"m": 1, "d": 2}]})
@@ -457,11 +475,14 @@ def _json_type(value) -> str:
     return {str: "string", list: "array", dict: "object"}[type(value)]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_fuzzed_family_files_keep_the_exit_code_contract(valid_families, data):
-    workdir, payload, other = valid_families
-    payload = copy.deepcopy(payload)
+# Integers outside every field's range: not positive, or past 2^31.
+_OUT_OF_RANGE = st.integers(max_value=0) | st.integers(min_value=2 ** 31)
+
+
+def _replace_one_value(data, payload, out_of_range=False):
+    """Replace one value of ``payload`` in place with a value of another
+    JSON type or, where ``out_of_range`` is set and the value is a number,
+    with an out-of-range integer."""
     # Walk down from the root, stopping at each container with chance 1/3,
     # so every field of the file is reached, not mostly the long lists.
     parent, key = None, None
@@ -472,17 +493,60 @@ def test_fuzzed_family_files_keep_the_exit_code_contract(valid_families, data):
         key = data.draw(st.sampled_from(sorted(value) if isinstance(value, dict)
                                         else range(len(value))), label="key")
         value = parent[key]
-    kind = data.draw(st.sampled_from(sorted(set(_JSON_VALUES) - {_json_type(value)})))
-    parent[key] = data.draw(_JSON_VALUES[kind], label="replacement")
+    kinds = sorted(set(_JSON_VALUES) - {_json_type(value)})
+    if out_of_range and _json_type(value) == "number":
+        kinds.insert(0, "out-of-range")  # first: hypothesis favours early entries
+    kind = data.draw(st.sampled_from(kinds))
+    parent[key] = data.draw(_JSON_VALUES.get(kind, _OUT_OF_RANGE), label="replacement")
+
+
+def _exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_family_files_keep_the_exit_code_contract(valid_families, data):
+    workdir, payload, other = valid_families
+    payload = copy.deepcopy(payload)
+    _replace_one_value(data, payload)
     fuzzed = workdir / "fuzzed.json"
     fuzzed.write_text(json.dumps(payload))
     for argv in (["family", "verify", str(fuzzed)],
                  ["family", "intersect", str(fuzzed), str(other)]):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = main(argv)
+        rc, err = _exit_code_and_stderr(argv)
         assert rc in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        assert "Traceback" not in err
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_vectors_files_keep_the_exit_code_contract(tmp_path_factory, data):
+    rng = np.random.default_rng(3)
+    payload = vectors_to_obj(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    _replace_one_value(data, payload, out_of_range=True)
+    fuzzed = tmp_path_factory.mktemp("fuzz") / "vectors.json"
+    fuzzed.write_text(json.dumps(payload))
+    rc, err = _exit_code_and_stderr(["incline", str(fuzzed), "--bound", "0.9", "--budget", "200"])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_stage_files_keep_the_exit_code_contract(tmp_path_factory, data):
+    payload = {"regime": "toy", "levels": [{"m": 1, "d": 2}, {"m": 2, "d": 2}]}
+    _replace_one_value(data, payload, out_of_range=True)
+    workdir = tmp_path_factory.mktemp("fuzz")
+    (workdir / "stage.json").write_text(json.dumps(payload))
+    rc, err = _exit_code_and_stderr(["family", "build", "--stage", str(workdir / "stage.json"),
+                                     "--branch", "01", "--basis", "random", "--budget", "200",
+                                     "--out", str(workdir / "fam.json")])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------- demo

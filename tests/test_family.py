@@ -26,7 +26,7 @@ from inclined import (
     toy_stage,
     verify_suppression,
 )
-from inclined.family import LEAKAGE_COEFF, LevelSpec, StageParameters, level_axes
+from inclined.family import LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, level_axes
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -61,6 +61,8 @@ def test_predicate_fails_at_128_and_holds_at_1000():
 def test_min_level_dimension_frozen_values():
     assert min_level_dimension(1) == MIN_D_LEVEL_1
     assert min_level_dimension(2) == MIN_D_LEVEL_2
+    assert [min_level_dimension(m) for m in range(1, MAX_LEVEL + 1)] == [
+        347, 837, 1902, 4228, 9273, 20147, 43448, 93134]
 
 
 def test_min_level_dimension_matches_exact_oracle():
@@ -84,6 +86,15 @@ def test_min_level_dimension_matches_the_linear_scan(m):
 def test_min_level_dimension_validation():
     with pytest.raises(ValueError):
         min_level_dimension(0)
+    with pytest.raises(ValueError, match="1..8"):
+        min_level_dimension(MAX_LEVEL + 1)
+
+
+@pytest.mark.parametrize("m", [MAX_LEVEL + 1, 30])
+def test_levels_deeper_than_max_level_are_refused(m):
+    # refused before 2^m axis labels or d^(2^m) coordinates are formed
+    with pytest.raises(ValueError, match="deepest level"):
+        LevelSpec(m, 2)
 
 
 # ------------------------------------------------------------- stages

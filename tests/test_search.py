@@ -308,11 +308,13 @@ def _energies(groups, v):
     return np.bincount(np.repeat(np.arange(n), r), weights=np.abs(s) ** 2, minlength=n)
 
 
-def _reference_kernel(groups, target, budget, seed, tie_steps=True):
+def _reference_kernel(groups, target, budget, seed, tie_steps=True, incumbent_restarts=True):
     """The kernel written the plain way: a full mat-vec for every evaluation
     and groups picked by index.  ``tie_steps=False`` ends a restart where no
     step on the active group improves, as the kernel did before it took tie
-    steps.  Test oracle only."""
+    steps; ``incumbent_restarts=False`` starts every restart at the fresh
+    random point, as the kernel did before it restarted from the incumbent.
+    Test oracle only."""
     dim = groups.shape[2]
     rng = np.random.default_rng(seed)
 
@@ -344,6 +346,9 @@ def _reference_kernel(groups, target, budget, seed, tie_steps=True):
     while evals < budget:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         v = z / np.linalg.norm(z)
+        if incumbent_restarts and best_v is not None:
+            v = best_v + best_f * v
+            v /= np.linalg.norm(v)
         f, q = evaluate(v)
         evals += 1
         while f > target and evals < budget:
@@ -394,7 +399,9 @@ def _assert_matches_reference(groups, target, budget, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("target", [0.4, 0.3])  # reached after descent steps; out of reach
+# 0.4 is reached after descent steps; 0.3 after incumbent restarts for seed 1
+# and out of reach for seeds 0 and 2.
+@pytest.mark.parametrize("target", [0.4, 0.3])
 def test_kernel_matches_reference_on_single_row_groups(seed, target):
     _assert_matches_reference(_grouped_rows(80, 1, 12, seed), target, 1500, seed)
 
@@ -447,11 +454,29 @@ def test_gram_cache_limit_keeps_the_result(monkeypatch, cache_bytes):
 def test_tie_steps_reach_lower_on_the_same_budget():
     # 80 unit rows in C^12 and a target out of reach: without tie steps,
     # every restart ends where no step on the single active row descends.
+    # Both runs start each restart at a fresh random point, as the kernel
+    # did when tie steps were added, so the gain is the tie steps' alone.
     args = (_grouped_rows(80, 1, 12, 0), 0.3, 1500, 0)
-    _, f, evals, ok = minimize_max_group_norm(*args)
-    _, f_without, evals_without, ok_without = _reference_kernel(*args, tie_steps=False)
+    _, f, evals, ok = _reference_kernel(*args, incumbent_restarts=False)
+    _, f_without, evals_without, ok_without = _reference_kernel(
+        *args, tie_steps=False, incumbent_restarts=False)
     assert (evals, ok) == (evals_without, ok_without) == (1500, False)
     assert f < 0.9 * f_without
+    # With restarts from the incumbent, tie steps still end lower.
+    assert minimize_max_group_norm(*args)[1] < _reference_kernel(*args, tie_steps=False)[1]
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n, dim, budget", [(80, 12, 1500), (300, 32, 5000)])
+def test_incumbent_restarts_reach_lower_on_the_same_budget(n, dim, budget, seed):
+    # n unit rows in C^dim and a target out of reach: every restart stalls,
+    # and restarting from the incumbent ends lower than restarting from a
+    # fresh random point.
+    args = (_grouped_rows(n, 1, dim, seed), 0.0, budget, seed)
+    _, f, evals, ok = minimize_max_group_norm(*args)
+    _, f_fresh, evals_fresh, ok_fresh = _reference_kernel(*args, incumbent_restarts=False)
+    assert (evals, ok) == (evals_fresh, ok_fresh) == (budget, False)
+    assert f < f_fresh
 
 
 def test_success_before_any_stall_keeps_the_pinned_result():
