@@ -112,25 +112,22 @@ def _open_unit_float(text: str) -> float:
 def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
     """The basis a basis record names, the record that identifies it, and its digest.
 
-    A "random" record is identified by its integer seed and n, and the basis
-    is redrawn from them.  A threaded QR rounds differently from a serial
-    one, so the bits of the redraw, and with them its digest, depend on the
-    BLAS build and thread count; a redraw is checked by the Gram check and
-    the recorded diagonals instead.  A "file" record is identified by the
+    A "phase-dft" record is identified by its integer seed and n, and the
+    basis is redrawn from them.  A "file" record is identified by the
     digest of the basis read from ``path``; comparing the returned record
     with a recorded one compares those digests.
     """
     if not isinstance(record, dict):
         raise TypeError(f"a basis record must be a JSON object, got {record!r}")
-    if record["kind"] == "random":
+    if record["kind"] == "phase-dft":
         seed, n = record["seed"], record["n"]
         if type(seed) is not int or type(n) is not int:
-            raise TypeError(f"a random basis record needs integer 'seed' and 'n', "
+            raise TypeError(f"a phase-dft basis record needs integer 'seed' and 'n', "
                             f"got {seed!r} and {n!r}")
         basis = random_orthonormal_basis(n, seed)
-        return basis, {"kind": "random", "seed": seed, "n": n}, digest_vectors(basis)
+        return basis, {"kind": "phase-dft", "seed": seed, "n": n}, digest_vectors(basis)
     if record["kind"] != "file":
-        raise ValueError(f"basis kind must be 'random' or 'file', got {record['kind']!r}")
+        raise ValueError(f"basis kind must be 'phase-dft' or 'file', got {record['kind']!r}")
     if path is None:
         raise ValueError("family was built from a basis file; pass it with --basis")
     basis = read_vectors(path)
@@ -227,7 +224,7 @@ def cmd_cover(args, argv) -> int:
 def cmd_family_build(args, argv) -> int:
     stage = stage_from_obj(read_json(args.stage))
     if args.basis == "random":
-        request = {"kind": "random", "seed": derive_seed(args.seed, "basis"), "n": stage.dim}
+        request = {"kind": "phase-dft", "seed": derive_seed(args.seed, "basis"), "n": stage.dim}
     else:
         request = {"kind": "file"}
     basis, basis_record, basis_digest = _load_basis(request, args.basis)
@@ -266,14 +263,13 @@ def cmd_family_verify(args, argv) -> int:
         print(f"[inclined] family verify failed in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
         return EXIT_NEGATIVE
     # Every stored field must match the recomputation; tampering with the
-    # directions or with any recorded value shows up here.  A random basis
-    # is checked by its record alone (see _load_basis).
+    # directions or with any recorded value shows up here.
     if (recorded.size != len(cert.diagonals)
             or not np.abs(recorded - cert.diagonals).max() <= 1e-10
             or not abs(max_diagonal - cert.max_diagonal) <= 1e-10
             or not abs(bound - (1.0 + rho) / 2.0) <= 1e-10 or max_diagonal > bound
             or stored["branch"] != cert.branch or stored["regime"] != cert.regime
-            or basis_record["kind"] == "file" and stored["basis_digest"] != basis_digest):
+            or stored["basis_digest"] != basis_digest):
         print(canonical_json({"ok": False, "reason": "certificate mismatch"}))
         return EXIT_NEGATIVE
     print(canonical_json({"ok": True, "max_diagonal": cert.max_diagonal, "bound": args.bound}))
@@ -329,9 +325,9 @@ def cmd_demo(args, argv) -> int:
     cert = find_inclined_vector(vectors, 0.9, 10_000, search_seed)
     write("incline_certificate.json", _incline_payload(_manifest("demo", argv, root, {}), cert, "ok"))
 
-    # Toy stage, shared random basis, all eight depth-3 branches.
+    # Toy stage, shared seeded basis, all eight depth-3 branches.
     stage = toy_stage([4, 4, 2])
-    request = {"kind": "random", "seed": derive_seed(root, "demo", "basis"), "n": stage.dim}
+    request = {"kind": "phase-dft", "seed": derive_seed(root, "demo", "basis"), "n": stage.dim}
     basis, basis_record, basis_digest = _load_basis(request, None)
     manifest = _manifest("demo", argv, root, {"basis": basis_digest})
     build_seed = derive_seed(root, "demo", "family")
@@ -408,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_family_build)
     p.add_argument("--stage", required=True, help="stage JSON file")
     p.add_argument("--branch", required=True, help="binary branch string")
-    p.add_argument("--basis", required=True, help="basis JSON file, or 'random'")
+    p.add_argument("--basis", required=True, help="basis JSON file, or 'random' (seeded phase-DFT)")
     p.add_argument("--rho", type=_open_unit_float, default=0.9, help="target squared leakage ratio")
     p.add_argument("--budget", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
@@ -450,6 +446,8 @@ def main(argv: list[str] | None = None) -> int:
     # integer too large for a float.
     except (OSError, ValueError, TypeError, OverflowError) as exc:
         message, code = str(exc), EXIT_INPUT
+    except RecursionError:  # JSON nested deeper than the decoder recurses
+        message, code = "input nested too deeply", EXIT_INPUT
     except BudgetExhausted as exc:
         message, code = str(exc), EXIT_BUDGET
     except SuppressionFailure as exc:

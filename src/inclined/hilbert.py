@@ -17,8 +17,8 @@ import numpy as np
 # Dense operators exist only as test oracles; above this size they are refused.
 DENSE_ORACLE_CAP = 4096
 
-# Largest (n, n) complex128 matrix random_orthonormal_basis will draw: 1 GiB,
-# n <= 8192.  The QR of it needs a few such matrices at once.
+# Largest (n, n) complex128 basis random_orthonormal_basis will draw: 1 GiB,
+# n <= 8192.  The draw holds three such matrices at once.
 RANDOM_BASIS_CAP_BYTES = 2 ** 30
 
 
@@ -91,10 +91,12 @@ def random_unit_vector(dim: int, seed: int) -> np.ndarray:
 
 
 def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
-    """Haar-random orthonormal basis of C^n as the rows of an (n, n) array.
+    """Seeded orthonormal basis of C^n: the rows of D_0 F D_1 F D_2.
 
-    QR factorization of a complex Gaussian matrix with the R-diagonal phases
-    absorbed into Q, which makes the distribution unitarily invariant.
+    F is the unitary DFT and D_0, D_1, D_2 are diagonals of unit phases
+    drawn from ``default_rng(seed)``.  The basis is not Haar-distributed;
+    the constructions here must work against any orthonormal basis.  It
+    uses no BLAS, so its bits do not depend on the BLAS thread count.
     Raises ValueError, before drawing anything, when the n x n complex128
     matrix (n * n * 16 bytes) passes ``RANDOM_BASIS_CAP_BYTES`` (1 GiB,
     n <= 8192).
@@ -104,10 +106,6 @@ def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
     if n * n * 16 > RANDOM_BASIS_CAP_BYTES:
         raise ValueError(f"a random basis of C^{n} needs {n * n * 16 / 2 ** 30:.3g} GiB per copy, "
                          f"above the {RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = np.where(diag == 0, 1.0, diag / np.abs(diag))
-    q = q * phases.conj()
-    return np.ascontiguousarray(q.T)
+    d0, d1, d2 = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, n)))
+    u = np.fft.fft(np.diag(d2), axis=0, norm="ortho") * d1[:, None]
+    return np.fft.fft(u, axis=0, norm="ortho") * d0[:, None]

@@ -185,17 +185,52 @@ def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120):
 
 
 def test_random_basis_family_verifies_under_another_blas_thread_count(tmp_path):
-    # A threaded QR rounds differently from a serial one, so the two thread
-    # counts draw the basis of C^528 with different bits.
-    write_json(tmp_path / "stage.json",
-               {"regime": "toy", "levels": [{"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]})
-    built = _cli_in_subprocess(["family", "build", "--stage", "stage.json", "--branch", "010",
-                                "--basis", "random", "--seed", "7", "--out", "fam.json"],
-                               tmp_path, blas_threads=2)
-    assert built.returncode == 0, built.stderr
-    verified = _cli_in_subprocess(["family", "verify", "fam.json"], tmp_path, blas_threads=1)
+    # The seeded basis of C^528 uses no BLAS, so one and two threads build
+    # the same bytes, and the family built on two verifies on one.
+    built = {}
+    for threads in (1, 2):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        write_json(workdir / "stage.json", {"regime": "toy", "levels": [
+            {"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]})
+        done = _cli_in_subprocess(["family", "build", "--stage", "stage.json", "--branch", "010",
+                                   "--basis", "random", "--seed", "7", "--out", "fam.json"],
+                                  workdir, blas_threads=threads)
+        assert done.returncode == 0, done.stderr
+        built[threads] = (workdir / "fam.json").read_bytes()
+    assert built[1] == built[2]
+    verified = _cli_in_subprocess(["family", "verify", "fam.json"], tmp_path / "threads2",
+                                  blas_threads=1)
     assert verified.returncode == 0, verified.stderr
     assert json.loads(verified.stdout)["ok"] is True
+
+
+def test_demo_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
+    # The manifest records argv, so both runs use the same relative --outdir.
+    outputs = {}
+    for threads in (1, 2):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        done = _cli_in_subprocess(["demo", "--seed", "0", "--outdir", "out"], workdir,
+                                  blas_threads=threads)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
+    assert len(outputs[1]) == 11
+    assert outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["incline", "deep.json", "--bound", "0.5"],
+    ["family", "build", "--stage", "deep.json", "--branch", "0", "--basis", "random",
+     "--out", "f.json"],
+    ["family", "verify", "deep.json"],
+    ["family", "intersect", "deep.json", "deep.json"],
+], ids=["incline", "family-build", "family-verify", "family-intersect"])
+def test_deeply_nested_json_exits_two(argv, tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 3000 + "]" * 3000)
+    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1, timeout=20)
+    assert done.returncode == 2
+    assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
 
 
 def test_family_build_from_basis_file_and_verify(tmp_path, toy_stage_file):
@@ -217,30 +252,35 @@ def test_family_build_from_basis_file_and_verify(tmp_path, toy_stage_file):
     assert main(["family", "verify", str(fam), "--basis", str(other)]) == 2
 
 
-@pytest.mark.parametrize("edit", [
-    lambda payload: payload["certificate"].update(max_diagonal=0.01),
-    lambda payload: payload["certificate"].update(bound=0.1),
-    lambda payload: payload["certificate"].update(branch="11"),
-    lambda payload: payload["certificate"].update(regime="paper"),
-    lambda payload: payload["certificate"].update(basis_digest="x"),
-    lambda payload: payload.update(rho=0.5),
+@pytest.mark.parametrize("edit, seeded", [
+    (lambda payload: payload["certificate"].update(max_diagonal=0.01), False),
+    (lambda payload: payload["certificate"].update(bound=0.1), False),
+    (lambda payload: payload["certificate"].update(branch="11"), False),
+    (lambda payload: payload["certificate"].update(regime="paper"), False),
+    (lambda payload: payload["certificate"].update(basis_digest="x"), False),
+    (lambda payload: payload["certificate"].update(basis_digest="x"), True),
+    (lambda payload: payload.update(rho=0.5), False),
     # consistent with the recorded rho, but below the recomputed maximum
-    lambda payload: (payload.update(rho=-0.9), payload["certificate"].update(bound=0.05)),
-], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "rho", "bound-below-max"])
-def test_family_verify_edited_certificate_field_exits_one(edit, tmp_path, toy_stage_file,
+    (lambda payload: (payload.update(rho=-0.9), payload["certificate"].update(bound=0.05)),
+     False),
+], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "basis-digest-seeded", "rho",
+        "bound-below-max"])
+def test_family_verify_edited_certificate_field_exits_one(edit, seeded, tmp_path, toy_stage_file,
                                                           capsys):
     from inclined import random_orthonormal_basis
 
-    basis_file = tmp_path / "basis.json"
-    _write_vectors(basis_file, random_orthonormal_basis(16 + 256, 9))
+    basis = "random"
+    if not seeded:
+        basis = str(tmp_path / "basis.json")
+        _write_vectors(basis, random_orthonormal_basis(16 + 256, 9))
     fam = tmp_path / "fam.json"
     assert main(["family", "build", "--stage", toy_stage_file, "--branch", "01",
-                 "--basis", str(basis_file), "--seed", "3", "--out", str(fam)]) == 0
+                 "--basis", basis, "--seed", "3", "--out", str(fam)]) == 0
     payload = json.loads(fam.read_text())
     edit(payload)
     write_json(fam, payload)
     capsys.readouterr()
-    assert main(["family", "verify", str(fam), "--basis", str(basis_file)]) == 1
+    assert main(["family", "verify", str(fam), *([] if seeded else ["--basis", basis])]) == 1
     assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch"}
 
 
@@ -329,9 +369,11 @@ def _scalar_entry_family():
 
 # Edits of a valid family file, each written to the file named by its key.
 _FAMILY_EDITS = {
-    # the random basis record naming the paper stage's n = 347^2
+    # the seeded basis record naming the paper stage's n = 347^2
     "bigfam": lambda payload: payload["basis"].update(n=347 ** 2),
-    "n_list": lambda payload: payload.update(basis={"kind": "random", "seed": 5, "n": [528]}),
+    "n_list": lambda payload: payload.update(basis={"kind": "phase-dft", "seed": 5, "n": [528]}),
+    # a seeded basis record as version 0.4.0 wrote it
+    "v040_random": lambda payload: payload.update(basis={"kind": "random", "seed": 5, "n": 272}),
     "seed_null": lambda payload: payload["basis"].update(seed=None),
     "cert_str": lambda payload: payload.update(certificate="x"),
     "stage_d_str": lambda payload: payload["stage"]["levels"][0].update(d="4"),
@@ -368,6 +410,7 @@ _FAMILY_EDITS = {
             "--out", "{out}/f.json"]),
     (None, ["family", "verify", "{bigfam}"]),
     (None, ["family", "verify", "{n_list}"]),
+    (None, ["family", "verify", "{v040_random}"]),
     (None, ["family", "verify", "{seed_null}"]),
     (None, ["family", "verify", "{cert_str}"]),
     (None, ["family", "verify", "{stage_d_str}"]),
@@ -380,7 +423,8 @@ _FAMILY_EDITS = {
         "radius-nan", "radius-0", "params-m-0", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
         "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
-        "verify-random-basis-too-large", "verify-basis-n-list", "verify-basis-seed-null",
+        "verify-random-basis-too-large", "verify-basis-n-list", "verify-0.4.0-random-basis",
+        "verify-basis-seed-null",
         "verify-certificate-string", "verify-stage-d-string", "verify-stage-m-float",
         "verify-level-m-float", "verify-direction-dim-float", "verify-bound-too-large-for-float"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,

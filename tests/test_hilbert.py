@@ -134,3 +134,23 @@ def test_random_basis_above_the_cap_is_refused_before_drawing(monkeypatch):
         random_orthonormal_basis(n, 0)
     with pytest.raises(ValueError, match="cap"):
         random_orthonormal_basis(347 ** 2, 0)  # the paper stage at d = 347
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 528])
+def test_random_basis_gram_residual(n):
+    mat = random_orthonormal_basis(n, 5)
+    assert mat.shape == (n, n)
+    assert np.abs(mat @ mat.conj().T - np.eye(n)).max() < 1e-12
+
+
+def test_random_basis_same_seed_same_bits():
+    assert random_orthonormal_basis(528, 42).tobytes() == random_orthonormal_basis(528, 42).tobytes()
+    assert random_orthonormal_basis(528, 42).tobytes() != random_orthonormal_basis(528, 43).tobytes()
+
+
+def test_random_basis_uses_no_factorisation(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("factorised a matrix")
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    mat = random_orthonormal_basis(64, 1)
+    assert np.abs(mat @ mat.conj().T - np.eye(64)).max() < 1e-12
