@@ -149,10 +149,39 @@ def _family_payload(manifest: dict, spec, basis_record: dict, rho: float, cert) 
     }
 
 
+# Integers below this many bits go to Decimal(n) directly.
+_DIGITS_SPLIT_BITS = 2048
+
+
 def _digits(n: int) -> str:
-    # str(int) refuses more than 4300 digits (sys.set_int_max_str_digits);
-    # Decimal gives the same digits without that limit.
-    return str(decimal.Decimal(n))
+    """The decimal digits of ``n``, the same as ``str(decimal.Decimal(n))``.
+
+    str(int) refuses more than 4300 digits (sys.set_int_max_str_digits), and
+    Decimal(n) takes quadratic time.  Divide and conquer instead: split n
+    at half its bit length k, convert both halves, and join them as
+    hi * 2**k + lo in decimal arithmetic, whose large products are fast.
+    The context has the largest precision and traps Inexact, so every step
+    is exact.
+    """
+    powers: dict[int, decimal.Decimal] = {}
+
+    def power(k: int) -> decimal.Decimal:  # 2**k
+        if k not in powers:
+            powers[k] = (decimal.Decimal(1 << k) if k < _DIGITS_SPLIT_BITS
+                         else power(k // 2) * power(k - k // 2))
+        return powers[k]
+
+    def convert(m: int) -> decimal.Decimal:
+        k = m.bit_length() // 2
+        if k < _DIGITS_SPLIT_BITS // 2:
+            return decimal.Decimal(m)
+        hi = m >> k
+        return convert(hi) * power(k) + convert(m - (hi << k))
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    with decimal.localcontext(context):
+        return str(convert(n))
 
 
 def cmd_params(args, argv) -> int:

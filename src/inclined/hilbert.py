@@ -18,7 +18,7 @@ import numpy as np
 DENSE_ORACLE_CAP = 4096
 
 # Largest (n, n) complex128 basis random_orthonormal_basis will draw: 1 GiB,
-# n <= 8192.  The draw holds three such matrices at once.
+# n <= 8192.  The draw holds two such matrices at once.
 RANDOM_BASIS_CAP_BYTES = 2 ** 30
 
 
@@ -97,6 +97,9 @@ def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
     drawn from ``default_rng(seed)``.  The basis is not Haar-distributed;
     the constructions here must work against any orthonormal basis.  It
     uses no BLAS, so its bits do not depend on the BLAS thread count.
+    Both DFTs run in place (``out=``, numpy >= 2.0); the phase multiplies
+    stay out of place, because an in-place multiply changes the bits (at
+    n = 1 already), so at most two n x n matrices are alive at once.
     Raises ValueError, before drawing anything, when the n x n complex128
     matrix (n * n * 16 bytes) passes ``RANDOM_BASIS_CAP_BYTES`` (1 GiB,
     n <= 8192).
@@ -107,5 +110,6 @@ def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
         raise ValueError(f"a random basis of C^{n} needs {n * n * 16 / 2 ** 30:.3g} GiB per copy, "
                          f"above the {RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap")
     d0, d1, d2 = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, n)))
-    u = np.fft.fft(np.diag(d2), axis=0, norm="ortho") * d1[:, None]
-    return np.fft.fft(u, axis=0, norm="ortho") * d0[:, None]
+    u = np.diag(d2)
+    u = np.fft.fft(u, axis=0, norm="ortho", out=u) * d1[:, None]
+    return np.fft.fft(u, axis=0, norm="ortho", out=u) * d0[:, None]

@@ -110,13 +110,16 @@ def digest_vectors(vectors) -> str:
     sha256 over the ASCII header "<DIGEST_SCHEME> <c16 <n>x<d>" and a newline,
     followed by the family as an (n, d) little-endian complex128 array in
     row-major order.  A list of rows and an array of any memory order give
-    the same digest; the same bytes under another shape do not.
+    the same digest; the same bytes under another shape do not.  A
+    C-contiguous <c16 array is hashed where it lies, without a copy.
     """
-    mat = np.asarray(vectors, dtype="<c16")
+    mat = np.asarray(vectors, dtype="<c16", order="C")
     if mat.ndim != 2:
         raise ValueError(f"a vector family is an (n, d) array, got shape {mat.shape}")
     n, d = mat.shape
-    return sha256_hex(f"{DIGEST_SCHEME} <c16 {n}x{d}\n".encode("ascii") + mat.tobytes())
+    h = hashlib.sha256(f"{DIGEST_SCHEME} <c16 {n}x{d}\n".encode("ascii"))
+    h.update(mat)
+    return h.hexdigest()
 
 
 def stage_to_obj(stage) -> dict:

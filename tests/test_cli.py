@@ -66,6 +66,19 @@ def test_params_beyond_the_int_string_limit(capsys):
                                      "rhs": str(decimal.Decimal(rhs))}
 
 
+_DIGITS_CASES = {
+    **{f"10^{k}{e:+d}": 10 ** k + e for k in (0, 1, 616, 617, 1233, 5000) for e in (-1, 0, 1)},
+    **{f"2^{k}": 2 ** k for k in (0, 1, 2047, 2048, 4095, 4096, 20_000)},
+    "-3^30000": -(3 ** 30_000),
+    "10^5 sevens": 7 * (10 ** 100_000 - 1) // 9,
+}
+
+
+@pytest.mark.parametrize("n", _DIGITS_CASES.values(), ids=_DIGITS_CASES.keys())
+def test_digits_match_decimal(n):
+    assert cli._digits(n) == str(decimal.Decimal(n))
+
+
 # ------------------------------------------------------------ incline
 
 def test_incline_standard_basis(basis2, tmp_path, capsys):
@@ -589,6 +602,91 @@ def test_fuzzed_stage_files_keep_the_exit_code_contract(tmp_path_factory, data):
     rc, err = _exit_code_and_stderr(["family", "build", "--stage", str(workdir / "stage.json"),
                                      "--branch", "01", "--basis", "random", "--budget", "200",
                                      "--out", str(workdir / "fam.json")])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The bytes of tiny input files for fuzzed argv, by name."""
+    workdir = tmp_path_factory.mktemp("argv-inputs")
+    write_json(workdir / "stage.json", {"regime": "toy", "levels": [{"m": 1, "d": 2},
+                                                                  {"m": 2, "d": 2}]})
+    _write_vectors(workdir / "vectors.json", list(np.eye(2, dtype=complex)))
+    _write_vectors(workdir / "basis.json", list(np.eye(20, dtype=complex)))
+    (workdir / "bad.json").write_text("{")
+    for branch, name in (("01", "family.json"), ("10", "family2.json")):
+        rc, _ = _exit_code_and_stderr(["family", "build", "--stage", str(workdir / "stage.json"),
+                                       "--branch", branch, "--basis", "random",
+                                       "--out", str(workdir / name)])
+        assert rc == 0
+    return {path.name: path.read_bytes() for path in workdir.iterdir()}
+
+
+# One valid argv per command except demo; fuzzing edits them with _ARGV_TOKENS.
+_VALID_ARGV = (
+    ("params", "--m", "2"),
+    ("incline", "vectors.json", "--bound", "0.9"),
+    ("cover", "vectors.json", "--radius", "0.5"),
+    ("family", "build", "--stage", "stage.json", "--branch", "01", "--basis", "random",
+     "--out", "out.json"),
+    ("family", "build", "--stage", "stage.json", "--branch", "10", "--basis", "basis.json",
+     "--out", "out.json"),
+    ("family", "verify", "family.json"),
+    ("family", "intersect", "family.json", "family2.json"),
+)
+
+# Real subcommands, options and file names, and junk.  No number here lies
+# in 4..8, so a --m that is accepted is at most 3.
+_ARGV_OPTIONS = (
+    "--m", "--out", "--bound", "--budget", "--seed", "--radius", "--trials", "--stage",
+    "--branch", "--basis", "--rho", "-h", "--", "--unknown",
+)
+_ARGV_VALUES = (
+    "0", "1", "2", "3", "-1", "0.1", "0.5", "0.9", "200", "1e400", "nan", "inf", "9" * 20,
+    "", "x", "01", "10", "0101", "random", "\u00e9",
+    "vectors.json", "stage.json", "basis.json", "family.json", "family2.json", "bad.json",
+    "missing.json", ".", "out.json",
+)
+_ARGV_TOKENS = ("params", "incline", "cover", "family", "build", "verify", "intersect",
+                *_ARGV_OPTIONS, *_ARGV_VALUES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv_files, tmp_path_factory, data):
+    argv = list(data.draw(st.sampled_from(_VALID_ARGV), label="valid argv"))
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        at = data.draw(st.integers(0, len(argv)), label="at")
+        edit = data.draw(st.sampled_from(("append", "insert", "replace", "delete")), label="edit")
+        if edit == "append":  # an option and a value: the edit most likely to parse
+            argv += [data.draw(st.sampled_from(_ARGV_OPTIONS), label="option"),
+                     data.draw(st.sampled_from(_ARGV_VALUES), label="value")]
+            continue
+        token = data.draw(st.sampled_from(_ARGV_TOKENS), label="token")
+        if edit == "insert" or not argv:
+            argv.insert(at, token)
+        elif edit == "replace":
+            argv[min(at, len(argv) - 1)] = token
+        else:
+            del argv[min(at, len(argv) - 1)]
+    # The last occurrence of an option wins, so these cap every search.
+    cap = data.draw(st.sampled_from(("200", "1")), label="cap")
+    if "incline" in argv or "build" in argv:
+        argv += ["--budget", cap]
+    if "cover" in argv:
+        argv += ["--trials", cap]
+    workdir = tmp_path_factory.mktemp("argv")
+    for name, raw in argv_files.items():
+        (workdir / name).write_bytes(raw)
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        rc, err = _exit_code_and_stderr(argv)
+    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for -h
+        rc, err = exc.code, ""
+    finally:
+        os.chdir(cwd)
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,8 @@ from inclined import (
     toy_stage,
     verify_suppression,
 )
-from inclined.family import LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, level_axes
+from inclined.family import (
+    LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -185,6 +187,55 @@ def test_leakage_set_rejects_non_orthonormal_basis():
     bad = np.array([[1, 0], [1, 0]], dtype=complex)
     with pytest.raises(ValueError, match="orthonormal"):
         leakage_set(bad, lambda x: x, 0.5)
+
+
+def _tilted(basis, i, j):
+    """``basis`` with row i tilted 1e-6 towards row j, still of unit norm."""
+    bad = basis.copy()
+    bad[i] += 1e-6 * bad[j]
+    bad[i] /= np.linalg.norm(bad[i])
+    return bad
+
+
+def _stretched(basis, i):
+    """``basis`` with row i of norm 1 + 1e-6."""
+    bad = basis.copy()
+    bad[i] *= 1 + 1e-6
+    return bad
+
+
+@pytest.mark.parametrize("defect", [
+    pytest.param(lambda b: _tilted(b, 200, 5), id="pair-across-strips"),
+    pytest.param(lambda b: _tilted(b, 270, 290), id="pair-in-the-last-partial-strip"),
+    pytest.param(lambda b: _stretched(b, 150), id="row-of-norm-1+1e-6"),
+])
+def test_basis_matrix_finds_every_defect(defect):
+    basis = random_orthonormal_basis(300, 8)  # strips of 128, 128 and 44 rows
+    basis_matrix(basis)
+    with pytest.raises(ValueError, match="basis is not orthonormal"):
+        basis_matrix(defect(basis))
+
+
+@pytest.fixture(scope="module")
+def basis_1024():
+    return random_orthonormal_basis(1024, 2)
+
+
+@pytest.mark.parametrize("step, copies", [
+    pytest.param(lambda b: random_orthonormal_basis(len(b), 2), 2.1, id="draw"),
+    pytest.param(digest_vectors, 0.05, id="digest"),
+    pytest.param(basis_matrix, 0.5, id="gram"),
+])
+def test_family_command_steps_hold_few_basis_copies(basis_1024, step, copies):
+    # numpy reports its data buffers to tracemalloc; the draw's own result
+    # is one of its copies.
+    tracemalloc.start()
+    try:
+        step(basis_1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= copies * basis_1024.nbytes
 
 
 def test_level_masses_standard_basis():

@@ -154,3 +154,18 @@ def test_random_basis_uses_no_factorisation(monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     mat = random_orthonormal_basis(64, 1)
     assert np.abs(mat @ mat.conj().T - np.eye(64)).max() < 1e-12
+
+
+def _reference_draw(n, seed):
+    # The draw as first written: both DFTs out of place.
+    d0, d1, d2 = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, n)))
+    u = np.fft.fft(np.diag(d2), axis=0, norm="ortho") * d1[:, None]
+    return np.fft.fft(u, axis=0, norm="ortho") * d0[:, None]
+
+
+def test_random_basis_matches_the_out_of_place_draw_bit_for_bit():
+    # n = 1 is where an in-place phase multiply already changes the bits.
+    for n in [*range(1, 71), 127, 256, 347, 528, 1021]:
+        for seed in (0, 1, 5, 12345):
+            got = random_orthonormal_basis(n, seed)
+            assert got.tobytes() == _reference_draw(n, seed).tobytes(), (n, seed)

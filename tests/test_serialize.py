@@ -116,9 +116,12 @@ def test_digest_depends_on_shape():
 def test_digest_ignores_container_and_memory_order():
     rng = np.random.default_rng(4)
     family = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    wide = np.zeros((3, 10), dtype=complex)
+    wide[:, ::2] = family
     digests = {digest_vectors(list(family)),
                digest_vectors(np.ascontiguousarray(family)),
-               digest_vectors(np.asfortranarray(family))}
+               digest_vectors(np.asfortranarray(family)),
+               digest_vectors(wide[:, ::2])}
     assert len(digests) == 1
 
 
