@@ -34,7 +34,6 @@ import numpy as np
 from . import __version__
 from .family import (
     SuppressionFailure,
-    apply_branch_projection,
     branch_intersection,
     build_branch_projection,
     min_level_dimension,
@@ -47,6 +46,7 @@ from .family import (
 from .hilbert import random_orthonormal_basis
 from .search import BudgetExhausted, cover_witness, find_inclined_vector
 from .serialize import (
+    _json_number,
     branch_spec_from_obj,
     branch_spec_to_obj,
     derive_seed,
@@ -277,10 +277,9 @@ def cmd_family_verify(args, argv) -> int:
     recorded = np.asarray(stored["diagonals"])
     if recorded.ndim != 1 or recorded.dtype.kind not in "iuf":
         raise TypeError("the certificate's diagonals must be a list of numbers")
-    numbers = (stored["max_diagonal"], stored["bound"], obj["rho"])
-    if any(type(x) not in (int, float) for x in numbers):
-        raise TypeError(f"max_diagonal, bound and rho must be JSON numbers, got {numbers!r}")
-    max_diagonal, bound, rho = (float(x) for x in numbers)
+    max_diagonal = _json_number(stored["max_diagonal"], "max_diagonal")
+    bound = _json_number(stored["bound"], "bound")
+    rho = _json_number(obj["rho"], "rho")
     basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
@@ -313,10 +312,7 @@ def cmd_family_intersect(args, argv) -> int:
         raw = Path(path).read_bytes()
         specs.append(branch_spec_from_obj(json.loads(raw)))
         digests[path] = sha256_hex(raw)
-    vec = branch_intersection(specs)
-    residuals = {
-        s.branch: float(np.linalg.norm(apply_branch_projection(s, vec) - vec)) for s in specs
-    }
+    vec, residuals = branch_intersection(specs)
     payload = {
         "manifest": _manifest("family intersect", argv, None, digests),
         "branches": [s.branch for s in specs],
@@ -327,9 +323,7 @@ def cmd_family_intersect(args, argv) -> int:
     }
     if args.out:
         write_json(args.out, payload)
-    print(canonical_json({"branches": payload["branches"],
-                          "separating_level": payload["separating_level"],
-                          "max_residual": payload["max_residual"]}))
+    print(canonical_json({k: payload[k] for k in ("branches", "separating_level", "max_residual")}))
     return EXIT_OK
 
 
@@ -375,14 +369,12 @@ def cmd_demo(args, argv) -> int:
     entries = []
     for size in (2, 3):
         for combo in itertools.combinations(specs, size):
-            vec = branch_intersection(combo)
-            residual = max(
-                float(np.linalg.norm(apply_branch_projection(s, vec) - vec)) for s in combo)
+            vec, residuals = branch_intersection(combo)
             entries.append({
                 "branches": [s.branch for s in combo],
                 "separating_level": separating_level([s.branch for s in combo]),
                 "vector_digest": digest_vectors([vec]),
-                "max_residual": residual,
+                "max_residual": max(residuals.values()),
             })
     write("intersections.json", {"manifest": manifest, "intersections": entries})
 

@@ -83,8 +83,8 @@ def stage_predicate(m: int, d: int) -> bool:
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    lhs = 32 * m * m * d ** (3 * 2 ** m - 1) * 91 ** d
-    return lhs < 100 ** d
+    lhs, rhs = predicate_sides(m, d)
+    return lhs < rhs
 
 
 def predicate_sides(m: int, d: int) -> tuple[int, int]:
@@ -244,12 +244,8 @@ def leakage_set(basis, subspace_projector: Callable[[np.ndarray], np.ndarray], e
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    mat = basis_matrix(basis)
-    out = []
-    for k in range(mat.shape[0]):
-        if float(np.linalg.norm(subspace_projector(mat[k])) ** 2) >= eps:
-            out.append(k)
-    return out
+    return [k for k, e in enumerate(basis_matrix(basis))
+            if float(np.linalg.norm(subspace_projector(e)) ** 2) >= eps]
 
 
 def _masses(stage: StageParameters, mat: np.ndarray) -> np.ndarray:
@@ -261,11 +257,8 @@ def _masses(stage: StageParameters, mat: np.ndarray) -> np.ndarray:
 
 
 def _leakage_from_masses(stage: StageParameters, masses: np.ndarray) -> list[list[int]]:
-    sets = []
-    for i, lv in enumerate(stage.levels):
-        threshold = LEAKAGE_COEFF / lv.m ** 2
-        sets.append([int(k) for k in np.nonzero(masses[i] > threshold)[0]])
-    return sets
+    return [np.nonzero(row > LEAKAGE_COEFF / lv.m ** 2)[0].tolist()
+            for row, lv in zip(masses, stage.levels)]
 
 
 def level_masses(stage: StageParameters, basis) -> np.ndarray:
@@ -283,8 +276,7 @@ def level_leakage_sets(stage: StageParameters, basis) -> list[list[int]]:
     Strict inequality: boundary values count as off-leakage, which keeps the
     off-leakage mass bound at 1/2.
     """
-    mat = basis_matrix(basis, dim=stage.dim)
-    return _leakage_from_masses(stage, _masses(stage, mat))
+    return _leakage_from_masses(stage, level_masses(stage, basis))
 
 
 @dataclass(frozen=True)
@@ -355,7 +347,8 @@ def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
     diag = np.zeros(n)
     for lv in spec.stage.levels:
         blocks = blocks_matrix(lv.space, mat[:, spec.stage.level_slice(lv.m)], spec.sigma(lv.m))
-        coeff = blocks @ spec.directions[lv.m - 1].conj()
+        # einsum never calls BLAS, whose bits change with its thread count
+        coeff = np.einsum("...j,j->...", blocks, spec.directions[lv.m - 1].conj())
         diag += (np.abs(coeff) ** 2).sum(axis=1)
     return diag
 
@@ -469,37 +462,33 @@ def separating_level(branches: Sequence[str]) -> int:
     raise ValueError(f"branches are not pairwise distinct: colliding prefixes {collisions}")
 
 
-def branch_intersection(specs: Sequence[BranchProjectionSpec]) -> np.ndarray:
-    """A common unit fixed vector of several branch projections.
+def branch_intersection(specs: Sequence[BranchProjectionSpec]) -> tuple[np.ndarray, dict[str, float]]:
+    """A common unit fixed vector x of branch projections P, and ||P x - x|| by branch.
 
     At the first level m where the branch prefixes are pairwise distinct the
     participating axis projections act on distinct axes, so the elementary
     tensor of their directions (padded with a fixed basis direction on the
     unused axes) is fixed by each of them; embedded at level m it is fixed
-    by every full branch projection.
+    by every full branch projection.  A residual above 1e-10 raises.
     """
     if len(specs) < 2:
         raise ValueError("need at least two branch projections")
     stage = specs[0].stage
-    for s in specs[1:]:
-        if s.stage != stage:
-            raise ValueError("branch projections live on different stages")
+    if any(s.stage != stage for s in specs):
+        raise ValueError("branch projections live on different stages")
     m = separating_level([s.branch for s in specs])
     lv = stage.levels[m - 1]
-    dirs: dict[str, np.ndarray] = {}
-    for s in specs:
-        dirs[s.sigma(m)] = s.directions[m - 1]
     e0 = np.zeros(lv.d, dtype=np.complex128)
     e0[0] = 1.0
-    for axis in lv.space.axes:
-        if axis not in dirs:
-            dirs[axis] = e0
-    fixed = joint_fixed_vector(ProductProjectionSpec(lv.space, dirs))
+    dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1] for s in specs}
     out = np.zeros(stage.dim, dtype=np.complex128)
-    out[stage.level_slice(m)] = fixed
+    out[stage.level_slice(m)] = joint_fixed_vector(ProductProjectionSpec(lv.space, dirs))
+    residuals = {}
     for s in specs:
-        residual = np.linalg.norm(apply_branch_projection(s, out) - out)
+        gap = apply_branch_projection(s, out) - out
+        # not np.linalg.norm: its BLAS dot rounds by thread count on long vectors
+        residual = residuals[s.branch] = math.sqrt(float((gap.real ** 2 + gap.imag ** 2).sum()))
         if residual > 1e-10:  # cannot happen for distinct axes; defensive
             raise RuntimeError(
                 f"intersection vector not fixed by branch {s.branch}: residual {residual:.3g}")
-    return out
+    return out, residuals

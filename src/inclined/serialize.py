@@ -55,6 +55,13 @@ def _json_int(value: Any, name: str) -> int:
     return value
 
 
+def _json_number(value: Any, name: str) -> float:
+    """A field that must be a JSON number; float() would also take "0.5" or true."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def vector_to_obj(v: np.ndarray) -> dict:
     arr = np.asarray(v, dtype=np.complex128)
     return {"dim": int(arr.size), "entries": np.stack([arr.real, arr.imag], 1).tolist()}
@@ -190,13 +197,13 @@ def inclination_from_obj(obj: Any):
     from .search import InclinationCertificate
 
     return InclinationCertificate(
-        dimension=int(obj["d"]),
+        dimension=_json_int(obj["d"], "d"),
         family_digest=str(obj["family_digest"]),
         candidate=vector_from_obj(obj["candidate"]),
-        achieved=float(obj["achieved"]),
-        bound=float(obj["bound"]),
-        seed=int(obj["seed"]),
-        iterations_used=int(obj["iterations_used"]),
+        achieved=_json_number(obj["achieved"], "achieved"),
+        bound=_json_number(obj["bound"], "bound"),
+        seed=_json_int(obj["seed"], "seed"),
+        iterations_used=_json_int(obj["iterations_used"], "iterations_used"),
     )
 
 
@@ -258,7 +265,8 @@ def read_vectors(path: str | Path) -> np.ndarray:
     A file in the canonical layout takes a fast decode; any other layout,
     and any file the fast decode has doubts about, goes through
     vectors_from_obj(read_json(path)), which alone raises the errors.  Both
-    give the same array bit for bit.
+    give the same array bit for bit.  A boolean never passes the fast decode,
+    and the general decode refuses it.
     """
     raw = Path(path).read_bytes()
     try:
@@ -266,5 +274,9 @@ def read_vectors(path: str | Path) -> np.ndarray:
     except (ValueError, TypeError, OverflowError):
         vectors = None
     if vectors is None:
-        return vectors_from_obj(read_json(path))
+        obj = read_json(path)
+        vectors = vectors_from_obj(obj)
+        if (b"true" in raw or b"false" in raw) and any(
+                type(x) is bool for v in obj for pair in v["entries"] for x in pair):
+            raise ValueError("vector entries must be JSON numbers, got a boolean")
     return vectors

@@ -63,9 +63,9 @@ class ProductProjectionSpec:
 def apply_axis(spec: AxisProjectionSpec, x) -> np.ndarray:
     """Apply R_v to every block x(s) along the spec's axis."""
     v = spec.direction
-    # The product runs on blocks_matrix, not on the strided block view: the
-    # same sums taken over a strided view can round differently.
-    coeff = blocks_matrix(spec.space, x, spec.axis) @ v.conj()  # inner(x(s), v) per block
+    # inner(x(s), v) per block, on blocks_matrix (sums over the strided view
+    # can round differently) by einsum (BLAS rounds by thread count).
+    coeff = np.einsum("...j,j->...", blocks_matrix(spec.space, x, spec.axis), v.conj())
     out = np.empty(spec.space.dim, dtype=np.complex128)
     blocks = block_view(spec.space, out, spec.axis)
     np.multiply.outer(coeff.reshape(blocks.shape[:-1]), v, out=blocks)

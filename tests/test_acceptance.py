@@ -279,7 +279,7 @@ def test_criterion_09_branch_family_intersections(toy528):
         all_specs = list(specs.values())
         for size in (2, 3):
             for combo in itertools.combinations(all_specs, size):
-                w = inc.branch_intersection(combo)
+                w, _ = inc.branch_intersection(combo)
                 assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
                 for s in combo:
                     assert np.linalg.norm(inc.apply_branch_projection(s, w) - w) <= 1e-10

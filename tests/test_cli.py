@@ -109,6 +109,21 @@ def test_incline_malformed_input(tmp_path):
     assert main(["incline", str(bad), "--bound", "0.9"]) == 2
 
 
+_NUMBER_VECTORS = [{"dim": 2, "entries": [[0.6, 0], [1, 0]]},
+                   {"dim": 2, "entries": [[0, 1], [0.5, 0.5]]}]
+
+
+@pytest.mark.parametrize("text, code", [
+    ('[{"dim":2,"entries":[[0.6,0],[true,false]]},{"dim":2,"entries":[[0,1],[0.5,0.5]]}]', 2),
+    (json.dumps(_NUMBER_VECTORS, indent=2), 0),
+    (json.dumps([{**_NUMBER_VECTORS[0], "note": "true"}, _NUMBER_VECTORS[1]]), 0),
+], ids=["booleans", "indented-numbers", "true-in-a-string"])
+def test_incline_refuses_boolean_entries(text, code, tmp_path):
+    path = tmp_path / "vectors.json"
+    path.write_text(text)
+    assert main(["incline", str(path), "--bound", "0.99"]) == code
+
+
 def test_incline_reruns_are_byte_identical(tmp_path):
     rng = np.random.default_rng(5)
     fam = rng.standard_normal((50, 16)) + 1j * rng.standard_normal((50, 16))
@@ -362,6 +377,23 @@ def test_family_intersect(tmp_path, toy_stage_file, capsys):
     vec = payload["vector"]
     norm = math.sqrt(sum(re * re + im * im for re, im in vec["entries"]))
     assert norm == pytest.approx(1.0, abs=1e-10)
+
+
+def test_family_intersect_applies_each_branch_projection_once(tmp_path, toy_stage_file,
+                                                            monkeypatch):
+    families = [str(_build(tmp_path, toy_stage_file, b)[1]) for b in ("00", "01", "10")]
+    calls = []
+    original = inclined.family.apply_branch_projection
+
+    def counting(spec, x):
+        calls.append(spec.branch)
+        return original(spec, x)
+
+    for module in (inclined.family, cli):
+        if hasattr(module, "apply_branch_projection"):
+            monkeypatch.setattr(module, "apply_branch_projection", counting)
+    assert main(["family", "intersect", *families]) == 0
+    assert sorted(calls) == ["00", "01", "10"]
 
 
 def test_family_intersect_duplicate_branch_exits_two(tmp_path, toy_stage_file):

@@ -164,6 +164,17 @@ def test_inclination_certificate_round_trip():
     np.testing.assert_array_equal(again.candidate, cert.candidate)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d", "2"), ("achieved", "0.5"), ("bound", True), ("seed", "3"), ("iterations_used", 4.9)])
+def test_inclination_fields_take_json_types_strictly(field, value):
+    cert = find_inclined_vector([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 0.9, 200, 3)
+    obj = json.loads(canonical_json(inclination_to_obj(cert)))
+    inclination_from_obj(obj)  # the unedited record is accepted
+    obj[field] = value
+    with pytest.raises(TypeError, match=field):
+        inclination_from_obj(obj)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_json_restores_the_collector_state(tmp_path, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"

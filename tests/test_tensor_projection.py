@@ -43,7 +43,7 @@ def _round_trip_apply_axis(spec, x):
     # apply_axis replaced by a write through block_view.
     space, v = spec.space, spec.direction
     d, n = space.alphabet_size, len(space.axes)
-    coeff = blocks_matrix(space, x, spec.axis) @ v.conj()
+    coeff = np.einsum("...j,j->...", blocks_matrix(space, x, spec.axis), v.conj())
     cube = np.multiply.outer(coeff, v).reshape((d,) * n)
     return np.moveaxis(cube, -1, space.axis_position(spec.axis)).reshape(-1)
 
