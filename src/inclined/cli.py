@@ -67,8 +67,6 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
-DEFAULT_SUPPRESSION_BOUND = 19.0 / 20.0
-
 
 def _manifest(command: str, argv: list[str], root_seed: int | None,
               input_digests: dict[str, str]) -> dict:
@@ -185,7 +183,6 @@ def _digits(n: int) -> str:
 
 
 def cmd_params(args, argv) -> int:
-    t0 = time.perf_counter()
     d_min = min_level_dimension(args.m)
     trace = {}
     # d_min > 2^7 for every m (see min_level_dimension), so d_min - 1 is a failure.
@@ -202,14 +199,12 @@ def cmd_params(args, argv) -> int:
     if args.out:
         write_json(args.out, out)
     print(canonical_json(out))
-    print(f"[inclined] params finished in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_incline(args, argv) -> int:
     vectors = read_vectors(args.input)
     digest = digest_vectors(vectors)
-    t0 = time.perf_counter()
     try:
         cert = find_inclined_vector(vectors, args.bound, args.budget, args.seed,
                                     family_digest=digest)
@@ -226,15 +221,12 @@ def cmd_incline(args, argv) -> int:
     if args.out:
         write_json(args.out, payload)
     print(canonical_json(payload))
-    outcome = "succeeded" if code == EXIT_OK else "failed the bound"
-    print(f"[inclined] incline {outcome} in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code
 
 
 def cmd_cover(args, argv) -> int:
     points = read_vectors(args.input)
     digest = digest_vectors(points)
-    t0 = time.perf_counter()
     witness = cover_witness(points, args.radius, args.trials, args.seed)
     payload = {
         "manifest": _manifest("cover", argv, args.seed, {"input": digest}),
@@ -246,7 +238,6 @@ def cmd_cover(args, argv) -> int:
     if args.out:
         write_json(args.out, payload)
     print(canonical_json(payload))
-    print(f"[inclined] cover finished in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return EXIT_OK if witness is not None else EXIT_NEGATIVE
 
 
@@ -257,14 +248,12 @@ def cmd_family_build(args, argv) -> int:
     else:
         request = {"kind": "file"}
     basis, basis_record, basis_digest = _load_basis(request, args.basis)
-    t0 = time.perf_counter()
     spec, cert = build_branch_projection(
         stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed,
         basis_digest=basis_digest)
     manifest = _manifest("family build", argv, args.seed, {"basis": basis_digest})
     write_json(args.out, _family_payload(manifest, spec, basis_record, args.rho, cert))
     print(canonical_json({"out": str(args.out), "max_diagonal": cert.max_diagonal, "bound": cert.bound}))
-    print(f"[inclined] family build finished in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -280,28 +269,30 @@ def cmd_family_verify(args, argv) -> int:
     max_diagonal = _json_number(stored["max_diagonal"], "max_diagonal")
     bound = _json_number(stored["bound"], "bound")
     rho = _json_number(obj["rho"], "rho")
+    if not 0.0 < rho < 1.0:  # (1 + rho) / 2 >= 1 would bound nothing
+        raise ValueError(f"rho must lie in (0, 1), got {rho}")
     basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
-    t0 = time.perf_counter()
+    mismatch = canonical_json({"ok": False, "reason": "certificate mismatch"})
+    if not abs(bound - (1.0 + rho) / 2.0) <= 1e-10 or max_diagonal > bound:
+        print(mismatch)
+        return EXIT_NEGATIVE
     try:
-        cert = verify_suppression(spec, basis, args.bound, basis_digest=basis_digest)
+        cert = verify_suppression(spec, basis, bound, basis_digest=basis_digest)
     except SuppressionFailure as exc:
         print(canonical_json({"ok": False, "max_diagonal": exc.max_diagonal, "bound": exc.bound}))
-        print(f"[inclined] family verify failed in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
         return EXIT_NEGATIVE
-    # Every stored field must match the recomputation; tampering with the
-    # directions or with any recorded value shows up here.
+    # Every other stored field must match the recomputation; tampering with
+    # the directions or with any recorded value shows up here.
     if (recorded.size != len(cert.diagonals)
             or not np.abs(recorded - cert.diagonals).max() <= 1e-10
             or not abs(max_diagonal - cert.max_diagonal) <= 1e-10
-            or not abs(bound - (1.0 + rho) / 2.0) <= 1e-10 or max_diagonal > bound
             or stored["branch"] != cert.branch or stored["regime"] != cert.regime
             or stored["basis_digest"] != basis_digest):
-        print(canonical_json({"ok": False, "reason": "certificate mismatch"}))
+        print(mismatch)
         return EXIT_NEGATIVE
-    print(canonical_json({"ok": True, "max_diagonal": cert.max_diagonal, "bound": args.bound}))
-    print(f"[inclined] family verify finished in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
+    print(canonical_json({"ok": True, "max_diagonal": cert.max_diagonal, "bound": bound}))
     return EXIT_OK
 
 
@@ -333,7 +324,6 @@ def cmd_demo(args, argv) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     root = args.seed
-    t0 = time.perf_counter()
     written: dict[str, str] = {}
 
     def write(name: str, payload: dict) -> None:
@@ -387,7 +377,6 @@ def cmd_demo(args, argv) -> int:
     }
     write_json(outdir / "demo_summary.json", summary)
     print(canonical_json({"outdir": str(outdir), "files": sorted(written)}))
-    print(f"[inclined] demo finished in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 
@@ -435,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_family_verify)
     p.add_argument("family", help="family JSON file")
     p.add_argument("--basis", default=None, help="basis JSON file (if not seed-recorded)")
-    p.add_argument("--bound", type=_open_unit_float, default=DEFAULT_SUPPRESSION_BOUND)
 
     p = fam_sub.add_parser("intersect")
     p.set_defaults(run=cmd_family_intersect)
@@ -455,12 +443,15 @@ def main(argv: list[str] | None = None) -> int:
 
     This is the only place where an exception becomes an exit code, with one
     `error:` line on stderr; an uncaught traceback would exit 1 and read as
-    a verified negative.
+    a verified negative.  A last stderr line gives the code and wall time.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "family_command", None))))
+    t0 = time.perf_counter()
+    message = None
     try:
-        return args.run(args, argv)
+        code = args.run(args, argv)
     except KeyError as exc:
         message, code = f"missing field {exc}", EXIT_INPUT
     # ValueError includes json.JSONDecodeError; OverflowError is a JSON
@@ -473,7 +464,9 @@ def main(argv: list[str] | None = None) -> int:
         message, code = str(exc), EXIT_BUDGET
     except SuppressionFailure as exc:
         message, code = str(exc), EXIT_NEGATIVE
-    print(f"error: {message}", file=sys.stderr)
+    if message is not None:
+        print(f"error: {message}", file=sys.stderr)
+    print(f"[inclined] {command} exited {code} in {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     return code
 
 

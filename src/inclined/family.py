@@ -292,7 +292,8 @@ class BranchProjectionSpec:
     directions: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if len(self.branch) != self.stage.depth or any(ch not in "01" for ch in self.branch):
+        if (type(self.branch) is not str or len(self.branch) != self.stage.depth
+                or any(ch not in "01" for ch in self.branch)):
             raise ValueError(f"branch must be a binary string of length {self.stage.depth}, got {self.branch!r}")
         if len(self.directions) != self.stage.depth:
             raise ValueError("need exactly one direction per level")
@@ -411,11 +412,6 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
     for i, lv in enumerate(stage.levels):
         sigma = branch[: lv.m]
         leaked = leakage[i]
-        if not leaked:
-            v = np.zeros(lv.d, dtype=np.complex128)
-            v[0] = 1.0
-            directions.append(v)
-            continue
         blocks = blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
         if stage.regime == "paper":
             # One constraint per nonzero block, each normalized to a direction.

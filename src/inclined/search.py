@@ -46,6 +46,9 @@ _TIE_SHARE = 0.1
 # ... at most this many of them, largest first.
 _TIE_MAX_GROUPS = 16
 
+# Entries of each (trials, points) float64 temporary of a cover_witness batch.
+_COVER_BATCH_ENTRIES = 2 ** 21
+
 CAPACITY_BASE = Fraction(100, 91)
 MIN_CAPACITY_DIMENSION = 2 ** 7
 
@@ -410,7 +413,8 @@ def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray |
     dim = mat.shape[1]
     rng = np.random.default_rng(seed)
     pts_sq = (mat ** 2).sum(axis=1)
-    batch = 1024
+    # standard_normal draws the same stream in any split into batches.
+    batch = max(1, min(1024, _COVER_BATCH_ENTRIES // mat.shape[0]))
     done = 0
     while done < trials:
         take = min(batch, trials - done)
@@ -421,8 +425,7 @@ def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray |
         min_dist = np.sqrt(np.maximum(dist_sq.min(axis=1), 0.0))
         hits = np.nonzero(min_dist > radius)[0]
         for i in hits:
-            y = ys[i]
-            if min(np.linalg.norm(y - p) for p in mat) > radius:  # re-verify directly
-                return y
+            if np.linalg.norm(mat - ys[i], axis=1).min() > radius:  # re-verify directly
+                return ys[i]
         done += take
     return None

@@ -143,7 +143,7 @@ def stage_from_obj(obj: Any):
         raise ValueError("stage object must have 'regime' and 'levels'")
     levels = tuple(LevelSpec(_json_int(lv["m"], "m"), _json_int(lv["d"], "d"))
                    for lv in obj["levels"])
-    return StageParameters(levels=levels, regime=str(obj["regime"]))
+    return StageParameters(levels=levels, regime=obj["regime"])
 
 
 def branch_spec_to_obj(spec) -> dict:
@@ -162,8 +162,10 @@ def branch_spec_from_obj(obj: Any):
 
     stage = stage_from_obj(obj["stage"])
     levels = sorted(obj["levels"], key=lambda lv: _json_int(lv["m"], "m"))
+    if [lv["m"] for lv in levels] != list(range(1, stage.depth + 1)):
+        raise ValueError(f"family levels must be m = 1..{stage.depth}, once each")
     directions = tuple(vector_from_obj(lv["direction"]) for lv in levels)
-    spec = BranchProjectionSpec(stage=stage, branch=str(obj["branch"]), directions=directions)
+    spec = BranchProjectionSpec(stage=stage, branch=obj["branch"], directions=directions)
     for lv in levels:
         if lv["sigma"] != spec.sigma(lv["m"]):
             raise ValueError(f"level {lv['m']}: sigma {lv['sigma']!r} is not the branch prefix")

@@ -19,7 +19,10 @@ from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
 
 
 def _frozen_unit(v, dim: int) -> np.ndarray:
-    u = normalized(as_vector(v, dim=dim))
+    """A read-only unit copy of v.  A v of norm within 1e-12 of 1 keeps its
+    bits, so a direction is rounded once, where it is made."""
+    u = as_vector(v, dim=dim)
+    u = u.copy() if abs(np.linalg.norm(u) - 1.0) <= 1e-12 else normalized(u)
     u.flags.writeable = False
     return u
 
@@ -28,8 +31,8 @@ def _frozen_unit(v, dim: int) -> np.ndarray:
 class AxisProjectionSpec:
     """Projection acting as R_direction on ``axis`` and identity elsewhere.
 
-    The direction is normalized on construction; scaling a direction does not
-    change the projection.
+    A direction that is not a unit vector is normalized on construction;
+    scaling a direction does not change the projection.
     """
 
     space: TensorIndexSpace

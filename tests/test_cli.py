@@ -19,7 +19,7 @@ from inclined import cli
 from inclined.cli import main
 from inclined.family import SuppressionFailure, predicate_sides
 from inclined.search import BudgetExhausted
-from inclined.serialize import vectors_to_obj, write_json
+from inclined.serialize import branch_spec_from_obj, vectors_to_obj, write_json
 
 RHO_DEFAULT_BOUND = 19 / 20
 
@@ -175,9 +175,10 @@ def test_family_build_verify_round_trip(tmp_path, toy_stage_file, capsys):
     assert payload["certificate"]["max_diagonal"] <= RHO_DEFAULT_BOUND
     assert payload["certificate"]["regime"] == "toy"
     capsys.readouterr()
-    assert main(["family", "verify", str(fam), "--bound", "0.95"]) == 0
+    assert main(["family", "verify", str(fam)]) == 0
     out = json.loads(capsys.readouterr().out.splitlines()[0])
     assert out["ok"] is True
+    assert out["bound"] == payload["certificate"]["bound"]
 
 
 def test_family_verify_tampered_direction_exits_one(tmp_path, toy_stage_file):
@@ -186,13 +187,49 @@ def test_family_verify_tampered_direction_exits_one(tmp_path, toy_stage_file):
     entries = payload["levels"][1]["direction"]["entries"]
     payload["levels"][1]["direction"]["entries"] = [[1.0, 0.0]] + [[0.0, 0.0]] * (len(entries) - 1)
     fam.write_text(json.dumps(payload))
-    assert main(["family", "verify", str(fam), "--bound", "0.95"]) == 1
+    assert main(["family", "verify", str(fam)]) == 1
 
 
-def test_family_verify_tight_bound_exits_one(tmp_path, toy_stage_file):
-    _, fam = _build(tmp_path, toy_stage_file, "01")
-    max_diag = json.loads(fam.read_text())["certificate"]["max_diagonal"]
-    assert main(["family", "verify", str(fam), "--bound", str(max_diag / 2)]) == 1
+def test_family_verify_checks_the_recorded_bound_of_any_rho(tmp_path, capsys):
+    # bound (1 + 0.99) / 2 = 0.995, above the 19/20 of the default rho
+    write_json(tmp_path / "stage.json", {"regime": "toy", "levels": [{"m": 1, "d": 2}]})
+    _write_vectors(tmp_path / "basis.json", list(np.eye(4, dtype=complex)))
+    fam = tmp_path / "fam.json"
+    assert main(["family", "build", "--stage", str(tmp_path / "stage.json"), "--branch", "0",
+                 "--basis", str(tmp_path / "basis.json"), "--rho", "0.99", "--seed", "3",
+                 "--out", str(fam)]) == 0
+    cert = json.loads(fam.read_text())["certificate"]
+    assert cert["bound"] == 0.995 and cert["max_diagonal"] > RHO_DEFAULT_BOUND
+    capsys.readouterr()
+    assert main(["family", "verify", str(fam), "--basis", str(tmp_path / "basis.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "ok": True, "max_diagonal": cert["max_diagonal"], "bound": 0.995}
+
+
+def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
+    # Directions keep the bits the search gave them, so verify recomputes
+    # every diagonal exactly as build certified it.
+    write_json(tmp_path / "stage.json", {"regime": "toy", "levels": [
+        {"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]})
+    for branch in ("000", "001", "011", "101"):
+        fam = tmp_path / f"family_{branch}.json"
+        assert main(["family", "build", "--stage", str(tmp_path / "stage.json"), "--branch", branch,
+                     "--basis", "random", "--seed", "1", "--out", str(fam)]) == 0
+        built = json.loads(capsys.readouterr().out)["max_diagonal"]
+        assert main(["family", "verify", str(fam)]) == 0
+        assert repr(json.loads(capsys.readouterr().out)["max_diagonal"]) == repr(built)
+
+
+def test_family_written_by_0_6_0_reproduces_its_diagonals(capsys):
+    # Built by version 0.6.0, which normalized every direction once more.
+    fam = Path(__file__).parent / "data" / "family_v060.json"
+    obj = json.loads(fam.read_text())
+    cert = obj["certificate"]
+    assert main(["family", "verify", str(fam)]) == 0
+    assert json.loads(capsys.readouterr().out)["max_diagonal"] == cert["max_diagonal"]
+    basis = inclined.random_orthonormal_basis(obj["basis"]["n"], obj["basis"]["seed"])
+    diagonals = inclined.branch_diagonals(branch_spec_from_obj(obj), basis)
+    assert diagonals.tolist() == cert["diagonals"]
 
 
 def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, capsys):
@@ -288,11 +325,7 @@ def test_family_build_from_basis_file_and_verify(tmp_path, toy_stage_file):
     (lambda payload: payload["certificate"].update(basis_digest="x"), False),
     (lambda payload: payload["certificate"].update(basis_digest="x"), True),
     (lambda payload: payload.update(rho=0.5), False),
-    # consistent with the recorded rho, but below the recomputed maximum
-    (lambda payload: (payload.update(rho=-0.9), payload["certificate"].update(bound=0.05)),
-     False),
-], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "basis-digest-seeded", "rho",
-        "bound-below-max"])
+], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "basis-digest-seeded", "rho"])
 def test_family_verify_edited_certificate_field_exits_one(edit, seeded, tmp_path, toy_stage_file,
                                                           capsys):
     from inclined import random_orthonormal_basis
@@ -426,6 +459,16 @@ _FAMILY_EDITS = {
     "level_m_float": lambda payload: payload["levels"][1].update(m=2.7),
     "dim_float": lambda payload: payload["levels"][1]["direction"].update(dim=4.9),
     "bound_huge": lambda payload: payload["certificate"].update(bound=10 ** 400),
+    # rho outside (0, 1), with the bound (1 + rho) / 2 it implies: below the
+    # maximum, or at least 1, which bounds nothing
+    "rho_negative": lambda payload: (payload.update(rho=-0.9),
+                                     payload["certificate"].update(bound=0.05)),
+    "rho_above_one": lambda payload: (payload.update(rho=1.5),
+                                      payload["certificate"].update(bound=1.25)),
+    # the level-2 record renumbered as a second level 1
+    "level_repeated": lambda payload: payload["levels"][1].update(
+        m=1, sigma=payload["levels"][0]["sigma"]),
+    "branch_number": lambda payload: payload.update(branch=int(payload["branch"])),
 }
 
 
@@ -441,13 +484,8 @@ _FAMILY_EDITS = {
     (None, ["cover", "{v}", "--radius", "nan"]),
     (None, ["cover", "{v}", "--radius", "0"]),
     (None, ["params", "--m", "0"]),
-    (None, ["family", "verify", "{fam}", "--bound", "nan"]),
-    (None, ["family", "verify", "{fam}", "--bound", "inf"]),
     (None, ["incline", "{v}", "--bound", "0.9", "--seed", "-1"]),
     (None, ["cover", "{v}", "--radius", "0.5", "--seed", "-1"]),
-    (None, ["family", "verify", "{fam}", "--bound", "-1"]),
-    (None, ["family", "verify", "{fam}", "--bound", "0"]),
-    (None, ["family", "verify", "{fam}", "--bound", "2"]),
     (None, ["incline", "{v}", "--bound", "0.25", "--out", "{missing}/c.json"]),
     (None, ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
             "--out", "{missing}/f.json"]),
@@ -463,15 +501,20 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{level_m_float}"]),
     (None, ["family", "verify", "{dim_float}"]),
     (None, ["family", "verify", "{bound_huge}"]),
+    (None, ["family", "verify", "{rho_negative}"]),
+    (None, ["family", "verify", "{rho_above_one}"]),
+    (None, ["family", "verify", "{level_repeated}"]),
+    (None, ["family", "verify", "{branch_number}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "string-entry", "bool-entry", "null-entry",
-        "radius-nan", "radius-0", "params-m-0", "verify-bound-nan", "verify-bound-inf", "incline-seed-negative",
-        "cover-seed-negative", "verify-bound-negative", "verify-bound-0", "verify-bound-2",
+        "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
         "verify-random-basis-too-large", "verify-basis-n-list", "verify-0.4.0-random-basis",
         "verify-basis-seed-null",
         "verify-certificate-string", "verify-stage-d-string", "verify-stage-m-float",
-        "verify-level-m-float", "verify-direction-dim-float", "verify-bound-too-large-for-float"])
+        "verify-level-m-float", "verify-direction-dim-float", "verify-bound-too-large-for-float",
+        "verify-rho-negative", "verify-rho-above-one", "verify-level-repeated",
+        "verify-branch-number"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
@@ -479,9 +522,10 @@ def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage
         path = str(tmp_path / "bad.json")
         write_json(path, family)
     families = {}
-    if any(arg.strip("{}") in ("fam", *_FAMILY_EDITS) for arg in argv):
-        # a valid family, so only the bad input can fail
-        rc, families["fam"] = _build(tmp_path, toy_stage_file, "01")
+    if any(arg.strip("{}") in _FAMILY_EDITS for arg in argv):
+        # a valid family, so only the bad input can fail; its branch has no
+        # leading 0, so the branch_number edit keeps every digit
+        rc, families["fam"] = _build(tmp_path, toy_stage_file, "10")
         assert rc == 0
         capsys.readouterr()
         for name, edit in _FAMILY_EDITS.items():

@@ -302,6 +302,14 @@ def test_build_round_trip_toy_stage():
     assert again.max_diagonal == pytest.approx(cert.max_diagonal, abs=1e-12)
 
 
+def test_a_level_without_leaked_members_records_e0():
+    stage = toy_stage([4, 4, 2])
+    basis = random_orthonormal_basis(stage.dim, 1)
+    assert level_leakage_sets(stage, basis)[0] == []
+    spec, _ = build_branch_projection(stage, basis, "000", C, 10_000, 1)
+    assert spec.directions[0].tolist() == [1, 0, 0, 0]
+
+
 def test_shared_prefix_levels_get_identical_directions():
     stage = toy_stage([4, 4])
     basis = np.stack(random_orthonormal_basis(stage.dim, 25))
@@ -363,6 +371,10 @@ def test_branch_spec_names_the_level_of_a_zero_direction():
     spec = BranchProjectionSpec(stage=stage, branch="01", directions=(2 * e0, [0, 3, 4]))
     np.testing.assert_allclose(spec.directions[1], [0, 0.6, 0.8], atol=1e-15)
     assert not spec.directions[1].flags.writeable
+    # a direction of norm within 1e-12 of 1 keeps its bits
+    near_unit = np.array([0, 0.6, 0.8 + 1e-13])
+    spec = BranchProjectionSpec(stage=stage, branch="01", directions=(e0, near_unit))
+    assert spec.directions[1].tolist() == near_unit.tolist()
 
 
 def test_verify_dimension_mismatch():

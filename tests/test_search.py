@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -555,6 +556,27 @@ def test_cover_witness_complex_points_are_realified():
     w = cover_witness([np.array([1.0 + 0.0j, 0.0 + 0.0j])], 0.9, 2000, 2)
     assert w is not None
     assert w.shape == (4,)
+
+
+def test_cover_witness_does_not_depend_on_the_batch_size(monkeypatch):
+    points = np.random.default_rng(4).standard_normal((40, 3))
+    points /= np.linalg.norm(points, axis=1, keepdims=True)
+    w = cover_witness(points, 0.7, 1000, 5)
+    assert w is not None
+    monkeypatch.setattr(search, "_COVER_BATCH_ENTRIES", 3 * len(points))  # 3 trials a batch
+    np.testing.assert_array_equal(cover_witness(points, 0.7, 1000, 5), w)
+
+
+def test_cover_witness_batch_memory_is_bounded_on_a_large_net():
+    # 1024 trials against 20 000 points would form 160 MB temporaries.
+    points = np.random.default_rng(0).standard_normal((20_000, 1))
+    tracemalloc.start()
+    try:
+        assert cover_witness(points, 0.5, 2048, 0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_cover_witness_validation():
