@@ -35,6 +35,9 @@ _STEP_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
 # subtraction can cancel; below it the trial point is formed and evaluated.
 _LINEAR_MIN_SHARE = 1.0 / 16.0
 
+# A descent scores its linear trials on this many largest groups before any full pass.
+_SCREEN_GROUPS = 32
+
 # Memory for the Gram columns rows @ rows[k]* that single-row searches keep
 # per activated member; once it is full, further columns are computed and
 # not kept.
@@ -100,11 +103,7 @@ class CapacityReport:
 
 def realify(x) -> np.ndarray:
     """C^d -> R^(2d), x_k = z_{2k} + i z_{2k+1}.  Norm-preserving."""
-    xv = as_vector(x)
-    out = np.empty(2 * xv.size, dtype=np.float64)
-    out[0::2] = xv.real
-    out[1::2] = xv.imag
-    return out
+    return np.array(as_vector(x)).view(np.float64)  # a copy: re, im interleaved
 
 
 def complexify(z) -> np.ndarray:
@@ -195,7 +194,11 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     (s - eta sg) / ||v - eta grad||, the norm taken from the scalars
     <v, v>, Re <v, grad> and <grad, grad>; only an accepted trial point is
     formed.  A trial whose norm would lose too many digits to cancellation
-    is formed and evaluated directly instead.
+    is formed and evaluated directly instead.  Each descent step first
+    scores all its step sizes on the ``_SCREEN_GROUPS`` (32) groups of
+    largest q_k alone; their trial energies have the same bits as in a full
+    trial, so a trial they already keep from improving is rejected after a
+    pass over those groups only, and no result changes.
 
     ``budget`` caps the number of objective evaluations: one per restart and
     one per tried step size with nonzero norm, tie steps included.  A point
@@ -219,13 +222,14 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
         v[0] = 1.0
         return v, 0.0, 0, True
     rows = groups.reshape(n * r, dim)
+    schedule = np.array(_STEP_SCHEDULE)[:, None]
     gram_cols: dict[int, np.ndarray] = {}
     max_cols = _GRAM_CACHE_BYTES // (rows.shape[0] * rows.itemsize)
 
     def energies(s: np.ndarray) -> np.ndarray:
-        """q_k = sum_j |s_kj|^2, summed in row order."""
+        """q_k = sum_j |s_kj|^2 along the last axis, summed in row order."""
         e = np.abs(s) ** 2
-        return e if r == 1 else np.add.accumulate(e.reshape(n, r), axis=1)[:, -1]
+        return e if r == 1 else np.add.accumulate(e.reshape(*e.shape[:-1], -1, r), axis=-1)[..., -1]
 
     def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         s = rows @ v.conj()
@@ -240,22 +244,30 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
         tied = tied[np.argsort(-q[tied], kind="stable")][:_TIE_MAX_GROUPS]
         return None if tied.size < 2 or top == 0.0 else tied
 
-    def descend(v, s, f, grad, sg, tie):
+    def descend(v, s, q, f, grad, sg, tie):
         """The first step v - eta grad that strictly lowers f, as the new
         (v, s, q, f); None if no size does or the budget runs out.  eta runs
         over the step schedule, scaled by Re<v, grad> / <grad, grad> for a
         tie step."""
         nonlocal evals
-        vv = np.vdot(v, v).real
-        vg = np.vdot(v, grad).real
-        gg = np.vdot(grad, grad).real
+        vv = float(np.vdot(v, v).real)  # Python floats: the same bits, faster
+        vg = float(np.vdot(v, grad).real)
+        gg = float(np.vdot(grad, grad).real)
         scale = vg / gg if tie else 1.0
-        for eta in _STEP_SCHEDULE:
+        # Trial energies of the largest groups at every step size: some of a
+        # full trial's values, with the same bits, so their max is no larger.
+        top = q.argpartition(-_SCREEN_GROUPS)[-_SCREEN_GROUPS:] if n > _SCREEN_GROUPS else slice(None)
+        s_top, sg_top = s.reshape(n, r)[top].ravel(), sg.reshape(n, r)[top].ravel()
+        top_max = np.maximum.reduce(energies(s_top - scale * schedule * sg_top), axis=1)
+        for eta, q_top in zip(_STEP_SCHEDULE, top_max.tolist()):
             if evals >= budget:
                 return None
             eta *= scale
             wn2 = vv - 2.0 * eta * vg + eta * eta * gg  # ||v - eta grad||^2
             if wn2 >= _LINEAR_MIN_SHARE * (vv + eta * eta * gg):
+                if math.sqrt(q_top / wn2) >= f:
+                    evals += 1  # rejected by the largest groups alone
+                    continue
                 st = s - eta * sg
             else:
                 w = v - eta * grad
@@ -265,7 +277,7 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
                 st = rows @ w.conj()
             qt = energies(st)
             evals += 1
-            fw = math.sqrt(qt.max() / wn2)
+            fw = math.sqrt(np.maximum.reduce(qt) / wn2)
             if fw < f:
                 w = v - eta * grad
                 wn = np.linalg.norm(w)
@@ -285,7 +297,7 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
         s, q, f = evaluate(v)
         evals += 1
         while f > target and evals < budget:
-            k = int(np.argmax(q))
+            k = int(q.argmax())
             a, b = k * r, (k + 1) * r
             grad = rows[a:b].T @ s[a:b].conj()  # sum_j inner(v, r_j) r_j = M_k v
             if r == 1:
@@ -297,13 +309,13 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
                 sg = s[k] * col  # rows @ grad*, grad = conj(s_k) rows_k
             else:
                 sg = rows @ grad.conj()
-            stepped = descend(v, s, f, grad, sg, False)
+            stepped = descend(v, s, q, f, grad, sg, False)
             if stepped is None and evals < budget:
                 # A tie: descend along the sum of the tied groups' M_k v.
                 tied = tied_groups(q)
                 if tied is not None:
                     grad = groups[tied].reshape(-1, dim).T @ s.reshape(n, r)[tied].ravel().conj()
-                    stepped = descend(v, s, f, grad, rows @ grad.conj(), True)
+                    stepped = descend(v, s, q, f, grad, rows @ grad.conj(), True)
             if stepped is None:
                 break  # local minimax point for this restart
             v, s, q, f = stepped
@@ -390,6 +402,21 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
     return achieved
 
 
+def _net_matrix(points) -> np.ndarray:
+    """The points as the rows of one float64 matrix, complex ones realified
+    (C-contiguous complex128 rows read as float64 are realify's layout)."""
+    mat = np.asarray(points)  # points of different lengths raise ValueError
+    if mat.size == 0:
+        raise ValueError("points must be nonempty")
+    if mat.ndim != 2:
+        raise ValueError("points must be 1-D vectors of a common dimension")
+    if not np.iscomplexobj(mat):
+        return mat.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("vector has non-finite entries")
+    return np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+
+
 def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray | None:
     """Search for a unit vector farther than ``radius`` from every point.
 
@@ -402,14 +429,7 @@ def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray |
         raise ValueError("radius must be positive")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    pts = [np.asarray(p) for p in points]
-    if not pts:
-        raise ValueError("points must be nonempty")
-    if any(np.iscomplexobj(p) for p in pts):
-        pts = [realify(p) for p in pts]
-    mat = np.stack([np.asarray(p, dtype=np.float64) for p in pts])
-    if mat.ndim != 2:
-        raise ValueError("points must be 1-D vectors of a common dimension")
+    mat = _net_matrix(points)
     dim = mat.shape[1]
     rng = np.random.default_rng(seed)
     pts_sq = (mat ** 2).sum(axis=1)

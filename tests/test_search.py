@@ -442,6 +442,29 @@ def test_reactivated_single_rows_match_reference():
     _assert_matches_reference(_grouped_rows(200, 1, 12, 9), 0.0, 3000, 9)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_screened_single_rows_match_reference(seed):
+    # 300 members, well above the 32 largest groups on which each descent
+    # scores its trials first, so most trials are rejected on those alone.
+    _assert_matches_reference(_grouped_rows(300, 1, 32, seed), 0.0, 5000, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_screened_toy_shaped_groups_match_reference(seed):
+    # 60 groups of 4 rows: the screened trials sum each group in row order.
+    _assert_matches_reference(_grouped_rows(60, 4, 4, seed), 0.0, 1500, seed)
+
+
+def test_screened_search_keeps_the_pinned_result():
+    # Pinned before trials were screened on the largest groups (on numpy
+    # 2.4 with OpenBLAS): the screen rejects only trials that a full pass
+    # rejects, so the path and every bit of the result stay.
+    v, f, evals, ok = minimize_max_group_norm(_grouped_rows(300, 1, 32, 0), 0.0, 5000, 0)
+    assert (f, evals, ok) == (0.20830841685413468, 5000, False)
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "ffaf6558543ea7da3847ea38b278b61e5d570051f7458a4e3ac932e8f8bace3f")
+
+
 @pytest.mark.parametrize("cache_bytes", [0, 5 * 200 * 16])  # no column kept; full after five
 def test_gram_cache_limit_keeps_the_result(monkeypatch, cache_bytes):
     args = (_grouped_rows(200, 1, 12, 9), 0.0, 3000, 9)
@@ -496,6 +519,13 @@ def test_unreachable_target_spends_exactly_the_budget():
         v, f, evals, ok = minimize_max_group_norm(groups, 0.0, budget, 5)
         assert (evals, ok) == (budget, False)
         assert f == pytest.approx(_direct_value(groups, v), abs=1e-12)
+    # 200 rows, above the screened groups: budgets that run out in the
+    # middle of a descent, with trials rejected on the largest groups alone.
+    groups = _grouped_rows(200, 1, 12, 3)
+    for budget in (1, 2, 7, 333, 2999):
+        v, f, evals, ok = minimize_max_group_norm(groups, 0.0, budget, 5)
+        assert (evals, ok) == (budget, False)
+        assert f == _direct_value(groups, v)
 
 
 def test_a_group_the_step_annihilates_stays_finite():
@@ -577,6 +607,37 @@ def test_cover_witness_batch_memory_is_bounded_on_a_large_net():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_cover_witness_realifies_a_complex_net_at_once():
+    rng = np.random.default_rng(6)
+    net = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+    net /= np.linalg.norm(net, axis=1, keepdims=True)
+    per_point = np.stack([realify(p) for p in net])
+    for points in (net, list(net), np.asfortranarray(net)):
+        assert search._net_matrix(points).tobytes() == per_point.tobytes()
+    w = cover_witness(net, 0.7, 2000, 7)
+    assert w is not None
+    np.testing.assert_array_equal(w, cover_witness(per_point, 0.7, 2000, 7))
+
+
+def test_realify_returns_a_copy():
+    x = np.array([1 + 2j, 3 - 4j])
+    z = realify(x)
+    z[0] = 9.0
+    assert x[0] == 1 + 2j
+
+
+@pytest.mark.parametrize("points, match", [
+    ([np.ones(2), np.ones(3)], None),  # numpy refuses points of different lengths
+    ([np.ones(2, dtype=complex), np.ones(3, dtype=complex)], None),
+    ([np.ones((2, 2))], "1-D vectors"),
+    (np.ones((0, 3)), "nonempty"),
+    ([np.array([1.0, np.nan * 1j])], "non-finite"),
+])
+def test_cover_witness_rejects_a_malformed_net(points, match):
+    with pytest.raises(ValueError, match=match):
+        cover_witness(points, 0.5, 10, 0)
 
 
 def test_cover_witness_validation():
