@@ -213,13 +213,12 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
 
-def read_json(path: str | Path) -> Any:
-    """Parse a JSON file with the cyclic garbage collector paused.
+def _loads(text: str) -> Any:
+    """json.loads with the cyclic garbage collector paused.
 
     Decoding creates no reference cycles, yet a large vectors file allocates
     millions of lists and floats, which would trigger many needless
     collection passes.  The collector's previous state is restored."""
-    text = Path(path).read_text(encoding="utf-8")
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -227,6 +226,11 @@ def read_json(path: str | Path) -> Any:
     finally:
         if enabled:
             gc.enable()
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a JSON file with the cyclic garbage collector paused."""
+    return _loads(Path(path).read_text(encoding="utf-8"))
 
 
 # What the canonical layout [{"dim":d,"entries":[[re,im],...]},...] keeps once
@@ -261,22 +265,108 @@ def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
     return flat.view(np.complex128).reshape(n, d)
 
 
+# Below this many bytes a canonical file is decoded in one process: forking,
+# piping and joining cost more than half a decode saves (see CHANGES.md).
+_SPLIT_MIN_BYTES = 1 << 20
+_MEMBER_START = b'},{"dim":'
+
+
+def _split_point(raw: bytes) -> int | None:
+    """Where to cut raw in two for a two-process decode, or None for one.
+
+    The cut is the member boundary nearest the middle, so the halves are
+    even.  From Python 3.12 on, os.fork warns in a process with another
+    thread, and importing numpy starts one for OpenBLAS.
+    """
+    import os
+    import sys
+
+    if (sys.version_info >= (3, 12) or len(raw) < _SPLIT_MIN_BYTES
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+        return None
+    mid = len(raw) // 2
+    before = raw.rfind(_MEMBER_START, 0, mid + len(_MEMBER_START))
+    after = raw.find(_MEMBER_START, mid)
+    cuts = [c for c in (before, after) if c >= 0]
+    return min(cuts, key=lambda c: abs(c - mid), default=None)
+
+
+def _read_canonical_in_two(raw: bytes, cut: int) -> np.ndarray | None:
+    """_read_canonical_vectors(raw), with the members after the boundary at
+    `cut` decoded by one forked child, bit for bit the same.
+
+    raw[cut:cut + 3] is "},{", so the halves are raw[:cut + 1] + "]" and
+    "[" + raw[cut + 2:]; a file is canonical exactly when both halves are,
+    with one dimension.  Returns None when either half is not, the child
+    fails, or no pipe or child can be made.  The child always leaves
+    through os._exit and is reaped before this returns, killed first when
+    its half is no longer wanted.
+    """
+    import os
+
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            second = _read_canonical_vectors(b"[" + raw[cut + 2:])
+            if second is not None:
+                with open(w, "wb") as pipe:
+                    pipe.write(np.array(second.shape, dtype="<i8").tobytes())
+                    pipe.write(second)
+                status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    blob = None
+    try:
+        with open(r, "rb") as pipe:
+            first = _read_canonical_vectors(raw[:cut + 1] + b"]")
+            if first is not None:
+                blob = pipe.read()
+    finally:
+        if blob is None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if blob is None or os.waitstatus_to_exitcode(status) != 0:
+        return None
+    n, d = (int(x) for x in np.frombuffer(blob[:16], dtype="<i8"))
+    if d != first.shape[1] or len(blob) != 16 + 16 * n * d:
+        return None
+    return np.concatenate([first, np.frombuffer(blob, np.complex128, offset=16).reshape(n, d)])
+
+
 def read_vectors(path: str | Path) -> np.ndarray:
     """Read a vectors file as one (n, d) complex128 array.
 
-    A file in the canonical layout takes a fast decode; any other layout,
-    and any file the fast decode has doubts about, goes through
-    vectors_from_obj(read_json(path)), which alone raises the errors.  Both
-    give the same array bit for bit.  A boolean never passes the fast decode,
-    and the general decode refuses it.
+    A file in the canonical layout takes a fast decode, in two processes
+    when the file is large, holds two members or more and a second CPU is
+    free; any other layout, and any file the fast decode has doubts about,
+    goes through vectors_from_obj on the JSON of the same bytes, which alone
+    raises the errors.  All give the same array bit for bit.  A boolean never
+    passes the fast decode, and the general decode refuses it.
     """
     raw = Path(path).read_bytes()
+    cut = _split_point(raw)
     try:
-        vectors = _read_canonical_vectors(raw)
+        vectors = None if cut is None else _read_canonical_in_two(raw, cut)
+        if vectors is None:
+            vectors = _read_canonical_vectors(raw)
     except (ValueError, TypeError, OverflowError):
         vectors = None
     if vectors is None:
-        obj = read_json(path)
+        obj = _loads(raw.decode("utf-8"))
         vectors = vectors_from_obj(obj)
         if (b"true" in raw or b"false" in raw) and any(
                 type(x) is bool for v in obj for pair in v["entries"] for x in pair):

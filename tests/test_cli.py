@@ -249,6 +249,17 @@ def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def test_importing_the_cli_loads_no_process_machinery():
+    # The two-process vectors decode uses os.fork alone, so start-up stays as lean.
+    code = ("import sys, inclined.cli; "
+            "print([m for m in ('multiprocessing', 'subprocess', 'concurrent') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(inclined.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_random_basis_family_verifies_under_another_blas_thread_count(tmp_path):
     # The seeded basis of C^528 uses no BLAS, so one and two threads build
     # the same bytes, and the family built on two verifies on one.

@@ -1,5 +1,8 @@
+import contextlib
 import gc
 import json
+import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import inclined
+from inclined import cli
 from inclined import (
     BranchProjectionSpec,
     canonical_json,
@@ -214,8 +218,18 @@ def _general(text: str):
         return None
 
 
-def _read(text: str):
-    with tempfile.TemporaryDirectory() as tmp:
+@contextlib.contextmanager
+def _split_floor(split_min_bytes: int):
+    """read_vectors with this size floor, as on a machine with two CPUs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "_SPLIT_MIN_BYTES", split_min_bytes)
+        if hasattr(os, "fork"):
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        yield
+
+
+def _read(text: str, split_min_bytes: int = serialize._SPLIT_MIN_BYTES):
+    with tempfile.TemporaryDirectory() as tmp, _split_floor(split_min_bytes):
         path = Path(tmp) / "v.json"
         path.write_bytes(text.encode("utf-8"))
         try:
@@ -230,13 +244,24 @@ def _same(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# Each file is read with the real size floor, in one part, and with a floor
+# of 0 bytes, in two parts when it holds two members or more (from Python
+# 3.12 on, always in one).
+_FLOORS = (serialize._SPLIT_MIN_BYTES, 0)
+_FORKS = sys.version_info < (3, 12) and hasattr(os, "fork")
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(family=_families())
 def test_read_vectors_matches_the_general_decode(family):
     text = canonical_json(vectors_to_obj(family)) + "\n"
-    got = _read(text)
-    assert _same(got, _general(text))
-    assert got.tobytes() == family.tobytes()
+    for split_min_bytes in _FLOORS:
+        got = _read(text, split_min_bytes)
+        assert _same(got, _general(text))
+        assert got.tobytes() == family.tobytes()
+    if _FORKS:
+        with _split_floor(0):
+            assert (serialize._split_point(text.encode()) is not None) == (len(family) > 1)
 
 
 _MUTATION_BYTES = '[]{},:"0123456789.eE+- \n'
@@ -256,7 +281,8 @@ def test_mutated_files_decode_alike_or_fail_alike(family, data):
             text = text[:at] + text[at + 1:]
         else:
             text = text[:at] + byte + text[at + 1:]
-    assert _same(_read(text), _general(text))
+    for split_min_bytes in _FLOORS:
+        assert _same(_read(text, split_min_bytes), _general(text))
 
 
 _PAIRS = [[1.5, -0.0], [0.25, 2.0]]
@@ -290,3 +316,131 @@ def test_canonical_files_take_the_fast_decode(tmp_path, monkeypatch):
     monkeypatch.setattr(serialize, "read_json", general_decode)
     got = read_vectors(path)
     assert got.shape == (3, 7) and got.tobytes() == family.tobytes()
+
+
+def test_a_non_canonical_file_is_read_once(tmp_path, monkeypatch):
+    path = tmp_path / "v.json"
+    path.write_text(json.dumps([{"dim": 1, "entries": [[1.0, 0.0]]}], indent=1), encoding="utf-8")
+    read_bytes = Path.read_bytes
+
+    def read_then_replace(self):
+        raw = read_bytes(self)
+        self.write_text(json.dumps([{"dim": 1, "entries": [[2.0, 0.0]]}], indent=1),
+                        encoding="utf-8")
+        return raw
+
+    monkeypatch.setattr(Path, "read_bytes", read_then_replace)
+    assert read_vectors(path).tolist() == [[1.0 + 0.0j]]
+
+
+# ------------------------------------------------------- two-part decode
+
+_needs_fork = pytest.mark.skipif(not _FORKS, reason="the decode forks only before Python 3.12")
+
+
+def _counted_forks(monkeypatch, fork=os.fork) -> list:
+    forks = []
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@_needs_fork
+def test_a_large_canonical_file_decodes_in_two_parts_bit_for_bit(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    family = rng.standard_normal((200, 128)) + 1j * rng.standard_normal((200, 128))
+    family.real[0, :len(_SPECIAL)] = _SPECIAL
+    family.imag[-1, :len(_SPECIAL)] = _SPECIAL
+    path = tmp_path / "v.json"
+    write_json(path, vectors_to_obj(family))
+    raw = path.read_bytes()
+    assert len(raw) > serialize._SPLIT_MIN_BYTES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _counted_forks(monkeypatch)
+    parent, decode, parent_decodes = os.getpid(), serialize._read_canonical_vectors, []
+
+    def recorded(raw):
+        if os.getpid() == parent:
+            parent_decodes.append(len(raw))
+        return decode(raw)
+
+    monkeypatch.setattr(serialize, "_read_canonical_vectors", recorded)
+    got = read_vectors(path)
+    assert len(forks) == 1
+    assert parent_decodes == [serialize._split_point(raw) + 2]  # the first half, and only it
+    assert _same(got, decode(raw))
+    assert got.tobytes() == family.tobytes()
+    _assert_no_child_left()
+
+
+@_needs_fork
+@pytest.mark.parametrize("second_half", ["bad-number", "other-dim"])
+def test_a_second_half_in_doubt_gives_one_part_and_leaves_no_child(second_half, monkeypatch):
+    family = np.arange(16, dtype=np.float64).view(np.complex128).reshape(4, 2) + 0.5
+    if second_half == "bad-number":
+        text = canonical_json(vectors_to_obj(family)) + "\n"
+        at = text.rindex(".")
+        text = text[:at] + "." + text[at:]  # "7..5": the layout stays canonical, the JSON does not
+    else:  # two members of dim 2, then one of dim 4
+        text = canonical_json(vectors_to_obj(family[:2]) + vectors_to_obj(family[2:].reshape(1, 4)))
+    raw = text.encode("utf-8")
+    with _split_floor(0):
+        cut = serialize._split_point(raw)
+    assert serialize._read_canonical_in_two(raw, cut) is None
+    _assert_no_child_left()
+    forks = _counted_forks(monkeypatch)
+    assert _read(text, 0) is None and _general(text) is None
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@_needs_fork
+def test_an_exception_in_the_parents_half_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    # The child's half is more than a pipe holds, so it would wait on its write.
+    family = np.ones((2, 8192), dtype=np.complex128)
+    path = tmp_path / "v.json"
+    write_json(path, vectors_to_obj(family))
+    parent, decode = os.getpid(), serialize._read_canonical_vectors
+
+    def failing_in_the_parent(raw):
+        if os.getpid() == parent:
+            raise RuntimeError("parent's half")
+        return decode(raw)
+
+    monkeypatch.setattr(serialize, "_read_canonical_vectors", failing_in_the_parent)
+    with _split_floor(0), pytest.raises(RuntimeError, match="parent's half"):
+        read_vectors(path)
+    _assert_no_child_left()
+
+
+def _fork_refused():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("limit", ["fork-refused", "one-cpu"])
+def test_without_a_second_process_the_decode_takes_one_part(limit, tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    family = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    family /= np.linalg.norm(family, axis=1, keepdims=True)
+    path = tmp_path / "v.json"
+    write_json(path, vectors_to_obj(family))
+    monkeypatch.setattr(serialize, "_SPLIT_MIN_BYTES", 0)
+    if limit == "fork-refused":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        forks = _counted_forks(monkeypatch, fork=_fork_refused)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        forks = _counted_forks(monkeypatch)
+    assert read_vectors(path).tobytes() == family.tobytes()
+    assert cli.main(["incline", str(path), "--bound", "0.9", "--seed", "1",
+                     "--out", str(tmp_path / "cert.json")]) == 0
+    assert len(forks) == (2 if limit == "fork-refused" and _FORKS else 0)
