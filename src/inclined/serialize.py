@@ -269,6 +269,30 @@ def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
 # piping and joining cost more than half a decode saves (see CHANGES.md).
 _SPLIT_MIN_BYTES = 1 << 20
 _MEMBER_START = b'},{"dim":'
+# Where a container sees its own cgroup, which holds any CPU quota it was
+# started with (cgroup v2 cpu.max, or v1 cpu.cfs_quota_us).
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
+
+
+def _cpu_quota() -> float | None:
+    """The CPU quota of this process's cgroup in CPUs, or None when none is
+    set or none can be read.
+
+    A process started with, say, --cpus=1 on a host with many CPUs still has
+    them all in its affinity; only the quota shows it gets one CPU's time.
+    """
+    try:
+        quota, period = (_CGROUP_ROOT / "cpu.max").read_text().split()  # "max 100000"
+    except (OSError, ValueError):
+        try:
+            quota = (_CGROUP_ROOT / "cpu" / "cpu.cfs_quota_us").read_text()  # "-1" when none
+            period = (_CGROUP_ROOT / "cpu" / "cpu.cfs_period_us").read_text()
+        except OSError:
+            return None
+    try:
+        return int(quota) / int(period) if int(quota) > 0 else None
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def _split_point(raw: bytes) -> int | None:
@@ -276,13 +300,15 @@ def _split_point(raw: bytes) -> int | None:
 
     The cut is the member boundary nearest the middle, so the halves are
     even.  From Python 3.12 on, os.fork warns in a process with another
-    thread, and importing numpy starts one for OpenBLAS.
+    thread, and importing numpy starts one for OpenBLAS.  Two CPUs must be
+    both in the affinity and within the cgroup's CPU quota.
     """
     import os
     import sys
 
     if (sys.version_info >= (3, 12) or len(raw) < _SPLIT_MIN_BYTES
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2):
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or (_cpu_quota() or 2) < 2):
         return None
     mid = len(raw) // 2
     before = raw.rfind(_MEMBER_START, 0, mid + len(_MEMBER_START))

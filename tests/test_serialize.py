@@ -223,6 +223,7 @@ def _split_floor(split_min_bytes: int):
     """read_vectors with this size floor, as on a machine with two CPUs."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(serialize, "_SPLIT_MIN_BYTES", split_min_bytes)
+        mp.setattr(serialize, "_cpu_quota", lambda: None)
         if hasattr(os, "fork"):
             mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         yield
@@ -310,12 +311,15 @@ def test_canonical_files_take_the_fast_decode(tmp_path, monkeypatch):
     path = tmp_path / "v.json"
     write_json(path, vectors_to_obj(family))
 
-    def general_decode(path):
+    def general_decode(*args):
         raise AssertionError("a canonical vectors file fell back to the general decode")
 
-    monkeypatch.setattr(serialize, "read_json", general_decode)
-    got = read_vectors(path)
-    assert got.shape == (3, 7) and got.tobytes() == family.tobytes()
+    for name in ("read_json", "_loads", "vectors_from_obj"):
+        monkeypatch.setattr(serialize, name, general_decode)
+    for split_min_bytes in _FLOORS:  # one part, then two
+        with _split_floor(split_min_bytes):
+            got = read_vectors(path)
+        assert got.shape == (3, 7) and got.tobytes() == family.tobytes()
 
 
 def test_a_non_canonical_file_is_read_once(tmp_path, monkeypatch):
@@ -365,6 +369,7 @@ def test_a_large_canonical_file_decodes_in_two_parts_bit_for_bit(tmp_path, monke
     raw = path.read_bytes()
     assert len(raw) > serialize._SPLIT_MIN_BYTES
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(serialize, "_cpu_quota", lambda: None)
     forks = _counted_forks(monkeypatch)
     parent, decode, parent_decodes = os.getpid(), serialize._read_canonical_vectors, []
 
@@ -426,7 +431,7 @@ def _fork_refused():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("limit", ["fork-refused", "one-cpu"])
+@pytest.mark.parametrize("limit", ["fork-refused", "one-cpu", "one-cpu-quota"])
 def test_without_a_second_process_the_decode_takes_one_part(limit, tmp_path, monkeypatch):
     rng = np.random.default_rng(9)
     family = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -434,13 +439,29 @@ def test_without_a_second_process_the_decode_takes_one_part(limit, tmp_path, mon
     path = tmp_path / "v.json"
     write_json(path, vectors_to_obj(family))
     monkeypatch.setattr(serialize, "_SPLIT_MIN_BYTES", 0)
-    if limit == "fork-refused":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        forks = _counted_forks(monkeypatch, fork=_fork_refused)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0} if limit == "one-cpu" else {0, 1},
+                        raising=False)
+    monkeypatch.setattr(serialize, "_cpu_quota", lambda: 1.0 if limit == "one-cpu-quota" else None)
+    forks = _counted_forks(monkeypatch, fork=_fork_refused if limit == "fork-refused" else os.fork)
     assert read_vectors(path).tobytes() == family.tobytes()
     assert cli.main(["incline", str(path), "--bound", "0.9", "--seed", "1",
                      "--out", str(tmp_path / "cert.json")]) == 0
     assert len(forks) == (2 if limit == "fork-refused" and _FORKS else 0)
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({}, None),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"cpu.max": "100000 100000\n"}, 1.0),
+    ({"cpu.max": "250000 100000\n"}, 2.5),
+    ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, None),
+    ({"cpu/cpu.cfs_quota_us": "150000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 1.5),
+    ({"cpu/cpu.cfs_quota_us": "150000\n"}, None),
+], ids=["none", "v2-max", "v2-one", "v2-two-and-a-half", "v1-unlimited", "v1-one-and-a-half",
+        "v1-no-period"])
+def test_the_cgroup_cpu_quota_is_read(files, quota, tmp_path, monkeypatch):
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(serialize, "_CGROUP_ROOT", tmp_path)
+    assert serialize._cpu_quota() == quota
