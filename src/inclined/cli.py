@@ -57,7 +57,6 @@ from .serialize import (
     sha256_hex,
     stage_from_obj,
     suppression_to_obj,
-    vector_to_obj,
     write_json,
     canonical_json,
 )
@@ -232,7 +231,7 @@ def cmd_cover(args, argv) -> int:
         "manifest": _manifest("cover", argv, args.seed, {"input": digest}),
         "radius": args.radius,
         "trials": args.trials,
-        "witness": None if witness is None else vector_to_obj(witness.astype(np.complex128)),
+        "witness": witness,
         "status": "witness" if witness is not None else "none-found-in-budget",
     }
     if args.out:
@@ -308,7 +307,7 @@ def cmd_family_intersect(args, argv) -> int:
         "manifest": _manifest("family intersect", argv, None, digests),
         "branches": [s.branch for s in specs],
         "separating_level": separating_level([s.branch for s in specs]),
-        "vector": vector_to_obj(vec),
+        "vector": vec,
         "residuals": residuals,
         "max_residual": max(residuals.values()),
     }

@@ -18,16 +18,22 @@ import gc
 import hashlib
 import json
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 
 def canonical_json(obj: Any) -> str:
-    # The payloads are built by this package and hold no cycles, so the
-    # encoder's cycle check (same bytes, more time) is skipped.
+    # The payloads hold no cycles, so the encoder's cycle check (same bytes,
+    # more time) is skipped.  A 1-D array is encoded as its vector object.
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True,
-                      allow_nan=False, check_circular=False)
+                      allow_nan=False, check_circular=False, default=_vector_default)
+
+
+def _vector_default(o: Any) -> dict:
+    if isinstance(o, np.ndarray) and o.ndim == 1:
+        return vector_to_obj(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def sha256_hex(data: bytes | str) -> str:
@@ -210,7 +216,9 @@ def inclination_from_obj(obj: Any):
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
+    """Write canonical_json(obj) and a newline; a dict goes through _encode_in_two."""
+    text = _encode_in_two(obj) if isinstance(obj, dict) else None
+    Path(path).write_text((canonical_json(obj) if text is None else text) + "\n", encoding="utf-8")
 
 
 def _loads(text: str) -> Any:
@@ -265,8 +273,9 @@ def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
     return flat.view(np.complex128).reshape(n, d)
 
 
-# Below this many bytes a canonical file is decoded in one process: forking,
-# piping and joining cost more than half a decode saves (see CHANGES.md).
+# Below this many bytes of JSON a canonical file is decoded, and a vector
+# encoded, in one process: forking, piping and joining cost more than half
+# the work saves (see CHANGES.md).
 _SPLIT_MIN_BYTES = 1 << 20
 _MEMBER_START = b'},{"dim":'
 # Where a container sees its own cgroup, which holds any CPU quota it was
@@ -295,20 +304,21 @@ def _cpu_quota() -> float | None:
         return None
 
 
-def _split_point(raw: bytes) -> int | None:
-    """Where to cut raw in two for a two-process decode, or None for one.
-
-    The cut is the member boundary nearest the middle, so the halves are
-    even.  From Python 3.12 on, os.fork warns in a process with another
-    thread, and importing numpy starts one for OpenBLAS.  Two CPUs must be
-    both in the affinity and within the cgroup's CPU quota.
-    """
+def _two_cpus() -> bool:
+    """Whether a forked child can run beside this process: two CPUs, both in
+    the affinity and within the cgroup's CPU quota, and Python < 3.12, from
+    which os.fork warns in a process with threads (numpy starts one)."""
     import os
     import sys
 
-    if (sys.version_info >= (3, 12) or len(raw) < _SPLIT_MIN_BYTES
-            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
-            or (_cpu_quota() or 2) < 2):
+    return (sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and (_cpu_quota() or 2) >= 2)
+
+
+def _split_point(raw: bytes) -> int | None:
+    """Where to cut raw in two for a two-process decode, or None for one.
+    The cut is the member boundary nearest the middle, so the halves are even."""
+    if len(raw) < _SPLIT_MIN_BYTES or not _two_cpus():
         return None
     mid = len(raw) // 2
     before = raw.rfind(_MEMBER_START, 0, mid + len(_MEMBER_START))
@@ -317,60 +327,91 @@ def _split_point(raw: bytes) -> int | None:
     return min(cuts, key=lambda c: abs(c - mid), default=None)
 
 
-def _read_canonical_in_two(raw: bytes, cut: int) -> np.ndarray | None:
-    """_read_canonical_vectors(raw), with the members after the boundary at
-    `cut` decoded by one forked child, bit for bit the same.
-
-    raw[cut:cut + 3] is "},{", so the halves are raw[:cut + 1] + "]" and
-    "[" + raw[cut + 2:]; a file is canonical exactly when both halves are,
-    with one dimension.  Returns None when either half is not, the child
-    fails, or no pipe or child can be made.  The child always leaves
-    through os._exit and is reaped before this returns, killed first when
-    its half is no longer wanted.
-    """
+def _in_two(parent: Callable, child: Callable) -> tuple[Any, bytes | None]:
+    """(parent(), the bytes child() sends), child() running meanwhile in one
+    forked child and returning the buffers to send, or None when in doubt;
+    (None, None) when either gives None, the child fails, or none can be made.
+    The child always leaves through os._exit and is reaped before this
+    returns, killed first when parent() raises or returns None."""
     import os
+    import signal
 
     try:
         r, w = os.pipe()
     except OSError:
-        return None
+        return None, None
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        return None
+        return None, None
     if pid == 0:
-        status = 1
         try:
             os.close(r)
-            second = _read_canonical_vectors(b"[" + raw[cut + 2:])
-            if second is not None:
+            parts = child()
+            if parts is not None:
                 with open(w, "wb") as pipe:
-                    pipe.write(np.array(second.shape, dtype="<i8").tobytes())
-                    pipe.write(second)
-                status = 0
+                    pipe.writelines(parts)
+                os._exit(0)
         finally:
-            os._exit(status)
+            os._exit(1)
     os.close(w)
     blob = None
     try:
         with open(r, "rb") as pipe:
-            first = _read_canonical_vectors(raw[:cut + 1] + b"]")
+            first = parent()
             if first is not None:
                 blob = pipe.read()
     finally:
         if blob is None:
-            import signal
-
             os.kill(pid, signal.SIGKILL)
         status = os.waitpid(pid, 0)[1]
     if blob is None or os.waitstatus_to_exitcode(status) != 0:
+        return None, None
+    return first, blob
+
+
+def _read_canonical_in_two(raw: bytes, cut: int) -> np.ndarray | None:
+    """_read_canonical_vectors(raw), the members after the "},{" at `cut`
+    decoded by one forked child: raw is canonical exactly when raw[:cut + 1]
+    + "]" and "[" + raw[cut + 2:] are, with one dimension.  None when either
+    half is not, or _in_two gives no halves."""
+    def second_half():
+        second = _read_canonical_vectors(b"[" + raw[cut + 2:])
+        return None if second is None else [np.array(second.shape, dtype="<i8"), second]
+
+    first, blob = _in_two(lambda: _read_canonical_vectors(raw[:cut + 1] + b"]"), second_half)
+    if first is None:
         return None
     n, d = (int(x) for x in np.frombuffer(blob[:16], dtype="<i8"))
     if d != first.shape[1] or len(blob) != 16 + 16 * n * d:
         return None
     return np.concatenate([first, np.frombuffer(blob, np.complex128, offset=16).reshape(n, d)])
+
+
+def _encode_in_two(obj: dict) -> str | None:
+    """canonical_json(obj), the second half of the entries of its longest
+    top-level 1-D array encoded by one forked child; None when that array's
+    text (about 44 bytes a pair) is below _SPLIT_MIN_BYTES, a key is not a
+    string, no second CPU is free, or _in_two gives no halves."""
+    v = max((v for v in obj.values() if isinstance(v, np.ndarray) and v.ndim == 1),
+            key=np.size, default=np.empty(0))
+    if (v.size < 2 or 44 * v.size < _SPLIT_MIN_BYTES
+            or not all(type(k) is str for k in obj) or not _two_cpus()):
+        return None
+
+    def entries(part: np.ndarray) -> str:
+        return canonical_json(vector_to_obj(part)["entries"])[1:-1]
+
+    first, second = _in_two(lambda: entries(v[:v.size // 2]),
+                            lambda: [entries(v[v.size // 2:]).encode()])
+    if first is None:
+        return None
+    vector = f'{{"dim":{v.size},"entries":[{first},{second.decode()}]}}'
+    items = (canonical_json(k) + ":" + (vector if obj[k] is v else canonical_json(obj[k]))
+             for k in sorted(obj))
+    return "{" + ",".join(items) + "}"
 
 
 def read_vectors(path: str | Path) -> np.ndarray:

@@ -19,6 +19,7 @@ from inclined import cli
 from inclined.cli import main
 from inclined.family import SuppressionFailure, predicate_sides
 from inclined.search import BudgetExhausted
+from inclined import serialize
 from inclined.serialize import branch_spec_from_obj, vectors_to_obj, write_json
 
 RHO_DEFAULT_BOUND = 19 / 20
@@ -408,13 +409,25 @@ def test_family_build_stage_basis_mismatch_exits_two(tmp_path, toy_stage_file):
     assert rc == 2
 
 
-def test_family_intersect(tmp_path, toy_stage_file, capsys):
+def test_family_intersect(tmp_path, toy_stage_file, capsys, monkeypatch):
     _, fam_a = _build(tmp_path, toy_stage_file, "01")
     _, fam_b = _build(tmp_path, toy_stage_file, "10")
+    # The toy vector (about 6 KB) is written in one process at the real size
+    # floor and, on two CPUs before Python 3.12, in two at a floor of 0.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(serialize, "_cpu_quota", lambda: None)
+    forks, fork = [], os.fork if hasattr(os, "fork") else None
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork(), raising=False)
     out = tmp_path / "inter.json"
-    capsys.readouterr()
-    rc = main(["family", "intersect", str(fam_a), str(fam_b), "--out", str(out)])
-    assert rc == 0
+    written = []
+    for floor in (serialize._SPLIT_MIN_BYTES, 0):
+        monkeypatch.setattr(serialize, "_SPLIT_MIN_BYTES", floor)
+        capsys.readouterr()
+        rc = main(["family", "intersect", str(fam_a), str(fam_b), "--out", str(out)])
+        assert rc == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert len(forks) == (sys.version_info < (3, 12) and fork is not None)
     payload = json.loads(out.read_text())
     assert payload["separating_level"] == 1
     assert payload["max_residual"] <= 1e-10

@@ -4,6 +4,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,15 @@ def test_canonical_json_is_sorted_and_compact():
 def test_canonical_json_rejects_nan():
     with pytest.raises(ValueError):
         canonical_json({"x": float("nan")})
+
+
+def test_canonical_json_encodes_a_1d_array_as_its_vector_object():
+    v = np.array([1.5 - 2.25j, -0.0 + 5e-324j])
+    assert canonical_json({"v": v}) == canonical_json({"v": vector_to_obj(v)})
+    assert canonical_json([np.array([1.0, 2.0])]) == '[{"dim":2,"entries":[[1.0,0.0],[2.0,0.0]]}]'
+    for other in (np.eye(2), np.float32(1.0), {1, 2}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            canonical_json({"x": other})
 
 
 def test_derive_seed_is_deterministic_and_tag_sensitive():
@@ -410,20 +420,42 @@ def test_a_second_half_in_doubt_gives_one_part_and_leaves_no_child(second_half, 
 
 @_needs_fork
 def test_an_exception_in_the_parents_half_kills_and_reaps_the_child(tmp_path, monkeypatch):
-    # The child's half is more than a pipe holds, so it would wait on its write.
+    # Each child's half is more than a pipe holds, so it would wait on its write.
     family = np.ones((2, 8192), dtype=np.complex128)
     path = tmp_path / "v.json"
     write_json(path, vectors_to_obj(family))
-    parent, decode = os.getpid(), serialize._read_canonical_vectors
+    parent, decode, to_obj = os.getpid(), serialize._read_canonical_vectors, vector_to_obj
 
-    def failing_in_the_parent(raw):
-        if os.getpid() == parent:
+    def failing_in_the_parent(real):
+        def fails(arg):
+            if os.getpid() == parent:
+                raise RuntimeError("parent's half")
+            return real(arg)
+        return fails
+
+    monkeypatch.setattr(serialize, "_read_canonical_vectors", failing_in_the_parent(decode))
+    monkeypatch.setattr(serialize, "vector_to_obj", failing_in_the_parent(to_obj))
+    with _split_floor(0):
+        with pytest.raises(RuntimeError, match="parent's half"):
+            read_vectors(path)
+        _assert_no_child_left()
+        with pytest.raises(RuntimeError, match="parent's half"):
+            write_json(tmp_path / "w.json", {"vector": family.ravel()})
+        _assert_no_child_left()
+    assert not (tmp_path / "w.json").exists()
+
+
+@_needs_fork
+@pytest.mark.parametrize("parents_half", ["raises", "in-doubt"])
+def test_a_child_no_longer_wanted_is_killed_at_once(parents_half):
+    def parent():
+        if parents_half == "raises":
             raise RuntimeError("parent's half")
-        return decode(raw)
 
-    monkeypatch.setattr(serialize, "_read_canonical_vectors", failing_in_the_parent)
-    with _split_floor(0), pytest.raises(RuntimeError, match="parent's half"):
-        read_vectors(path)
+    start = time.monotonic()
+    with contextlib.suppress(RuntimeError):
+        assert serialize._in_two(parent, lambda: time.sleep(60)) == (None, None)
+    assert time.monotonic() - start < 30  # the child was not waited for
     _assert_no_child_left()
 
 
@@ -446,7 +478,78 @@ def test_without_a_second_process_the_decode_takes_one_part(limit, tmp_path, mon
     assert read_vectors(path).tobytes() == family.tobytes()
     assert cli.main(["incline", str(path), "--bound", "0.9", "--seed", "1",
                      "--out", str(tmp_path / "cert.json")]) == 0
-    assert len(forks) == (2 if limit == "fork-refused" and _FORKS else 0)
+    payload = {"vector": family.ravel(), "max_residual": 1e-17}
+    write_json(tmp_path / "w.json", payload)  # the write, too
+    assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
+    assert len(forks) == (3 if limit == "fork-refused" and _FORKS else 0)
+
+
+# ------------------------------------------------------- two-part write
+
+def _payload(entries: int) -> dict:
+    """An intersect-like payload whose vector holds the awkward floats."""
+    rng = np.random.default_rng(entries)
+    v = rng.standard_normal(entries) + 1j * rng.standard_normal(entries)
+    v /= np.linalg.norm(v)
+    awkward = [-0.0, 5e-324, 1e16, 1e-05, -1e-05, 1e-320, 0.1, 1 / 3]
+    v.real[:len(awkward)] = awkward[:entries]
+    v.imag[-len(awkward):] = awkward[-entries:]
+    return {"manifest": {"command": "family intersect", "inputs": {"a.json": "0" * 64}},
+            "branches": ["01", "10"], "separating_level": 1, "vector": v,
+            "residuals": {"01": 2e-16, "10": 0.0}, "max_residual": 2e-16, "\u00fcber": True}
+
+
+# Past the real floor (about 44 bytes a pair), odd; odd and short; one entry.
+_WRITE_SIZES = (serialize._SPLIT_MIN_BYTES // 44 + 1000, 8191, 1)
+
+
+@pytest.mark.parametrize("entries", _WRITE_SIZES)
+def test_write_json_of_a_vector_is_canonical_json_byte_for_byte(entries, tmp_path, monkeypatch):
+    payload = _payload(entries)
+    expected = canonical_json({**payload, "vector": vector_to_obj(payload["vector"])}) + "\n"
+    assert canonical_json(payload) + "\n" == expected
+    parent, to_obj = os.getpid(), vector_to_obj
+    for split_min_bytes in _FLOORS:
+        forks, converted = _counted_forks(monkeypatch), []
+
+        def recorded(v):
+            if os.getpid() == parent:
+                converted.append(len(v))
+            return to_obj(v)
+
+        monkeypatch.setattr(serialize, "vector_to_obj", recorded)
+        with _split_floor(split_min_bytes):
+            write_json(tmp_path / "w.json", payload)
+        assert (tmp_path / "w.json").read_text() == expected
+        two = _FORKS and entries > 1 and 44 * entries >= split_min_bytes
+        assert len(forks) == two
+        assert converted == ([entries // 2] if two else [entries])  # the parent's half alone
+        _assert_no_child_left()
+
+
+def test_a_dict_with_other_keys_than_strings_is_written_in_one_part(tmp_path, monkeypatch):
+    payload = {10: _payload(5)["vector"], 2: 1.0}  # json sorts 2 before 10, then writes "10", "2"
+    forks = _counted_forks(monkeypatch)
+    with _split_floor(0):
+        write_json(tmp_path / "w.json", payload)
+    assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
+    assert forks == []
+
+
+@_needs_fork
+def test_a_failed_writing_child_gives_the_one_part_write(tmp_path, monkeypatch):
+    payload = _payload(9)
+    payload["vector"][-1] = np.nan  # in the child's half: its encode refuses it
+    forks = _counted_forks(monkeypatch)
+    with _split_floor(0), pytest.raises(ValueError, match="Out of range float"):
+        write_json(tmp_path / "w.json", payload)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    payload["vector"][-1] = 1.0
+    monkeypatch.setattr(serialize, "_in_two", lambda parent, child: (None, None))
+    with _split_floor(0):
+        write_json(tmp_path / "w.json", payload)
+    assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
 
 
 @pytest.mark.parametrize("files, quota", [
