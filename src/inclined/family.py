@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import as_vector
+from .hilbert import _row_blocks, as_vector
 from .search import CERT_MARGIN, BudgetExhausted, _unit_rows, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
@@ -249,10 +249,11 @@ def leakage_set(basis, subspace_projector: Callable[[np.ndarray], np.ndarray], e
 
 
 def _masses(stage: StageParameters, mat: np.ndarray) -> np.ndarray:
+    # Each row's sums, a row block at a time: the bits of the whole-level sums.
     out = np.empty((stage.depth, mat.shape[0]))
-    for i, lv in enumerate(stage.levels):
-        sl = stage.level_slice(lv.m)
-        out[i] = (np.abs(mat[:, sl]) ** 2).sum(axis=1)
+    for rows in _row_blocks(mat.shape[0], stage.dim):
+        for i, lv in enumerate(stage.levels):
+            out[i, rows] = (np.abs(mat[rows, stage.level_slice(lv.m)]) ** 2).sum(axis=1)
     return out
 
 
@@ -344,13 +345,15 @@ def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:
 
 
 def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    diag = np.zeros(n)
-    for lv in spec.stage.levels:
-        blocks = blocks_matrix(lv.space, mat[:, spec.stage.level_slice(lv.m)], spec.sigma(lv.m))
-        # einsum never calls BLAS, whose bits change with its thread count
-        coeff = np.einsum("...j,j->...", blocks, spec.directions[lv.m - 1].conj())
-        diag += (np.abs(coeff) ** 2).sum(axis=1)
+    # A row block at a time, levels added in order: the whole-level bits.
+    stage = spec.stage
+    diag = np.zeros(mat.shape[0])
+    for rows in _row_blocks(mat.shape[0], stage.dim):
+        for lv in stage.levels:
+            blocks = blocks_matrix(lv.space, mat[rows, stage.level_slice(lv.m)], spec.sigma(lv.m))
+            # einsum never calls BLAS, whose bits change with its thread count
+            coeff = np.einsum("...j,j->...", blocks, spec.directions[lv.m - 1].conj())
+            diag[rows] += (np.abs(coeff) ** 2).sum(axis=1)
     return diag
 
 
@@ -379,6 +382,42 @@ def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
         basis_digest=digest_vectors(mat) if basis_digest is None else basis_digest,
         branch=spec.branch, diagonals=tuple(diagonals), max_diagonal=max_diag, bound=bound,
         regime=spec.stage.regime)
+
+
+def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
+                  leaked: list[int], lv: LevelSpec, sigma: str) -> np.ndarray:
+    """The level's search groups (see build_branch_projection), written into
+    their final array a row block of ``leaked`` at a time.
+
+    Every product and quotient is elementwise and every norm is per block,
+    so the bits are those of the whole-level arithmetic.
+    """
+    leaked = np.asarray(leaked, dtype=np.intp)
+    n_blocks = lv.dim // lv.d
+    if stage.regime == "paper":
+        groups = np.empty((leaked.size * n_blocks, 1, lv.d), dtype=np.complex128)
+    else:
+        groups = np.empty((leaked.size, n_blocks, lv.d), dtype=np.complex128)
+        scale = 1.0 / np.sqrt(masses[leaked])
+    filled = 0
+    for rows in _row_blocks(leaked.size, lv.dim):
+        blocks = blocks_matrix(lv.space, mat[leaked[rows], stage.level_slice(lv.m)], sigma)
+        if stage.regime == "paper":
+            # One group per nonzero block, normalized to a direction.
+            flat = blocks.reshape(-1, lv.d)
+            # The whole level's flat blocks are a C-ordered copy once there
+            # are two rows; norms reduce in memory order, so a one-row block
+            # (a view, maybe transposed) is laid out the same way.
+            unit = _unit_rows(np.ascontiguousarray(flat) if leaked.size > 1 else flat)
+            groups[filled:filled + len(unit), 0] = unit
+            filled += len(unit)
+        else:
+            # One group per leaked row: its blocks scaled by the inverse level
+            # norm, so the group energy is the squared ratio
+            # ||P(Q_m e_k)||^2 / ||Q_m e_k||^2.
+            np.multiply(blocks, scale[rows, None, None], out=groups[rows])
+            filled = rows.stop
+    return groups[:filled]  # paper: zero blocks give no group
 
 
 def build_branch_projection(stage: StageParameters, basis, branch: str, c: float,
@@ -410,19 +449,10 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
 
     directions = []
     for i, lv in enumerate(stage.levels):
-        sigma = branch[: lv.m]
-        leaked = leakage[i]
-        blocks = blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
-        if stage.regime == "paper":
-            # One constraint per nonzero block, each normalized to a direction.
-            groups = _unit_rows(blocks.reshape(-1, lv.d))[:, None, :]
-        else:
-            # One constraint per leaked vector: its blocks scaled by the
-            # inverse level norm make the group energy equal the squared
-            # ratio ||P(Q_m e_k)||^2 / ||Q_m e_k||^2.
-            groups = blocks * (1.0 / np.sqrt(masses[i][leaked]))[:, None, None]
-        level_seed = derive_seed(seed, "level", lv.m)
-        v, achieved, evals, ok = minimize_max_group_norm(groups, target, budget, level_seed)
+        groups = _level_groups(stage, mat, masses[i], leakage[i], lv, branch[: lv.m])
+        v, achieved, evals, ok = minimize_max_group_norm(
+            groups, target, budget, derive_seed(seed, "level", lv.m))
+        del groups  # before the next level's groups are formed
         if not ok:
             raise BudgetExhausted(
                 f"level {lv.m}: no direction found within budget {budget} "

@@ -12,14 +12,30 @@ threads.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 # Dense operators exist only as test oracles; above this size they are refused.
 DENSE_ORACLE_CAP = 4096
 
 # Largest (n, n) complex128 basis random_orthonormal_basis will draw: 1 GiB,
-# n <= 8192.  The draw holds two such matrices at once.
+# n <= 8192.  The draw holds one such matrix plus one row block of scratch.
 RANDOM_BASIS_CAP_BYTES = 2 ** 30
+
+# Scratch for one block of rows in the passes that go over a basis matrix a
+# row block at a time (the draw's phase multiplies, and family's masses,
+# search groups and diagonals).
+_ROW_BLOCK_BYTES = 2 ** 20
+
+
+def _row_blocks(n_rows: int, width: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n_rows), each of
+    max(1, _ROW_BLOCK_BYTES // (16 * width)) rows (the last may be shorter):
+    a block of complex128 rows ``width`` wide fits the scratch budget."""
+    step = max(1, _ROW_BLOCK_BYTES // (16 * width))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -97,9 +113,13 @@ def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
     drawn from ``default_rng(seed)``.  The basis is not Haar-distributed;
     the constructions here must work against any orthonormal basis.  It
     uses no BLAS, so its bits do not depend on the BLAS thread count.
-    Both DFTs run in place (``out=``, numpy >= 2.0); the phase multiplies
-    stay out of place, because an in-place multiply changes the bits (at
-    n = 1 already), so at most two n x n matrices are alive at once.
+    Both DFTs run in place (``out=``, numpy >= 2.0).  Each phase multiply
+    goes a row block at a time into fresh scratch, which is then copied
+    back: a multiply whose output is its own input can take another of
+    numpy's complex loops and round differently (at n = 1 already), while
+    a product into separate memory has the bits of the whole-matrix product
+    and a copy moves them exactly.  So one n x n matrix plus one row block
+    (``_ROW_BLOCK_BYTES``) is alive at once.
     Raises ValueError, before drawing anything, when the n x n complex128
     matrix (n * n * 16 bytes) passes ``RANDOM_BASIS_CAP_BYTES`` (1 GiB,
     n <= 8192).
@@ -111,5 +131,8 @@ def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
                          f"above the {RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap")
     d0, d1, d2 = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, n)))
     u = np.diag(d2)
-    u = np.fft.fft(u, axis=0, norm="ortho", out=u) * d1[:, None]
-    return np.fft.fft(u, axis=0, norm="ortho", out=u) * d0[:, None]
+    for phases in (d1, d0):
+        np.fft.fft(u, axis=0, norm="ortho", out=u)
+        for rows in _row_blocks(n, n):
+            u[rows] = u[rows] * phases[rows, None]
+    return u

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -32,8 +33,11 @@ from inclined import (
     toy_stage,
     verify_suppression,
 )
+from inclined import cli, family, hilbert
 from inclined.family import (
     LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
+from inclined.search import _unit_rows
+from inclined.serialize import write_json
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -226,21 +230,140 @@ def basis_1024():
     return random_orthonormal_basis(1024, 2)
 
 
-@pytest.mark.parametrize("step, copies", [
-    pytest.param(lambda b: random_orthonormal_basis(len(b), 2), 2.1, id="draw"),
-    pytest.param(digest_vectors, 0.05, id="digest"),
-    pytest.param(basis_matrix, 0.5, id="gram"),
+@pytest.fixture(scope="module")
+def toy_452():
+    # n = 897; at branch 010 the whole-level diagonals copied level 2
+    stage = toy_stage([4, 5, 2])
+    basis = random_orthonormal_basis(stage.dim, 2)
+    return basis, build_branch_projection(stage, basis, "010", C, 10_000, 1)[0]
+
+
+@pytest.mark.parametrize("on_toy, step, copies", [
+    pytest.param(False, lambda b, spec: random_orthonormal_basis(len(b), 2), 1.2, id="draw"),
+    pytest.param(False, lambda b, spec: digest_vectors(b), 0.05, id="digest"),
+    pytest.param(False, lambda b, spec: basis_matrix(b), 0.5, id="gram"),
+    pytest.param(True, lambda b, spec: build_branch_projection(spec.stage, b, spec.branch, C, 10_000, 1),
+                 1.1, id="build"),
+    pytest.param(True, lambda b, spec: verify_suppression(spec, b, (1 + RHO) / 2), 0.6, id="verify"),
 ])
-def test_family_command_steps_hold_few_basis_copies(basis_1024, step, copies):
+def test_family_command_steps_hold_few_basis_copies(basis_1024, toy_452, on_toy, step, copies):
     # numpy reports its data buffers to tracemalloc; the draw's own result
-    # is one of its copies.
+    # is one of its copies, and build and verify are measured above the
+    # basis they are given (toy [4, 5, 2], whose level 2 holds 70% of it).
+    basis, spec = toy_452 if on_toy else (basis_1024, None)
     tracemalloc.start()
     try:
-        step(basis_1024)
+        step(basis, spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= copies * basis_1024.nbytes
+    assert peak <= copies * basis.nbytes
+
+
+# ------------------------------------------------ row blocks keep the bits
+# The whole-level arithmetic the row-block passes replace, as first written.
+
+def _reference_masses(stage, mat):
+    out = np.empty((stage.depth, mat.shape[0]))
+    for i, lv in enumerate(stage.levels):
+        out[i] = (np.abs(mat[:, stage.level_slice(lv.m)]) ** 2).sum(axis=1)
+    return out
+
+
+def _reference_groups(stage, mat, masses, leaked, lv, sigma):
+    blocks = blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
+    if stage.regime == "paper":
+        return _unit_rows(blocks.reshape(-1, lv.d))[:, None, :]
+    return blocks * (1.0 / np.sqrt(masses[leaked]))[:, None, None]
+
+
+def _reference_diagonals(spec, mat):
+    diag = np.zeros(mat.shape[0])
+    for lv in spec.stage.levels:
+        blocks = blocks_matrix(lv.space, mat[:, spec.stage.level_slice(lv.m)], spec.sigma(lv.m))
+        coeff = np.einsum("...j,j->...", blocks, spec.directions[lv.m - 1].conj())
+        diag += (np.abs(coeff) ** 2).sum(axis=1)
+    return diag
+
+
+def _paper_members(count):
+    """``count`` orthonormal members of the paper stage d = 347, one row
+    block each (a row takes 1.8 MiB)."""
+    stage = paper_stage([MIN_D_LEVEL_1])
+    assert len(list(hilbert._row_blocks(count, stage.dim))) == count
+    rng = np.random.default_rng(13)
+    g = rng.standard_normal((stage.dim, count)) + 1j * rng.standard_normal((stage.dim, count))
+    return stage, np.ascontiguousarray(np.linalg.qr(g)[0].T)
+
+
+@pytest.fixture(params=["real-budget", "one-row-blocks"])
+def row_budget(request, monkeypatch):
+    if request.param == "one-row-blocks":
+        monkeypatch.setattr(hilbert, "_ROW_BLOCK_BYTES", 1)
+    return request.param
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda ds=ds: (toy_stage(ds), random_orthonormal_basis(toy_stage(ds).dim, 3)), id=str(ds))
+    for ds in ([2, 2, 2], [4, 4, 2], [4, 5, 2])
+] + [
+    pytest.param(lambda: _paper_members(3), id="paper-347-3"),
+    # one member: its flat blocks are a view, maybe transposed, in both passes
+    pytest.param(lambda: _paper_members(1), id="paper-347-1"),
+])
+def test_row_blocks_keep_the_whole_level_bits(make, row_budget):
+    stage, mat = make()
+    masses = family._masses(stage, mat)
+    assert masses.tobytes() == _reference_masses(stage, mat).tobytes()
+    leakage = family._leakage_from_masses(stage, masses)
+    rng = np.random.default_rng(4)
+    for bits in itertools.product("01", repeat=stage.depth):
+        branch = "".join(bits)
+        for i, lv in enumerate(stage.levels):
+            got = family._level_groups(stage, mat, masses[i], leakage[i], lv, branch[: lv.m])
+            want = _reference_groups(stage, mat, masses[i], leakage[i], lv, branch[: lv.m])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (branch, lv.m)
+        dirs = rng.standard_normal((stage.depth, 2, max(lv.d for lv in stage.levels)))
+        spec = BranchProjectionSpec(stage, branch, tuple(
+            z[0, :lv.d] + 1j * z[1, :lv.d] for z, lv in zip(dirs, stage.levels)))
+        assert family._diagonals(spec, mat).tobytes() == _reference_diagonals(spec, mat).tobytes()
+
+
+def _whole_levels(mp):
+    """Put the whole-level references in place of the row-block passes."""
+    mp.setattr(family, "_masses", _reference_masses)
+    mp.setattr(family, "_level_groups", _reference_groups)
+    mp.setattr(family, "_diagonals", _reference_diagonals)
+
+
+def test_family_files_and_verify_output_match_the_whole_level_arithmetic(
+        tmp_path, row_budget, monkeypatch, capsys):
+    write_json(tmp_path / "stage.json", {"regime": "toy", "levels": [
+        {"m": 1, "d": 4}, {"m": 2, "d": 5}, {"m": 3, "d": 2}]})
+    monkeypatch.chdir(tmp_path)  # build records its argv
+    runs = []
+    for whole in (False, True):
+        with monkeypatch.context() as mp:
+            if whole:
+                _whole_levels(mp)
+            for branch in ("000", "110"):
+                assert cli.main(["family", "build", "--stage", "stage.json", "--branch", branch,
+                                 "--basis", "random", "--seed", "4", "--out", "fam.json"]) == 0
+                assert cli.main(["family", "verify", "fam.json"]) == 0
+                runs.append((Path("fam.json").read_bytes(), capsys.readouterr().out))
+    assert runs[:2] == runs[2:]
+
+
+def test_paper_certificates_match_the_whole_level_arithmetic(monkeypatch):
+    stage, mat = _paper_members(3)
+    certs = []
+    for whole in (False, True):
+        with monkeypatch.context() as mp:
+            if whole:
+                _whole_levels(mp)
+            spec, cert = build_branch_projection(stage, mat, "0", C, 2_000, 5)
+            certs.append((spec.directions[0].tobytes(), cert, verify_suppression(spec, mat, cert.bound)))
+    assert certs[0] == certs[1]
 
 
 def test_level_masses_standard_basis():

@@ -10,6 +10,7 @@ from inclined import (
     random_unit_vector,
     rank_one_apply,
 )
+from inclined import hilbert
 from inclined.hilbert import RANDOM_BASIS_CAP_BYTES
 
 E2 = np.eye(2, dtype=complex)
@@ -169,3 +170,18 @@ def test_random_basis_matches_the_out_of_place_draw_bit_for_bit():
         for seed in (0, 1, 5, 12345):
             got = random_orthonormal_basis(n, seed)
             assert got.tobytes() == _reference_draw(n, seed).tobytes(), (n, seed)
+
+
+@pytest.mark.parametrize("budget", [16, 16 * 3 * 64 + 15])  # one row a block; three rows at n = 64
+def test_random_basis_in_small_row_blocks_matches_the_out_of_place_draw(budget, monkeypatch):
+    monkeypatch.setattr(hilbert, "_ROW_BLOCK_BYTES", budget)
+    for n in [1, 2, 3, 64, 65, 347]:
+        for seed in (0, 5):
+            assert random_orthonormal_basis(n, seed).tobytes() == _reference_draw(n, seed).tobytes(), (n, seed)
+
+
+def test_row_blocks_cover_the_rows_in_order(monkeypatch):
+    monkeypatch.setattr(hilbert, "_ROW_BLOCK_BYTES", 16 * 10 * 3)  # three rows of width 10
+    assert list(hilbert._row_blocks(7, 10)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert list(hilbert._row_blocks(0, 10)) == []
+    assert list(hilbert._row_blocks(2, 10 ** 9)) == [slice(0, 1), slice(1, 2)]  # at least one row
