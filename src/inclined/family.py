@@ -16,14 +16,17 @@ and on leaked levels the searched direction suppresses the ratio to rho, so
 each diagonal is at most rho*(1 - a) + a <= (1 + rho)/2 for off-leakage
 mass a <= 1/2.
 
-Two regimes:
+Each level's direction is searched against groups built by one rule: a
+group is a set of blocks along the branch-prefix axis scaled to unit norm,
+and its energy must stay below rho.  The regime picks what a group is:
   paper  -- alphabet sizes satisfy the exact growth predicate
             32 m^2 (d^(2^m))^2 d^(2^m - 1) < (100/91)^d with d >= 2^7, so
-            the per-BLOCK inclined-vector search is guaranteed to succeed
-            by capacity counting and is what the builder runs.
+            a search against every single BLOCK is guaranteed to succeed
+            by capacity counting; a group is one block.
   toy    -- small alphabets for which no direction can clear the per-block
-            bound once the block family outgrows the capacity; the builder
-            instead certifies the per-VECTOR ratio directly (a strictly
+            bound once the block family outgrows the capacity; a group is
+            all blocks of one leaked VECTOR scaled by its level norm, so the
+            builder certifies the per-vector ratio directly (a strictly
             weaker requirement that is all the diagonal bound needs), and
             the certificate records what the search actually achieved.
 
@@ -41,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .hilbert import _row_blocks, as_vector
-from .search import CERT_MARGIN, BudgetExhausted, _unit_rows, minimize_max_group_norm
+from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
 from .tensor_projection import (
@@ -386,38 +389,30 @@ def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
 
 def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
                   leaked: list[int], lv: LevelSpec, sigma: str) -> np.ndarray:
-    """The level's search groups (see build_branch_projection), written into
-    their final array a row block of ``leaked`` at a time.
+    """The level's search groups (see build_branch_projection) as one
+    (n_groups, r, d) array, written a row block of ``leaked`` at a time.
 
-    Every product and quotient is elementwise and every norm is per block,
-    so the bits are those of the whole-level arithmetic.
+    Zero groups impose no constraint and are dropped.  The blocks are taken
+    C-ordered and every product and norm is per group, so the bits are those
+    of the whole-level arithmetic, whatever the number of rows.
     """
     leaked = np.asarray(leaked, dtype=np.intp)
-    n_blocks = lv.dim // lv.d
-    if stage.regime == "paper":
-        groups = np.empty((leaked.size * n_blocks, 1, lv.d), dtype=np.complex128)
-    else:
-        groups = np.empty((leaked.size, n_blocks, lv.d), dtype=np.complex128)
-        scale = 1.0 / np.sqrt(masses[leaked])
+    r = 1 if stage.regime == "paper" else lv.dim // lv.d
+    groups = np.empty((leaked.size * (lv.dim // lv.d) // r, r * lv.d), dtype=np.complex128)
     filled = 0
     for rows in _row_blocks(leaked.size, lv.dim):
-        blocks = blocks_matrix(lv.space, mat[leaked[rows], stage.level_slice(lv.m)], sigma)
+        flat = np.ascontiguousarray(blocks_matrix(
+            lv.space, mat[leaked[rows], stage.level_slice(lv.m)], sigma)).reshape(-1, r * lv.d)
         if stage.regime == "paper":
-            # One group per nonzero block, normalized to a direction.
-            flat = blocks.reshape(-1, lv.d)
-            # The whole level's flat blocks are a C-ordered copy once there
-            # are two rows; norms reduce in memory order, so a one-row block
-            # (a view, maybe transposed) is laid out the same way.
-            unit = _unit_rows(np.ascontiguousarray(flat) if leaked.size > 1 else flat)
-            groups[filled:filled + len(unit), 0] = unit
-            filled += len(unit)
+            norms = np.linalg.norm(flat, axis=1)
         else:
-            # One group per leaked row: its blocks scaled by the inverse level
-            # norm, so the group energy is the squared ratio
-            # ||P(Q_m e_k)||^2 / ||Q_m e_k||^2.
-            np.multiply(blocks, scale[rows, None, None], out=groups[rows])
-            filled = rows.stop
-    return groups[:filled]  # paper: zero blocks give no group
+            norms = np.sqrt(masses[leaked[rows]])
+        keep = norms > 0.0
+        if not keep.all():
+            flat, norms = flat[keep], norms[keep]
+        np.multiply(flat, (1.0 / norms)[:, None], out=groups[filled:filled + len(norms)])
+        filled += len(norms)
+    return groups[:filled].reshape(-1, r, lv.d)
 
 
 def build_branch_projection(stage: StageParameters, basis, branch: str, c: float,
@@ -426,13 +421,14 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
     """Choose per-level directions suppressing every diagonal below (1+c^2)/2.
 
     At each level the leaked indices' level components are split into blocks
-    along the branch-prefix axis and a direction is searched for:
+    along the branch-prefix axis, grouped and scaled to unit norm, and a
+    direction is searched for whose energy on every group is at most c^2:
 
-      paper regime -- every single normalized block must have inner product
-        at most c with the direction (guaranteed findable by capacity);
-      toy regime -- each leaked vector's summed block leakage must stay
-        below c^2 times its level mass (per-vector ratio), which is what the
-        diagonal bound actually consumes.
+      paper regime -- a group is one block (r = 1), so every normalized block
+        has inner product at most c (guaranteed findable by capacity);
+      toy regime -- a group is all blocks of one leaked vector over the root
+        of its level mass, so its summed block leakage stays below c^2 times
+        that mass (per-vector ratio), which the diagonal bound consumes.
 
     Level searches draw their seeds from (seed, level), so branches sharing
     a prefix produce identical directions on the shared levels.  Raises

@@ -88,10 +88,10 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
     building re + 1j*im instead would turn a -0.0 imaginary part into +0.0.
     Every member must have the same dimension, a JSON integer, and every
     entry must be a JSON number: numpy infers the array's type, so a
-    string, null or all-boolean entry shows in its dtype, at a fraction of
-    the cost of a scan over the entries.  Booleans mixed with numbers are
-    inferred as floats and pass; integers beyond 64 bits are inferred as
-    objects and are refused.
+    string, null, all-boolean entry or integer beyond 64 bits shows in its
+    dtype, at a fraction of the cost of a scan over the entries.  Booleans
+    mixed with numbers decode to 0.0 and 1.0, so the entries are scanned
+    for one only when some decoded value is exactly 0.0 or 1.0.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty JSON array of vectors")
@@ -114,6 +114,9 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
                          f"got entries of shape {pairs.shape}")
     if not np.isfinite(pairs).all():
         raise ValueError("vector has non-finite entries")
+    if ((pairs == 0.0) | (pairs == 1.0)).any() and any(
+            type(x) is bool for v in obj for pair in v["entries"] for x in pair):
+        raise ValueError("vector entries must be JSON numbers, got a boolean")
     return pairs.view(np.complex128).reshape(len(obj), dim)
 
 
@@ -422,7 +425,7 @@ def read_vectors(path: str | Path) -> np.ndarray:
     free; any other layout, and any file the fast decode has doubts about,
     goes through vectors_from_obj on the JSON of the same bytes, which alone
     raises the errors.  All give the same array bit for bit.  A boolean never
-    passes the fast decode, and the general decode refuses it.
+    passes the fast decode, and vectors_from_obj refuses it.
     """
     raw = Path(path).read_bytes()
     cut = _split_point(raw)
@@ -433,9 +436,5 @@ def read_vectors(path: str | Path) -> np.ndarray:
     except (ValueError, TypeError, OverflowError):
         vectors = None
     if vectors is None:
-        obj = _loads(raw.decode("utf-8"))
-        vectors = vectors_from_obj(obj)
-        if (b"true" in raw or b"false" in raw) and any(
-                type(x) is bool for v in obj for pair in v["entries"] for x in pair):
-            raise ValueError("vector entries must be JSON numbers, got a boolean")
+        vectors = vectors_from_obj(_loads(raw.decode("utf-8")))
     return vectors

@@ -125,6 +125,24 @@ def test_incline_refuses_boolean_entries(text, code, tmp_path):
     assert main(["incline", str(path), "--bound", "0.99"]) == code
 
 
+@pytest.mark.parametrize("command", ["verify", "intersect"])
+def test_a_boolean_direction_entry_exits_two(command, tmp_path, toy_stage_file, capsys):
+    # true decodes to 1.0 beside a number, which verify would otherwise
+    # report as a certificate mismatch and intersect would use
+    _, other = _build(tmp_path, toy_stage_file, "00")
+    _, fam = _build(tmp_path, toy_stage_file, "10")
+    payload = json.loads(fam.read_text())
+    payload["levels"][0]["direction"]["entries"][0] = [True, 0.0]
+    write_json(fam, payload)
+    capsys.readouterr()
+    argv = {"verify": ["family", "verify", str(fam)],
+            "intersect": ["family", "intersect", str(fam), str(other)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
+
+
 def test_incline_reruns_are_byte_identical(tmp_path):
     rng = np.random.default_rng(5)
     fam = rng.standard_normal((50, 16)) + 1j * rng.standard_normal((50, 16))
@@ -280,6 +298,54 @@ def test_random_basis_family_verifies_under_another_blas_thread_count(tmp_path):
                                   blas_threads=1)
     assert verified.returncode == 0, verified.stderr
     assert json.loads(verified.stdout)["ok"] is True
+
+
+# Two builds whose level searches descend, as no benchmark build does: level 2
+# of toy [2, 2, 2] at rho 0.7, and both branches of six members of the paper
+# stage d = 347 at rho 0.015.
+_DESCENDING_BUILDS = [
+    ["family", "build", "--stage", "../toy.json", "--branch", "101", "--basis", "random",
+     "--rho", "0.7", "--seed", "3", "--out", "toy_101.json"],
+    *(["family", "build", "--stage", "../paper.json", "--branch", branch, "--basis", "../basis.json",
+       "--rho", "0.015", "--seed", "11", "--out", f"paper_{branch}.json"] for branch in "01"),
+]
+
+
+def test_descending_searches_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch,
+                                                                     capsys):
+    write_json(tmp_path / "toy.json", {"regime": "toy", "levels": [
+        {"m": 1, "d": 2}, {"m": 2, "d": 2}, {"m": 3, "d": 2}]})
+    write_json(tmp_path / "paper.json", {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal((347 ** 2, 6)) + 1j * rng.standard_normal((347 ** 2, 6))
+    _write_vectors(tmp_path / "basis.json", np.linalg.qr(z)[0].T)
+    del z
+    outputs = {}
+    for threads in (1, 2):
+        workdir = tmp_path / f"threads{threads}"
+        workdir.mkdir()
+        for argv in _DESCENDING_BUILDS:
+            done = _cli_in_subprocess(argv, workdir, blas_threads=threads)
+            assert done.returncode == 0, done.stderr
+        outputs[threads] = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    assert len(outputs[1]) == 3 and outputs[1] == outputs[2]
+    # The same builds in this process, each level search's evaluations counted.
+    evals = []
+    search = inclined.family.minimize_max_group_norm
+
+    def counted(*args):
+        result = search(*args)
+        evals.append(result[2])
+        return result
+
+    monkeypatch.setattr(inclined.family, "minimize_max_group_norm", counted)
+    monkeypatch.chdir(tmp_path / "threads1")
+    for argv in _DESCENDING_BUILDS:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert outputs[1] == {p.name: p.read_bytes() for p in Path().iterdir()}
+    # toy levels 1-3, then the paper stage's one level on each branch
+    assert len(evals) == 5 and min(evals[1], evals[3], evals[4]) > 1, evals
 
 
 def test_demo_is_byte_identical_under_one_and_two_blas_threads(tmp_path):

@@ -36,7 +36,6 @@ from inclined import (
 from inclined import cli, family, hilbert
 from inclined.family import (
     LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
-from inclined.search import _unit_rows
 from inclined.serialize import write_json
 
 RHO = 0.9
@@ -271,10 +270,18 @@ def _reference_masses(stage, mat):
 
 
 def _reference_groups(stage, mat, masses, leaked, lv, sigma):
-    blocks = blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
+    # The one rule for all leaked rows at once: their blocks C-ordered, as
+    # groups of one block (paper) or of a whole row (toy), each times the
+    # reciprocal of its norm, the block's or sqrt of the row's level mass.
+    blocks = np.ascontiguousarray(blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma))
     if stage.regime == "paper":
-        return _unit_rows(blocks.reshape(-1, lv.d))[:, None, :]
-    return blocks * (1.0 / np.sqrt(masses[leaked]))[:, None, None]
+        groups = blocks.reshape(-1, 1, lv.d)
+        norms = np.linalg.norm(groups[:, 0], axis=1)
+    else:
+        groups = blocks
+        norms = np.sqrt(masses[leaked])
+    keep = norms > 0.0
+    return groups[keep] * (1.0 / norms[keep])[:, None, None]
 
 
 def _reference_diagonals(spec, mat):
@@ -296,6 +303,15 @@ def _paper_members(count):
     return stage, np.ascontiguousarray(np.linalg.qr(g)[0].T)
 
 
+def _paper_members_and_a_basis_vector():
+    """A member and e_0, whose blocks along either axis are all zero but
+    one, so they give a single group."""
+    stage, mat = _paper_members(2)
+    mat[1] = 0.0
+    mat[1, 0] = 1.0
+    return stage, mat
+
+
 @pytest.fixture(params=["real-budget", "one-row-blocks"])
 def row_budget(request, monkeypatch):
     if request.param == "one-row-blocks":
@@ -308,8 +324,8 @@ def row_budget(request, monkeypatch):
     for ds in ([2, 2, 2], [4, 4, 2], [4, 5, 2])
 ] + [
     pytest.param(lambda: _paper_members(3), id="paper-347-3"),
-    # one member: its flat blocks are a view, maybe transposed, in both passes
     pytest.param(lambda: _paper_members(1), id="paper-347-1"),
+    pytest.param(_paper_members_and_a_basis_vector, id="paper-347-e0"),
 ])
 def test_row_blocks_keep_the_whole_level_bits(make, row_budget):
     stage, mat = make()
@@ -327,6 +343,21 @@ def test_row_blocks_keep_the_whole_level_bits(make, row_budget):
         spec = BranchProjectionSpec(stage, branch, tuple(
             z[0, :lv.d] + 1j * z[1, :lv.d] for z, lv in zip(dirs, stage.levels)))
         assert family._diagonals(spec, mat).tobytes() == _reference_diagonals(spec, mat).tobytes()
+
+
+def test_a_members_paper_groups_do_not_depend_on_the_other_members(row_budget):
+    # Alone, a member's blocks may be a transposed view of its row; they are
+    # laid out C-ordered either way, so its groups keep their bits.
+    stage, mat = _paper_members(3)
+    lv = stage.levels[0]
+    n_blocks = lv.dim // lv.d
+    for sigma in lv.space.axes:
+        together = family._level_groups(stage, mat, family._masses(stage, mat)[0], [0, 1, 2], lv, sigma)
+        assert together.shape == (3 * n_blocks, 1, lv.d)
+        for k in range(3):
+            alone = mat[k:k + 1]
+            got = family._level_groups(stage, alone, family._masses(stage, alone)[0], [0], lv, sigma)
+            assert got.tobytes() == together[k * n_blocks:(k + 1) * n_blocks].tobytes(), (sigma, k)
 
 
 def _whole_levels(mp):

@@ -189,6 +189,17 @@ def test_inclination_fields_take_json_types_strictly(field, value):
         inclination_from_obj(obj)
 
 
+def test_a_boolean_entry_is_refused_beside_numbers():
+    assert vectors_from_obj([{"dim": 2, "entries": [[1.0, 0.0], [0, 1]]}]).tolist() == [[1, 1j]]
+    with pytest.raises(ValueError, match="boolean"):
+        vectors_from_obj([{"dim": 2, "entries": [[0.5, 0.0], [True, 0.0]]}])
+    cert = find_inclined_vector([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 0.9, 200, 3)
+    obj = json.loads(canonical_json(inclination_to_obj(cert)))
+    obj["candidate"]["entries"][1] = [False, 0.25]
+    with pytest.raises(ValueError, match="boolean"):
+        inclination_from_obj(obj)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_json_restores_the_collector_state(tmp_path, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
