@@ -390,15 +390,21 @@ def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
 def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
                   leaked: list[int], lv: LevelSpec, sigma: str) -> np.ndarray:
     """The level's search groups (see build_branch_projection) as one
-    (n_groups, r, d) array, written a row block of ``leaked`` at a time.
+    (n_groups, min(r, d), d) array, written a row block of ``leaked`` at a
+    time.
 
-    Zero groups impose no constraint and are dropped.  The blocks are taken
-    C-ordered and every product and norm is per group, so the bits are those
-    of the whole-level arithmetic, whatever the number of rows.
+    A group of r > d blocks (every toy level m >= 2) is stored as the d x d
+    R factor of its unscaled blocks, scaled: R* R = G* G, so the search,
+    which sees a group only through v* G* G v, is unchanged, and the
+    (n, r, d) array is never formed.  Zero groups impose no constraint and
+    are dropped.  The blocks are taken C-ordered and every product, norm
+    and factor is per group, so the bits are those of the whole-level
+    arithmetic, whatever the number of rows.
     """
     leaked = np.asarray(leaked, dtype=np.intp)
     r = 1 if stage.regime == "paper" else lv.dim // lv.d
-    groups = np.empty((leaked.size * (lv.dim // lv.d) // r, r * lv.d), dtype=np.complex128)
+    height = min(r, lv.d)  # rows stored per group
+    groups = np.empty((leaked.size * (lv.dim // lv.d) // r, height * lv.d), dtype=np.complex128)
     filled = 0
     for rows in _row_blocks(leaked.size, lv.dim):
         flat = np.ascontiguousarray(blocks_matrix(
@@ -410,9 +416,12 @@ def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
         keep = norms > 0.0
         if not keep.all():
             flat, norms = flat[keep], norms[keep]
+        if r > height:
+            flat = np.linalg.qr(flat.reshape(-1, r, lv.d), mode="r").reshape(-1, height * lv.d)
         np.multiply(flat, (1.0 / norms)[:, None], out=groups[filled:filled + len(norms)])
         filled += len(norms)
-    return groups[:filled].reshape(-1, r, lv.d)
+        del flat  # before the next row block is gathered
+    return groups[:filled].reshape(-1, height, lv.d)
 
 
 def build_branch_projection(stage: StageParameters, basis, branch: str, c: float,
@@ -429,10 +438,15 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
       toy regime -- a group is all blocks of one leaked vector over the root
         of its level mass, so its summed block leakage stays below c^2 times
         that mass (per-vector ratio), which the diagonal bound consumes.
+        From level 2 on a vector has more blocks than a block has entries,
+        and the search gets the d x d R factor of its blocks instead, which
+        has the same energy on every direction.
 
-    Level searches draw their seeds from (seed, level), so branches sharing
-    a prefix produce identical directions on the shared levels.  Raises
-    BudgetExhausted naming the failing level if a search does not finish.
+    The certificate never reads the groups: its diagonals are recomputed
+    from the basis rows and the directions.  Level searches draw their
+    seeds from (seed, level), so branches sharing a prefix produce identical
+    directions on the shared levels.  Raises BudgetExhausted naming the
+    failing level if a search does not finish.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")

@@ -8,8 +8,8 @@ side: a restarted projected-subgradient search whose output is wrapped in
 a self-contained certificate that anyone can re-verify from the inputs
 alone, independent of how the candidate was found.
 
-The capacity arithmetic (powers of 100/91, the d >= 2^7 threshold) is done
-in exact rational arithmetic and only rounded toward zero at the end.
+The capacity arithmetic (powers of 100/91) is done in exact rational
+arithmetic and only rounded toward zero at the end.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ _TIE_MAX_GROUPS = 16
 _COVER_BATCH_ENTRIES = 2 ** 21
 
 CAPACITY_BASE = Fraction(100, 91)
-MIN_CAPACITY_DIMENSION = 2 ** 7
 
 
 class BudgetExhausted(RuntimeError):

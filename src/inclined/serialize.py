@@ -14,9 +14,12 @@ Schemas:
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import json
+import operator
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -81,17 +84,35 @@ def vectors_to_obj(vectors) -> list:
     return [vector_to_obj(v) for v in vectors]
 
 
+def _pairs_array(rows: list, dim: int) -> tuple[np.ndarray, bool]:
+    """np.array(rows), and whether every entry is known to be a float.
+
+    Lists of ``dim`` lists of two floats, the layout every writer produces,
+    are joined into one flat list first: its element types prove every entry
+    a float, and joining, checking and converting it costs less than
+    np.array on the nested lists.  Anything else goes to np.array as it is.
+    """
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
+        pairs = list(chain.from_iterable(rows))
+        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            flat = functools.reduce(operator.iadd, pairs, [])
+            if set(map(type, flat)) == {float}:
+                return np.fromiter(flat, np.float64, len(flat)).reshape(len(rows), dim, 2), True
+    return np.array(rows), False
+
+
 def vectors_from_obj(obj: Any) -> np.ndarray:
     """Decode a vectors file to one (n, d) complex128 array, bit for bit.
 
     The [re, im] pairs become a float64 (n, d, 2) array viewed as complex;
     building re + 1j*im instead would turn a -0.0 imaginary part into +0.0.
     Every member must have the same dimension, a JSON integer, and every
-    entry must be a JSON number: numpy infers the array's type, so a
-    string, null, all-boolean entry or integer beyond 64 bits shows in its
-    dtype, at a fraction of the cost of a scan over the entries.  Booleans
-    mixed with numbers decode to 0.0 and 1.0, so the entries are scanned
-    for one only when some decoded value is exactly 0.0 or 1.0.
+    entry must be a JSON number.  Entries laid out as every writer lays them
+    out are known to be floats (see _pairs_array).  Any others go through
+    numpy's type inference, where a string, null, all-boolean entry or
+    integer beyond 64 bits shows in the dtype, and then through a scan of
+    their types: booleans mixed with numbers decode to 0.0 and 1.0.  Neither
+    check costs more on some values than on others.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty JSON array of vectors")
@@ -100,7 +121,8 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
     try:
         dims = sorted({_json_int(v["dim"], "dim") for v in obj})
         if len(dims) == 1:
-            pairs = np.array([v["entries"] for v in obj])
+            rows = [v["entries"] for v in obj]
+            pairs, floats = _pairs_array(rows, dims[0])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed vectors: {exc}") from None
     if len(dims) != 1:
@@ -114,8 +136,7 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
                          f"got entries of shape {pairs.shape}")
     if not np.isfinite(pairs).all():
         raise ValueError("vector has non-finite entries")
-    if ((pairs == 0.0) | (pairs == 1.0)).any() and any(
-            type(x) is bool for v in obj for pair in v["entries"] for x in pair):
+    if not floats and bool in map(type, chain.from_iterable(chain.from_iterable(rows))):
         raise ValueError("vector entries must be JSON numbers, got a boolean")
     return pairs.view(np.complex128).reshape(len(obj), dim)
 

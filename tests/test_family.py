@@ -242,7 +242,7 @@ def toy_452():
     pytest.param(False, lambda b, spec: digest_vectors(b), 0.05, id="digest"),
     pytest.param(False, lambda b, spec: basis_matrix(b), 0.5, id="gram"),
     pytest.param(True, lambda b, spec: build_branch_projection(spec.stage, b, spec.branch, C, 10_000, 1),
-                 1.1, id="build"),
+                 0.6, id="build"),
     pytest.param(True, lambda b, spec: verify_suppression(spec, b, (1 + RHO) / 2), 0.6, id="verify"),
 ])
 def test_family_command_steps_hold_few_basis_copies(basis_1024, toy_452, on_toy, step, copies):
@@ -271,7 +271,8 @@ def _reference_masses(stage, mat):
 
 def _reference_groups(stage, mat, masses, leaked, lv, sigma):
     # The one rule for all leaked rows at once: their blocks C-ordered, as
-    # groups of one block (paper) or of a whole row (toy), each times the
+    # groups of one block (paper) or of a whole row (toy), a group of more
+    # blocks than columns as the R factor of its blocks, each times the
     # reciprocal of its norm, the block's or sqrt of the row's level mass.
     blocks = np.ascontiguousarray(blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma))
     if stage.regime == "paper":
@@ -280,6 +281,8 @@ def _reference_groups(stage, mat, masses, leaked, lv, sigma):
     else:
         groups = blocks
         norms = np.sqrt(masses[leaked])
+    if groups.shape[1] > lv.d:
+        groups = np.linalg.qr(groups, mode="r")
     keep = norms > 0.0
     return groups[keep] * (1.0 / norms[keep])[:, None, None]
 
@@ -343,6 +346,32 @@ def test_row_blocks_keep_the_whole_level_bits(make, row_budget):
         spec = BranchProjectionSpec(stage, branch, tuple(
             z[0, :lv.d] + 1j * z[1, :lv.d] for z, lv in zip(dirs, stage.levels)))
         assert family._diagonals(spec, mat).tobytes() == _reference_diagonals(spec, mat).tobytes()
+
+
+@pytest.mark.parametrize("ds", [[2, 2, 2], [4, 4, 2], [4, 5, 2]], ids=str)
+def test_compressed_toy_groups_keep_every_energy(ds):
+    # From level 2 on a toy group is the d x d R factor of its r > d blocks;
+    # R* R must be the blocks' G* G, so the search sees the same energies.
+    stage = toy_stage(ds)
+    mat = random_orthonormal_basis(stage.dim, 3)
+    masses = family._masses(stage, mat)
+    leakage = family._leakage_from_masses(stage, masses)
+    rng = np.random.default_rng(5)
+    for i, lv in enumerate(stage.levels[1:], start=1):
+        sigma = "1" * lv.m
+        got = family._level_groups(stage, mat, masses[i], leakage[i], lv, sigma)
+        leaked = leakage[i]
+        assert leaked and got.shape == (len(leaked), lv.d, lv.d)
+        whole = (blocks_matrix(lv.space, mat[leaked, stage.level_slice(lv.m)], sigma)
+                 / np.sqrt(masses[i, leaked])[:, None, None])
+        assert whole.shape[1] > lv.d
+        gram = lambda g: np.einsum("kji,kjl->kil", g.conj(), g)
+        assert np.abs(gram(got) - gram(whole)).max() <= 1e-12, (ds, lv.m)
+        z = rng.standard_normal((2, 20, lv.d))
+        for v in z[0] + 1j * z[1]:
+            v /= np.linalg.norm(v)
+            energy = lambda g: (np.abs(g @ v.conj()) ** 2).sum(axis=1)
+            assert np.abs(energy(got) - energy(whole)).max() <= 1e-12, (ds, lv.m)
 
 
 def test_a_members_paper_groups_do_not_depend_on_the_other_members(row_budget):

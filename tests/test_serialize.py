@@ -200,6 +200,19 @@ def test_a_boolean_entry_is_refused_beside_numbers():
         inclination_from_obj(obj)
 
 
+def test_zero_one_entries_decode_bit_for_bit_and_one_boolean_among_them_is_refused():
+    eye = np.eye(1000, 128, dtype=np.complex128)
+    obj = json.loads(canonical_json(vectors_to_obj(eye)))
+    assert vectors_from_obj(obj).tobytes() == eye.tobytes()
+    # the same entries as tuples are not the written layout, and decode alike
+    as_tuples = [{"dim": v["dim"], "entries": tuple(map(tuple, v["entries"]))} for v in obj[:3]]
+    assert vectors_from_obj(as_tuples).tobytes() == eye[:3].tobytes()
+    zeros = json.loads(canonical_json(vectors_to_obj(np.zeros((1000, 128)))))
+    zeros[999]["entries"][127][1] = True
+    with pytest.raises(ValueError, match="boolean"):
+        vectors_from_obj(zeros)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_json_restores_the_collector_state(tmp_path, enabled):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
