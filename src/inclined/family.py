@@ -25,10 +25,12 @@ and its energy must stay below rho.  The regime picks what a group is:
             by capacity counting; a group is one block.
   toy    -- small alphabets for which no direction can clear the per-block
             bound once the block family outgrows the capacity; a group is
-            all blocks of one leaked VECTOR scaled by its level norm, so the
-            builder certifies the per-vector ratio directly (a strictly
-            weaker requirement that is all the diagonal bound needs), and
-            the certificate records what the search actually achieved.
+            all blocks of one leaked VECTOR scaled by its level norm (from
+            level 2 on stored as the d x d R factor of those blocks, which
+            has the same energy on every direction), so the builder
+            certifies the per-vector ratio directly (a strictly weaker
+            requirement that is all the diagonal bound needs), and the
+            certificate records what the search actually achieved.
 
 The regime is stamped into every certificate.  The growth predicate is
 decided purely in integer arithmetic; floating point never touches it.

@@ -14,11 +14,9 @@ Schemas:
 
 from __future__ import annotations
 
-import functools
 import gc
 import hashlib
 import json
-import operator
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
@@ -84,35 +82,19 @@ def vectors_to_obj(vectors) -> list:
     return [vector_to_obj(v) for v in vectors]
 
 
-def _pairs_array(rows: list, dim: int) -> tuple[np.ndarray, bool]:
-    """np.array(rows), and whether every entry is known to be a float.
-
-    Lists of ``dim`` lists of two floats, the layout every writer produces,
-    are joined into one flat list first: its element types prove every entry
-    a float, and joining, checking and converting it costs less than
-    np.array on the nested lists.  Anything else goes to np.array as it is.
-    """
-    if set(map(type, rows)) == {list} and set(map(len, rows)) == {dim}:
-        pairs = list(chain.from_iterable(rows))
-        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
-            flat = functools.reduce(operator.iadd, pairs, [])
-            if set(map(type, flat)) == {float}:
-                return np.fromiter(flat, np.float64, len(flat)).reshape(len(rows), dim, 2), True
-    return np.array(rows), False
-
-
 def vectors_from_obj(obj: Any) -> np.ndarray:
     """Decode a vectors file to one (n, d) complex128 array, bit for bit.
 
-    The [re, im] pairs become a float64 (n, d, 2) array viewed as complex;
+    The [re, im] pairs become a flat float64 array viewed as complex;
     building re + 1j*im instead would turn a -0.0 imaginary part into +0.0.
     Every member must have the same dimension, a JSON integer, and every
-    entry must be a JSON number.  Entries laid out as every writer lays them
-    out are known to be floats (see _pairs_array).  Any others go through
-    numpy's type inference, where a string, null, all-boolean entry or
-    integer beyond 64 bits shows in the dtype, and then through a scan of
-    their types: booleans mixed with numbers decode to 0.0 and 1.0.  Neither
-    check costs more on some values than on others.
+    entry must be a JSON number.  The entries are joined into one flat list
+    and the lengths of the members and pairs are checked: numpy infers the
+    list's type, so a string, null, all-boolean entry or integer beyond 64
+    bits shows in its dtype, and a scan of its types finds a boolean among
+    numbers (which would decode to 0.0 or 1.0).  Neither check costs more
+    on some values than on others, and converting the flat list costs less
+    than converting the nested one.
     """
     if not isinstance(obj, list) or not obj:
         raise ValueError("expected a nonempty JSON array of vectors")
@@ -122,23 +104,26 @@ def vectors_from_obj(obj: Any) -> np.ndarray:
         dims = sorted({_json_int(v["dim"], "dim") for v in obj})
         if len(dims) == 1:
             rows = [v["entries"] for v in obj]
-            pairs, floats = _pairs_array(rows, dims[0])
+            pairs = list(chain.from_iterable(rows))
+            lengths = (sorted(set(map(len, rows))), sorted(set(map(len, pairs))))
+            entries = list(chain.from_iterable(pairs))
+            flat = np.array(entries)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed vectors: {exc}") from None
     if len(dims) != 1:
         raise ValueError(f"vectors differ in dimension: {dims}")
-    if pairs.dtype.kind not in "iuf":
+    if flat.dtype.kind not in "iuf":
         raise ValueError("vector entries must be JSON numbers")
-    pairs = pairs.astype(np.float64, copy=False)
     (dim,) = dims
-    if dim < 1 or pairs.shape != (len(obj), dim, 2):
-        raise ValueError(f"expected {len(obj)} vectors of dim={dim} as [re, im] pairs, "
-                         f"got entries of shape {pairs.shape}")
-    if not np.isfinite(pairs).all():
+    if dim < 1 or lengths != ([dim], [2]) or flat.shape != (len(obj) * dim * 2,):
+        raise ValueError(f"expected {len(obj)} vectors of dim={dim} as [re, im] pairs, got "
+                         f"entries of lengths {lengths[0]} and pairs of lengths {lengths[1]}")
+    flat = flat.astype(np.float64, copy=False)
+    if not np.isfinite(flat).all():
         raise ValueError("vector has non-finite entries")
-    if not floats and bool in map(type, chain.from_iterable(chain.from_iterable(rows))):
+    if bool in set(map(type, entries)):
         raise ValueError("vector entries must be JSON numbers, got a boolean")
-    return pairs.view(np.complex128).reshape(len(obj), dim)
+    return flat.view(np.complex128).reshape(len(obj), dim)
 
 
 def digest_vectors(vectors) -> str:

@@ -204,7 +204,7 @@ def test_zero_one_entries_decode_bit_for_bit_and_one_boolean_among_them_is_refus
     eye = np.eye(1000, 128, dtype=np.complex128)
     obj = json.loads(canonical_json(vectors_to_obj(eye)))
     assert vectors_from_obj(obj).tobytes() == eye.tobytes()
-    # the same entries as tuples are not the written layout, and decode alike
+    # the same entries as tuples decode alike
     as_tuples = [{"dim": v["dim"], "entries": tuple(map(tuple, v["entries"]))} for v in obj[:3]]
     assert vectors_from_obj(as_tuples).tobytes() == eye[:3].tobytes()
     zeros = json.loads(canonical_json(vectors_to_obj(np.zeros((1000, 128)))))
