@@ -6,9 +6,9 @@ intersect (family ...), and an end-to-end demo.
 
 Exit codes distinguish outcomes (main alone maps exceptions to them):
   0  success
-  1  verified negative / failed bound (a definite answer at this budget)
+  1  verified negative, or incline's "failed" certificate (best in budget)
   2  input or usage error, including a file that cannot be read or written
-  3  family build or demo ran out of search budget (build names the level)
+  3  family build, demo or cover ran out of budget (build names the level)
 
 Every output file embeds a manifest (command, argument vector, root seed,
 artifact version, input digests) and is written as canonical JSON, so
@@ -27,7 +27,6 @@ import math
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -132,8 +131,8 @@ def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
     return basis, {"kind": "file", "digest": digest}, digest
 
 
-def _incline_payload(manifest: dict, cert, status: str) -> dict:
-    return {"manifest": manifest, "certificate": {**inclination_to_obj(cert), "status": status}}
+def _incline_payload(manifest: dict, cert) -> dict:
+    return {"manifest": manifest, "certificate": inclination_to_obj(cert)}
 
 
 def _family_payload(manifest: dict, spec, basis_record: dict, rho: float, cert) -> dict:
@@ -202,25 +201,13 @@ def cmd_params(args, argv) -> int:
 
 
 def cmd_incline(args, argv) -> int:
-    vectors = read_vectors(args.input)
-    digest = digest_vectors(vectors)
-    try:
-        cert = find_inclined_vector(vectors, args.bound, args.budget, args.seed,
-                                    family_digest=digest)
-        status, code = "ok", EXIT_OK
-    except BudgetExhausted as exc:
-        # A failed certificate has the fields of a successful one.
-        cert = SimpleNamespace(
-            dimension=exc.best_candidate.size, family_digest=digest,
-            candidate=exc.best_candidate, achieved=exc.best_achieved, bound=args.bound,
-            seed=args.seed, iterations_used=exc.iterations_used)
-        status, code = "failed", EXIT_NEGATIVE
-    payload = _incline_payload(_manifest("incline", argv, args.seed, {"input": digest}),
-                               cert, status)
+    cert = find_inclined_vector(read_vectors(args.input), args.bound, args.budget, args.seed)
+    payload = _incline_payload(
+        _manifest("incline", argv, args.seed, {"input": cert.family_digest}), cert)
     if args.out:
         write_json(args.out, payload)
     print(canonical_json(payload))
-    return code
+    return EXIT_OK if cert.status == "ok" else EXIT_NEGATIVE
 
 
 def cmd_cover(args, argv) -> int:
@@ -237,7 +224,7 @@ def cmd_cover(args, argv) -> int:
     if args.out:
         write_json(args.out, payload)
     print(canonical_json(payload))
-    return EXIT_OK if witness is not None else EXIT_NEGATIVE
+    return EXIT_OK if witness is not None else EXIT_BUDGET
 
 
 def cmd_family_build(args, argv) -> int:
@@ -262,8 +249,13 @@ def cmd_family_verify(args, argv) -> int:
     stored = obj["certificate"]
     if not isinstance(stored, dict):
         raise TypeError(f"the certificate must be a JSON object, got {stored!r}")
+    for key in ("branch", "regime", "basis_digest"):
+        if type(stored[key]) is not str:
+            raise TypeError(f"the certificate's {key} must be a JSON string, got {stored[key]!r}")
     recorded = np.asarray(stored["diagonals"])
-    if recorded.ndim != 1 or recorded.dtype.kind not in "iuf":
+    # a boolean among numbers would be read as 0 or 1
+    if (recorded.ndim != 1 or recorded.dtype.kind not in "iuf"
+            or bool in set(map(type, stored["diagonals"]))):
         raise TypeError("the certificate's diagonals must be a list of numbers")
     max_diagonal = _json_number(stored["max_diagonal"], "max_diagonal")
     bound = _json_number(stored["bound"], "bound")
@@ -273,23 +265,28 @@ def cmd_family_verify(args, argv) -> int:
     basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
-    mismatch = canonical_json({"ok": False, "reason": "certificate mismatch"})
-    if not abs(bound - (1.0 + rho) / 2.0) <= 1e-10 or max_diagonal > bound:
-        print(mismatch)
-        return EXIT_NEGATIVE
-    try:
-        cert = verify_suppression(spec, basis, bound, basis_digest=basis_digest)
-    except SuppressionFailure as exc:
-        print(canonical_json({"ok": False, "max_diagonal": exc.max_diagonal, "bound": exc.bound}))
-        return EXIT_NEGATIVE
-    # Every other stored field must match the recomputation; tampering with
-    # the directions or with any recorded value shows up here.
-    if (recorded.size != len(cert.diagonals)
-            or not np.abs(recorded - cert.diagonals).max() <= 1e-10
-            or not abs(max_diagonal - cert.max_diagonal) <= 1e-10
-            or stored["branch"] != cert.branch or stored["regime"] != cert.regime
-            or stored["basis_digest"] != basis_digest):
-        print(mismatch)
+    # Every stored field must pass its check, in order (tampering with the
+    # directions or with any recorded value shows up); the first miss is named.
+    checks = {"bound": abs(bound - (1.0 + rho) / 2.0) <= 1e-10,
+              "max_diagonal": max_diagonal <= bound}
+    if all(checks.values()):
+        try:
+            cert = verify_suppression(spec, basis, bound, basis_digest=basis_digest)
+        except SuppressionFailure as exc:
+            print(canonical_json({"ok": False, "max_diagonal": exc.max_diagonal,
+                                  "bound": exc.bound}))
+            return EXIT_NEGATIVE
+        checks = {
+            "diagonals": (recorded.size == len(cert.diagonals)
+                          and np.abs(recorded - cert.diagonals).max() <= 1e-10),
+            "max_diagonal": abs(max_diagonal - cert.max_diagonal) <= 1e-10,
+            "branch": stored["branch"] == cert.branch,
+            "regime": stored["regime"] == cert.regime,
+            "basis_digest": stored["basis_digest"] == basis_digest,
+        }
+    failed = [name for name, passed in checks.items() if not passed]
+    if failed:
+        print(canonical_json({"ok": False, "reason": "certificate mismatch", "check": failed[0]}))
         return EXIT_NEGATIVE
     print(canonical_json({"ok": True, "max_diagonal": cert.max_diagonal, "bound": bound}))
     return EXIT_OK
@@ -335,7 +332,9 @@ def cmd_demo(args, argv) -> int:
     vectors = z / np.linalg.norm(z, axis=1, keepdims=True)
     search_seed = derive_seed(root, "demo", "incline", "search")
     cert = find_inclined_vector(vectors, 0.9, 10_000, search_seed)
-    write("incline_certificate.json", _incline_payload(_manifest("demo", argv, root, {}), cert, "ok"))
+    if cert.status != "ok":
+        raise BudgetExhausted(f"no inclined vector within budget 10000 (best {cert.achieved:.6g})")
+    write("incline_certificate.json", _incline_payload(_manifest("demo", argv, root, {}), cert))
 
     # Toy stage, shared seeded basis, all eight depth-3 branches.
     stage = toy_stage([4, 4, 2])

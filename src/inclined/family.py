@@ -73,11 +73,10 @@ _GRAM_STRIP = 128
 class SuppressionFailure(RuntimeError):
     """A diagonal value exceeded the requested bound."""
 
-    def __init__(self, message: str, max_diagonal: float, bound: float, diagonals: np.ndarray):
+    def __init__(self, message: str, max_diagonal: float, bound: float):
         super().__init__(message)
         self.max_diagonal = max_diagonal
         self.bound = bound
-        self.diagonals = diagonals
 
 
 def stage_predicate(m: int, d: int) -> bool:
@@ -372,17 +371,17 @@ def branch_diagonals(spec: BranchProjectionSpec, basis) -> np.ndarray:
 
 
 def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
-             basis_digest: str | None, failure: str) -> SuppressionCertificate:
+             basis_digest: str | None) -> SuppressionCertificate:
     """Every diagonal of spec on the basis rows of mat, certified max <= bound.
 
-    Raises SuppressionFailure with ``failure`` formatted on max_diag and
-    bound otherwise.  A basis_digest of None is computed from mat.
+    Raises SuppressionFailure otherwise.  A basis_digest of None is computed
+    from mat.
     """
     diagonals = _diagonals(spec, mat)
     max_diag = float(diagonals.max())
     if max_diag > bound:
-        raise SuppressionFailure(failure.format(max_diag=max_diag, bound=bound),
-                                 max_diagonal=max_diag, bound=bound, diagonals=diagonals)
+        raise SuppressionFailure(f"diagonal suppression fails: max {max_diag} > bound {bound}",
+                                 max_diagonal=max_diag, bound=bound)
     return SuppressionCertificate(
         basis_digest=digest_vectors(mat) if basis_digest is None else basis_digest,
         branch=spec.branch, diagonals=tuple(diagonals), max_diagonal=max_diag, bound=bound,
@@ -462,20 +461,16 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
     directions = []
     for i, lv in enumerate(stage.levels):
         groups = _level_groups(stage, mat, masses[i], leakage[i], lv, branch[: lv.m])
-        v, achieved, evals, ok = minimize_max_group_norm(
+        v, achieved, _, ok = minimize_max_group_norm(
             groups, target, budget, derive_seed(seed, "level", lv.m))
         del groups  # before the next level's groups are formed
         if not ok:
-            raise BudgetExhausted(
-                f"level {lv.m}: no direction found within budget {budget} "
-                f"(best achieved {achieved:.6g} > {c})",
-                best_achieved=achieved, best_candidate=v,
-                iterations_used=evals, level=lv.m)
+            raise BudgetExhausted(f"level {lv.m}: no direction found within budget {budget} "
+                                  f"(best achieved {achieved:.6g} > {c})", level=lv.m)
         directions.append(v)
 
     spec = BranchProjectionSpec(stage=stage, branch=branch, directions=tuple(directions))
-    return spec, _certify(spec, mat, (1.0 + c * c) / 2.0, basis_digest,
-                          "built projection violates its own bound: {max_diag} > {bound}")
+    return spec, _certify(spec, mat, (1.0 + c * c) / 2.0, basis_digest)
 
 
 def verify_suppression(spec: BranchProjectionSpec, basis, bound: float,
@@ -485,8 +480,7 @@ def verify_suppression(spec: BranchProjectionSpec, basis, bound: float,
     Raises SuppressionFailure when some diagonal exceeds the bound; raises
     ValueError on a stage/basis dimension mismatch.
     """
-    return _certify(spec, basis_matrix(basis, dim=spec.stage.dim), bound, basis_digest,
-                    "diagonal suppression fails: max {max_diag} > bound {bound}")
+    return _certify(spec, basis_matrix(basis, dim=spec.stage.dim), bound, basis_digest)
 
 
 def separating_level(branches: Sequence[str]) -> int:

@@ -56,23 +56,21 @@ CAPACITY_BASE = Fraction(100, 91)
 
 
 class BudgetExhausted(RuntimeError):
-    """Search budget ran out before the target was met.
+    """Search budget ran out before the target was met; explicitly NOT a
+    disproof of existence.  ``level`` names a family build's failing level."""
 
-    Explicitly NOT a disproof of existence: it reports the best value seen.
-    """
-
-    def __init__(self, message: str, best_achieved: float, best_candidate: np.ndarray,
-                 iterations_used: int, level: int | None = None):
+    def __init__(self, message: str, level: int | None = None):
         super().__init__(message)
-        self.best_achieved = best_achieved
-        self.best_candidate = best_candidate
-        self.iterations_used = iterations_used
         self.level = level
 
 
 @dataclass(frozen=True)
 class InclinationCertificate:
-    """A candidate unit vector plus its verified worst normalized inner product."""
+    """A candidate unit vector plus its verified worst normalized inner product.
+
+    ``status`` "ok" certifies achieved <= bound; "failed" records the best
+    candidate found within the budget, which is NOT a disproof.
+    """
 
     dimension: int
     family_digest: str
@@ -81,9 +79,12 @@ class InclinationCertificate:
     bound: float
     seed: int
     iterations_used: int
+    status: str = "ok"
 
     def __post_init__(self):
-        if self.achieved > self.bound:
+        if self.status not in ("ok", "failed"):
+            raise ValueError(f"status must be 'ok' or 'failed', got {self.status!r}")
+        if self.status == "ok" and self.achieved > self.bound:
             raise ValueError(f"achieved {self.achieved} exceeds bound {self.bound}")
         if abs(np.linalg.norm(self.candidate) - 1.0) > 1e-12:
             raise ValueError("certificate candidate is not a unit vector")
@@ -354,41 +355,37 @@ def recompute_achieved(candidate, vectors) -> float:
     return float(np.abs(_unit_rows(vs) @ cand.conj()).max(initial=0.0))
 
 
-def find_inclined_vector(vectors, c: float, budget: int, seed: int,
-                         family_digest: str | None = None) -> InclinationCertificate:
+def find_inclined_vector(vectors, c: float, budget: int, seed: int) -> InclinationCertificate:
     """Search for a unit vector inclined against the whole family.
 
-    On success the certificate's ``achieved`` is recomputed in a single full
-    pass over the raw inputs and satisfies achieved <= c - 1e-9, so the
-    margin absorbs any re-verification rounding.  Raises BudgetExhausted
-    with the best value seen otherwise.  ``family_digest``, when given, is
-    the family's ``digest_vectors`` and is not computed again.
+    The certificate's ``achieved`` is recomputed in a single full pass over
+    the raw inputs.  Its status is "ok" when achieved <= c - 1e-9, so the
+    margin absorbs any re-verification rounding, and "failed" otherwise,
+    with the best candidate found within the budget.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")
     vs = _clean_family(vectors)
-    d = vs.shape[1]
-    digest = digest_vectors(vs) if family_digest is None else family_digest
     target = c - CERT_MARGIN
     cand, achieved, evals, ok = minimize_max_group_norm(
         _unit_rows(vs)[:, None, :], target, budget, seed)
     achieved = recompute_achieved(cand, vs)
-    if not ok or achieved > target:
-        raise BudgetExhausted(
-            f"no inclined vector found within budget {budget}: best achieved {achieved:.6g} > {c}",
-            best_achieved=achieved, best_candidate=cand, iterations_used=evals)
     return InclinationCertificate(
-        dimension=d, family_digest=digest, candidate=cand,
-        achieved=achieved, bound=c, seed=seed, iterations_used=evals)
+        dimension=vs.shape[1], family_digest=digest_vectors(vs), candidate=cand,
+        achieved=achieved, bound=c, seed=seed, iterations_used=evals,
+        status="ok" if ok and achieved <= target else "failed")
 
 
 def verify_inclination(cert: InclinationCertificate, vectors) -> float:
     """Re-verify a certificate against the family it claims to cover.
 
     Recomputes the family digest and the achieved value from scratch;
-    raises ValueError on digest mismatch, on disagreement with the stored
-    achieved beyond 1e-10, or if the bound is violated.
+    raises ValueError on a "failed" certificate, on digest mismatch, on
+    disagreement with the stored achieved beyond 1e-10, or if the bound is
+    violated.
     """
+    if cert.status != "ok":
+        raise ValueError(f"a {cert.status!r} certificate certifies nothing")
     vs = _clean_family(vectors)
     digest = digest_vectors(vs)
     if digest != cert.family_digest:

@@ -207,6 +207,7 @@ def inclination_to_obj(cert) -> dict:
         "bound": float(cert.bound),
         "seed": int(cert.seed),
         "iterations_used": int(cert.iterations_used),
+        "status": cert.status,
     }
 
 
@@ -221,6 +222,7 @@ def inclination_from_obj(obj: Any):
         bound=_json_number(obj["bound"], "bound"),
         seed=_json_int(obj["seed"], "seed"),
         iterations_used=_json_int(obj["iterations_used"], "iterations_used"),
+        status=obj["status"],
     )
 
 
@@ -276,10 +278,10 @@ def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
     if not all(type(v) is dict and v.keys() == {"dim", "entries"}
                and type(v["dim"]) is int and v["dim"] == d for v in obj):
         return None
-    flat = np.array([v["entries"] for v in obj], dtype=np.float64)
-    if flat.shape != (n, 1, 2 * d) or not np.isfinite(flat).all():
+    flat = np.array([v["entries"] for v in obj])  # an integer past 64 bits is an object
+    if flat.dtype.kind not in "iuf" or flat.shape != (n, 1, 2 * d) or not np.isfinite(flat).all():
         return None
-    return flat.view(np.complex128).reshape(n, d)
+    return flat.astype(np.float64, copy=False).view(np.complex128).reshape(n, d)
 
 
 # Below this many bytes of JSON a canonical file is decoded, and a vector

@@ -18,7 +18,7 @@ import inclined
 from inclined import cli
 from inclined.cli import main
 from inclined.family import SuppressionFailure, predicate_sides
-from inclined.search import BudgetExhausted
+from inclined.search import InclinationCertificate
 from inclined import serialize
 from inclined.serialize import branch_spec_from_obj, vectors_to_obj, write_json
 
@@ -173,9 +173,10 @@ def test_cover_single_point_finds_witness(tmp_path, capsys):
 
 
 def test_cover_radius_two_finds_nothing(tmp_path):
+    # a budget miss, not a covering proof
     src = tmp_path / "one.json"
     _write_vectors(src, [np.array([1.0, 0, 0], dtype=complex)])
-    assert main(["cover", str(src), "--radius", "2.0", "--trials", "2000", "--seed", "0"]) == 1
+    assert main(["cover", str(src), "--radius", "2.0", "--trials", "2000", "--seed", "0"]) == 3
 
 
 # ------------------------------------------------------------- family
@@ -258,7 +259,8 @@ def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, caps
     write_json(fam, payload)
     capsys.readouterr()
     assert main(["family", "verify", str(fam)]) == 1
-    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch"}
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch",
+                                                   "check": "diagonals"}
 
 
 def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120):
@@ -395,17 +397,20 @@ def test_family_build_from_basis_file_and_verify(tmp_path, toy_stage_file):
     assert main(["family", "verify", str(fam), "--basis", str(other)]) == 2
 
 
-@pytest.mark.parametrize("edit, seeded", [
-    (lambda payload: payload["certificate"].update(max_diagonal=0.01), False),
-    (lambda payload: payload["certificate"].update(bound=0.1), False),
-    (lambda payload: payload["certificate"].update(branch="11"), False),
-    (lambda payload: payload["certificate"].update(regime="paper"), False),
-    (lambda payload: payload["certificate"].update(basis_digest="x"), False),
-    (lambda payload: payload["certificate"].update(basis_digest="x"), True),
-    (lambda payload: payload.update(rho=0.5), False),
-], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "basis-digest-seeded", "rho"])
-def test_family_verify_edited_certificate_field_exits_one(edit, seeded, tmp_path, toy_stage_file,
-                                                          capsys):
+@pytest.mark.parametrize("edit, seeded, check", [
+    (lambda payload: payload["certificate"].update(max_diagonal=0.01), False, "max_diagonal"),
+    (lambda payload: payload["certificate"].update(bound=0.1), False, "bound"),
+    (lambda payload: payload["certificate"].update(branch="11"), False, "branch"),
+    (lambda payload: payload["certificate"].update(regime="paper"), False, "regime"),
+    (lambda payload: payload["certificate"].update(basis_digest="x"), False, "basis_digest"),
+    (lambda payload: payload["certificate"].update(basis_digest="x"), True, "basis_digest"),
+    (lambda payload: payload.update(rho=0.5), False, "bound"),
+    (lambda payload: payload["certificate"]["diagonals"].pop(), False, "diagonals"),
+    (lambda payload: payload["certificate"]["diagonals"].__setitem__(0, 0.5), False, "diagonals"),
+], ids=["max-diagonal", "bound", "branch", "regime", "basis-digest", "basis-digest-seeded", "rho",
+        "diagonals-size", "diagonals-value"])
+def test_family_verify_edited_certificate_field_exits_one(edit, seeded, check, tmp_path,
+                                                          toy_stage_file, capsys):
     from inclined import random_orthonormal_basis
 
     basis = "random"
@@ -420,7 +425,8 @@ def test_family_verify_edited_certificate_field_exits_one(edit, seeded, tmp_path
     write_json(fam, payload)
     capsys.readouterr()
     assert main(["family", "verify", str(fam), *([] if seeded else ["--basis", basis])]) == 1
-    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch"}
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch",
+                                                   "check": check}
 
 
 def test_paper_stage_with_a_huge_alphabet_is_decided_at_once(tmp_path):
@@ -559,6 +565,11 @@ _FAMILY_EDITS = {
     "level_repeated": lambda payload: payload["levels"][1].update(
         m=1, sigma=payload["levels"][0]["sigma"]),
     "branch_number": lambda payload: payload.update(branch=int(payload["branch"])),
+    # certificate fields of the wrong JSON type, not edited values
+    "cert_branch_number": lambda payload: payload["certificate"].update(branch=10),
+    "cert_regime_null": lambda payload: payload["certificate"].update(regime=None),
+    "cert_digest_number": lambda payload: payload["certificate"].update(basis_digest=7),
+    "cert_diagonal_true": lambda payload: payload["certificate"]["diagonals"].__setitem__(0, True),
 }
 
 
@@ -571,6 +582,8 @@ _FAMILY_EDITS = {
     ([{"dim": 2, "entries": [["0.6", 0], [True, False]]}], ["incline", "{v}", "--bound", "0.9"]),
     ([{"dim": 2, "entries": [[True, False], [False, True]]}], ["incline", "{v}", "--bound", "0.9"]),
     ([{"dim": 2, "entries": [[1.0, 0.0], [None, 1.0]]}], ["incline", "{v}", "--bound", "0.9"]),
+    # written in the canonical layout, which has its own decode
+    ([{"dim": 1, "entries": [[2 ** 64, 0]]}], ["incline", "{v}", "--bound", "0.9"]),
     (None, ["cover", "{v}", "--radius", "nan"]),
     (None, ["cover", "{v}", "--radius", "0"]),
     (None, ["params", "--m", "0"]),
@@ -595,8 +608,12 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{rho_above_one}"]),
     (None, ["family", "verify", "{level_repeated}"]),
     (None, ["family", "verify", "{branch_number}"]),
+    (None, ["family", "verify", "{cert_branch_number}"]),
+    (None, ["family", "verify", "{cert_regime_null}"]),
+    (None, ["family", "verify", "{cert_digest_number}"]),
+    (None, ["family", "verify", "{cert_diagonal_true}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
-        "string-entry", "bool-entry", "null-entry",
+        "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
         "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
         "verify-random-basis-too-large", "verify-basis-n-list", "verify-0.4.0-random-basis",
@@ -604,7 +621,9 @@ _FAMILY_EDITS = {
         "verify-certificate-string", "verify-stage-d-string", "verify-stage-m-float",
         "verify-level-m-float", "verify-direction-dim-float", "verify-bound-too-large-for-float",
         "verify-rho-negative", "verify-rho-above-one", "verify-level-repeated",
-        "verify-branch-number"])
+        "verify-branch-number", "verify-certificate-branch-number",
+        "verify-certificate-regime-null", "verify-certificate-digest-number",
+        "verify-certificate-diagonal-true"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
@@ -643,18 +662,22 @@ def _raise(exc):
     return fail
 
 
-@pytest.mark.parametrize("target, exc, argv, code", [
-    ("find_inclined_vector", BudgetExhausted("no vector", best_achieved=1.0,
-                                             best_candidate=np.ones(1), iterations_used=1),
-     ["demo", "--outdir", "{out}"], 3),
-    ("build_branch_projection", SuppressionFailure("over the bound", max_diagonal=1.0, bound=0.9,
-                                                   diagonals=np.ones(1)),
+def _failed_certificate(vectors, c, budget, seed):
+    return InclinationCertificate(dimension=1, family_digest="x", candidate=np.ones(1),
+                                  achieved=1.0, bound=c, seed=seed, iterations_used=budget,
+                                  status="failed")
+
+
+@pytest.mark.parametrize("target, run, argv, code", [
+    ("find_inclined_vector", _failed_certificate, ["demo", "--outdir", "{out}"], 3),
+    ("build_branch_projection",
+     _raise(SuppressionFailure("over the bound", max_diagonal=1.0, bound=0.9)),
      ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
       "--out", "{out}/f.json"], 1),
 ], ids=["demo-budget", "build-suppression"])
-def test_uncaught_outcomes_keep_the_exit_code_contract(target, exc, argv, code, toy_stage_file,
+def test_uncaught_outcomes_keep_the_exit_code_contract(target, run, argv, code, toy_stage_file,
                                                        tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, target, _raise(exc))
+    monkeypatch.setattr(cli, target, run)
     assert main([arg.format(stage=toy_stage_file, out=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err

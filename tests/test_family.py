@@ -521,7 +521,8 @@ def test_build_budget_exhaustion_names_level():
     with pytest.raises(BudgetExhausted) as info:
         build_branch_projection(stage, basis, "0", 0.5, 300, 0)
     assert info.value.level == 1
-    assert info.value.best_achieved >= 1 / math.sqrt(2) - 1e-9
+    best = float(str(info.value).split("best achieved ")[1].split(" ")[0])  # to 6 digits
+    assert best >= 1 / math.sqrt(2) - 1e-6
 
 
 def test_adversarial_basis_direction_fails_verification():

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inclined import (
-    BudgetExhausted,
     capacity,
     complexify,
     cover_witness,
@@ -227,12 +226,15 @@ def test_search_input_validation():
 
 
 def test_budget_exhaustion_reports_best():
-    with pytest.raises(BudgetExhausted) as info:
-        find_inclined_vector([E2[0], E2[1]], 0.0001, 300, 1)
-    exc = info.value
-    assert exc.best_achieved >= 1 / math.sqrt(2) - 1e-9
-    assert exc.iterations_used <= 300
-    assert abs(np.linalg.norm(exc.best_candidate) - 1.0) <= 1e-12
+    cert = find_inclined_vector([E2[0], E2[1]], 0.0001, 300, 1)
+    assert cert.status == "failed"
+    assert cert.achieved >= 1 / math.sqrt(2) - 1e-9
+    assert cert.achieved == recompute_achieved(cert.candidate, [E2[0], E2[1]])
+    assert cert.iterations_used <= 300
+    assert abs(np.linalg.norm(cert.candidate) - 1.0) <= 1e-12
+    # a failed certificate is not a disproof, and it certifies nothing
+    with pytest.raises(ValueError, match="failed"):
+        verify_inclination(cert, [E2[0], E2[1]])
 
 
 def test_certificate_roundtrip_and_tamper_detection():
@@ -259,6 +261,13 @@ def test_certificate_invariants_enforced():
     with pytest.raises(ValueError):
         InclinationCertificate(dimension=2, family_digest="x", candidate=2 * E2[0],
                                achieved=0.1, bound=0.9, seed=0, iterations_used=1)
+    with pytest.raises(ValueError, match="status"):
+        InclinationCertificate(dimension=2, family_digest="x", candidate=E2[0],
+                               achieved=0.1, bound=0.9, seed=0, iterations_used=1,
+                               status="undecided")
+    # a failed certificate records a best value above its bound
+    InclinationCertificate(dimension=2, family_digest="x", candidate=E2[0],
+                           achieved=0.95, bound=0.9, seed=0, iterations_used=1, status="failed")
 
 
 def test_moderate_dimension_search_with_independent_reverification():
@@ -290,14 +299,6 @@ def test_recompute_achieved_matches_a_loop_over_members():
     cand /= np.linalg.norm(cand)
     loop = max(abs(np.vdot(v, cand)) / np.linalg.norm(v) for v in family if np.linalg.norm(v) > 0)
     assert recompute_achieved(cand, family) == pytest.approx(loop, abs=1e-15)
-
-
-def test_given_family_digest_is_not_recomputed():
-    family = [E2[0], E2[1]]
-    cert = find_inclined_vector(family, 0.9, 100, 0, family_digest="given")
-    assert cert.family_digest == "given"
-    computed = find_inclined_vector(family, 0.9, 100, 0)
-    np.testing.assert_array_equal(cert.candidate, computed.candidate)
 
 
 # ------------------------------------------------------- search kernel

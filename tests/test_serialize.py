@@ -175,7 +175,15 @@ def test_inclination_certificate_round_trip():
     again = inclination_from_obj(json.loads(canonical_json(inclination_to_obj(cert))))
     assert again.achieved == cert.achieved
     assert again.family_digest == cert.family_digest
+    assert again.status == "ok"
     np.testing.assert_array_equal(again.candidate, cert.candidate)
+    failed = find_inclined_vector(family, 0.01, 20, 3)
+    again = inclination_from_obj(json.loads(canonical_json(inclination_to_obj(failed))))
+    assert (again.status, again.achieved) == ("failed", failed.achieved)
+    obj = inclination_to_obj(cert)
+    obj["status"] = "undecided"
+    with pytest.raises(ValueError, match="status"):
+        inclination_from_obj(obj)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -332,8 +340,9 @@ _PAIRS = [[1.5, -0.0], [0.25, 2.0]]
     '[{"dim":2,"entries":[[1e400,0.0],[0.0,1.0]]}]',
     '[{"dim":2.0,"entries":[[1.0,0.0],[0.0,1.0]]}]',
     '[{"dim":2,"entries":[["1.0",0.0],[0.0,1.0]]}]',
+    '[{"dim":1,"entries":[[18446744073709551616,0]]}]',
 ], ids=["indent-2", "entries-first", "extra-key", "spaces", "nan", "1e400",
-        "float-dim", "string-entry"])
+        "float-dim", "string-entry", "int-2**64"])
 def test_non_canonical_layouts_take_the_general_decode(text):
     assert serialize._read_canonical_vectors(text.encode("utf-8")) is None
     assert _same(_read(text), _general(text))
