@@ -265,26 +265,21 @@ def cmd_family_verify(args, argv) -> int:
     basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
+    cert = verify_suppression(spec, basis, bound, basis_digest=basis_digest)
     # Every stored field must pass its check, in order (tampering with the
     # directions or with any recorded value shows up); the first miss is named.
-    checks = {"bound": abs(bound - (1.0 + rho) / 2.0) <= 1e-10,
-              "max_diagonal": max_diagonal <= bound}
-    if all(checks.values()):
-        try:
-            cert = verify_suppression(spec, basis, bound, basis_digest=basis_digest)
-        except SuppressionFailure as exc:
-            print(canonical_json({"ok": False, "max_diagonal": exc.max_diagonal,
-                                  "bound": exc.bound}))
-            return EXIT_NEGATIVE
-        checks = {
-            "diagonals": (recorded.size == len(cert.diagonals)
-                          and np.abs(recorded - cert.diagonals).max() <= 1e-10),
-            "max_diagonal": abs(max_diagonal - cert.max_diagonal) <= 1e-10,
-            "branch": stored["branch"] == cert.branch,
-            "regime": stored["regime"] == cert.regime,
-            "basis_digest": stored["basis_digest"] == basis_digest,
-        }
-    failed = [name for name, passed in checks.items() if not passed]
+    checks = [
+        ("bound", abs(bound - (1.0 + rho) / 2.0) <= 1e-10),
+        ("max_diagonal", max_diagonal <= bound),
+        ("diagonals", recorded.size == len(cert.diagonals)
+         and np.abs(recorded - cert.diagonals).max() <= 1e-10),
+        ("max_diagonal", cert.max_diagonal <= bound
+         and abs(max_diagonal - cert.max_diagonal) <= 1e-10),
+        ("branch", stored["branch"] == cert.branch),
+        ("regime", stored["regime"] == cert.regime),
+        ("basis_digest", stored["basis_digest"] == basis_digest),
+    ]
+    failed = [name for name, passed in checks if not passed]
     if failed:
         print(canonical_json({"ok": False, "reason": "certificate mismatch", "check": failed[0]}))
         return EXIT_NEGATIVE

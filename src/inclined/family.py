@@ -71,12 +71,7 @@ _GRAM_STRIP = 128
 
 
 class SuppressionFailure(RuntimeError):
-    """A diagonal value exceeded the requested bound."""
-
-    def __init__(self, message: str, max_diagonal: float, bound: float):
-        super().__init__(message)
-        self.max_diagonal = max_diagonal
-        self.bound = bound
+    """A built branch projection has a diagonal above the bound it was built for."""
 
 
 def stage_predicate(m: int, d: int) -> bool:
@@ -323,7 +318,7 @@ class BranchProjectionSpec:
 
 @dataclass(frozen=True)
 class SuppressionCertificate:
-    """Recorded diagonals <P e_k, e_k> with their certified upper bound."""
+    """Diagonals <P e_k, e_k>; the bound holds when max_diagonal <= bound."""
 
     basis_digest: str
     branch: str
@@ -334,8 +329,6 @@ class SuppressionCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "diagonals", tuple(float(x) for x in self.diagonals))
-        if self.max_diagonal > self.bound:
-            raise ValueError(f"max diagonal {self.max_diagonal} exceeds bound {self.bound}")
 
 
 def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:
@@ -372,20 +365,13 @@ def branch_diagonals(spec: BranchProjectionSpec, basis) -> np.ndarray:
 
 def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
              basis_digest: str | None) -> SuppressionCertificate:
-    """Every diagonal of spec on the basis rows of mat, certified max <= bound.
-
-    Raises SuppressionFailure otherwise.  A basis_digest of None is computed
-    from mat.
-    """
+    """Every diagonal of spec on the basis rows of mat, whatever their maximum
+    (the bound holds when max_diagonal <= bound); a None basis_digest is mat's."""
     diagonals = _diagonals(spec, mat)
-    max_diag = float(diagonals.max())
-    if max_diag > bound:
-        raise SuppressionFailure(f"diagonal suppression fails: max {max_diag} > bound {bound}",
-                                 max_diagonal=max_diag, bound=bound)
     return SuppressionCertificate(
         basis_digest=digest_vectors(mat) if basis_digest is None else basis_digest,
-        branch=spec.branch, diagonals=tuple(diagonals), max_diagonal=max_diag, bound=bound,
-        regime=spec.stage.regime)
+        branch=spec.branch, diagonals=tuple(diagonals), max_diagonal=float(diagonals.max()),
+        bound=bound, regime=spec.stage.regime)
 
 
 def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
@@ -447,7 +433,8 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
     from the basis rows and the directions.  Level searches draw their
     seeds from (seed, level), so branches sharing a prefix produce identical
     directions on the shared levels.  Raises BudgetExhausted naming the
-    failing level if a search does not finish.
+    failing level if a search does not finish, and SuppressionFailure if the
+    certificate's maximum exceeds the bound (1+c^2)/2.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")
@@ -470,16 +457,18 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
         directions.append(v)
 
     spec = BranchProjectionSpec(stage=stage, branch=branch, directions=tuple(directions))
-    return spec, _certify(spec, mat, (1.0 + c * c) / 2.0, basis_digest)
+    cert = _certify(spec, mat, (1.0 + c * c) / 2.0, basis_digest)
+    if not cert.max_diagonal <= cert.bound:
+        raise SuppressionFailure(
+            f"diagonal suppression fails: max {cert.max_diagonal} > bound {cert.bound}")
+    return spec, cert
 
 
 def verify_suppression(spec: BranchProjectionSpec, basis, bound: float,
                        basis_digest: str | None = None) -> SuppressionCertificate:
-    """Recompute every diagonal and certify max <= bound.
-
-    Raises SuppressionFailure when some diagonal exceeds the bound; raises
-    ValueError on a stage/basis dimension mismatch.
-    """
+    """Recompute every diagonal, whatever their maximum: the bound holds when
+    the returned max_diagonal <= bound.  Raises ValueError on a stage/basis
+    dimension mismatch."""
     return _certify(spec, basis_matrix(basis, dim=spec.stage.dim), bound, basis_digest)
 
 

@@ -72,7 +72,6 @@ class InclinationCertificate:
     candidate found within the budget, which is NOT a disproof.
     """
 
-    dimension: int
     family_digest: str
     candidate: np.ndarray
     achieved: float
@@ -88,6 +87,10 @@ class InclinationCertificate:
             raise ValueError(f"achieved {self.achieved} exceeds bound {self.bound}")
         if abs(np.linalg.norm(self.candidate) - 1.0) > 1e-12:
             raise ValueError("certificate candidate is not a unit vector")
+
+    @property
+    def dimension(self) -> int:
+        return self.candidate.size
 
 
 @dataclass(frozen=True)
@@ -371,9 +374,8 @@ def find_inclined_vector(vectors, c: float, budget: int, seed: int) -> Inclinati
         _unit_rows(vs)[:, None, :], target, budget, seed)
     achieved = recompute_achieved(cand, vs)
     return InclinationCertificate(
-        dimension=vs.shape[1], family_digest=digest_vectors(vs), candidate=cand,
-        achieved=achieved, bound=c, seed=seed, iterations_used=evals,
-        status="ok" if ok and achieved <= target else "failed")
+        family_digest=digest_vectors(vs), candidate=cand, achieved=achieved, bound=c, seed=seed,
+        iterations_used=evals, status="ok" if ok and achieved <= target else "failed")
 
 
 def verify_inclination(cert: InclinationCertificate, vectors) -> float:
@@ -391,9 +393,9 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
     if digest != cert.family_digest:
         raise ValueError("family digest mismatch: certificate does not belong to these vectors")
     achieved = recompute_achieved(cert.candidate, vs)
-    if abs(achieved - cert.achieved) > 1e-10:
+    if not abs(achieved - cert.achieved) <= 1e-10:
         raise ValueError(f"stored achieved {cert.achieved} differs from recomputed {achieved}")
-    if achieved > cert.bound:
+    if not achieved <= cert.bound:
         raise ValueError(f"recomputed achieved {achieved} exceeds bound {cert.bound}")
     return achieved
 

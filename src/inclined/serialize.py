@@ -17,6 +17,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import math
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
@@ -63,9 +64,10 @@ def _json_int(value: Any, name: str) -> int:
 
 
 def _json_number(value: Any, name: str) -> float:
-    """A field that must be a JSON number; float() would also take "0.5" or true."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    """A field that must be a finite JSON number; float() would also take "0.5"
+    or true, and json.loads reads NaN, Infinity and 1e400 as non-finite floats."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"{name} must be a finite JSON number, got {value!r}")
     return float(value)
 
 
@@ -214,8 +216,8 @@ def inclination_to_obj(cert) -> dict:
 def inclination_from_obj(obj: Any):
     from .search import InclinationCertificate
 
-    return InclinationCertificate(
-        dimension=_json_int(obj["d"], "d"),
+    d = _json_int(obj["d"], "d")
+    cert = InclinationCertificate(
         family_digest=str(obj["family_digest"]),
         candidate=vector_from_obj(obj["candidate"]),
         achieved=_json_number(obj["achieved"], "achieved"),
@@ -224,6 +226,9 @@ def inclination_from_obj(obj: Any):
         iterations_used=_json_int(obj["iterations_used"], "iterations_used"),
         status=obj["status"],
     )
+    if d != cert.dimension:
+        raise ValueError(f"d {d} is not the candidate's length {cert.dimension}")
+    return cert
 
 
 def write_json(path: str | Path, obj: Any) -> None:

@@ -210,20 +210,70 @@ def test_family_verify_tampered_direction_exits_one(tmp_path, toy_stage_file):
     assert main(["family", "verify", str(fam)]) == 1
 
 
-def test_family_verify_checks_the_recorded_bound_of_any_rho(tmp_path, capsys):
-    # bound (1 + 0.99) / 2 = 0.995, above the 19/20 of the default rho
+def _eye_family(tmp_path):
+    """Toy stage [2] built at rho 0.99 on the standard basis of C^4: the
+    family file and its basis file."""
     write_json(tmp_path / "stage.json", {"regime": "toy", "levels": [{"m": 1, "d": 2}]})
     _write_vectors(tmp_path / "basis.json", list(np.eye(4, dtype=complex)))
     fam = tmp_path / "fam.json"
     assert main(["family", "build", "--stage", str(tmp_path / "stage.json"), "--branch", "0",
                  "--basis", str(tmp_path / "basis.json"), "--rho", "0.99", "--seed", "3",
                  "--out", str(fam)]) == 0
+    return fam, str(tmp_path / "basis.json")
+
+
+def test_family_verify_checks_the_recorded_bound_of_any_rho(tmp_path, capsys):
+    # bound (1 + 0.99) / 2 = 0.995, above the 19/20 of the default rho
+    fam, basis = _eye_family(tmp_path)
     cert = json.loads(fam.read_text())["certificate"]
     assert cert["bound"] == 0.995 and cert["max_diagonal"] > RHO_DEFAULT_BOUND
     capsys.readouterr()
-    assert main(["family", "verify", str(fam), "--basis", str(tmp_path / "basis.json")]) == 0
+    assert main(["family", "verify", str(fam), "--basis", basis]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "ok": True, "max_diagonal": cert["max_diagonal"], "bound": 0.995}
+
+
+def test_family_verify_of_a_diagonal_over_the_bound_names_the_check(tmp_path, capsys):
+    # The direction edited to e_0 gives e_0 the diagonal 1 > 0.995; the
+    # recomputation is compared like any other, and the first miss is named.
+    fam, basis = _eye_family(tmp_path)
+    payload = json.loads(fam.read_text())
+    payload["levels"][0]["direction"]["entries"] = [[1.0, 0.0], [0.0, 0.0]]
+    write_json(fam, payload)
+    capsys.readouterr()
+    assert main(["family", "verify", str(fam), "--basis", basis]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch",
+                                                   "check": "diagonals"}
+
+
+def test_family_verify_of_a_maximum_just_over_the_bound_names_max_diagonal(
+        tmp_path, toy_stage_file, monkeypatch, capsys):
+    # Recomputed diagonals 5e-11 above the bound match recorded ones at the
+    # bound within 1e-10, yet the recomputed maximum must not exceed it.
+    _, fam = _build(tmp_path, toy_stage_file, "01")
+    payload = json.loads(fam.read_text())
+    cert = payload["certificate"]
+    cert.update(diagonals=[cert["bound"]] * len(cert["diagonals"]), max_diagonal=cert["bound"])
+    write_json(fam, payload)
+    monkeypatch.setattr("inclined.family._diagonals",
+                        lambda spec, mat: np.full(mat.shape[0], cert["bound"] + 5e-11))
+    capsys.readouterr()
+    assert main(["family", "verify", str(fam)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"ok": False, "reason": "certificate mismatch",
+                                                   "check": "max_diagonal"}
+
+
+def test_family_build_over_its_own_bound_exits_one_and_writes_nothing(
+        tmp_path, toy_stage_file, monkeypatch, capsys):
+    # diagonals above (1 + 0.9) / 2: only the build raises SuppressionFailure
+    monkeypatch.setattr("inclined.family._diagonals", lambda spec, mat: np.full(mat.shape[0], 0.96))
+    rc, fam = _build(tmp_path, toy_stage_file, "01")
+    assert rc == 1
+    assert not fam.exists()
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: diagonal suppression fails: max 0.96 > bound 0.95"]
 
 
 def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
@@ -570,6 +620,8 @@ _FAMILY_EDITS = {
     "cert_regime_null": lambda payload: payload["certificate"].update(regime=None),
     "cert_digest_number": lambda payload: payload["certificate"].update(basis_digest=7),
     "cert_diagonal_true": lambda payload: payload["certificate"]["diagonals"].__setitem__(0, True),
+    # json.loads reads the token NaN (which write_json never writes) as a float
+    "cert_max_diagonal_nan": lambda payload: payload["certificate"].update(max_diagonal=math.nan),
 }
 
 
@@ -612,6 +664,7 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{cert_regime_null}"]),
     (None, ["family", "verify", "{cert_digest_number}"]),
     (None, ["family", "verify", "{cert_diagonal_true}"]),
+    (None, ["family", "verify", "{cert_max_diagonal_nan}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
         "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
@@ -623,7 +676,7 @@ _FAMILY_EDITS = {
         "verify-rho-negative", "verify-rho-above-one", "verify-level-repeated",
         "verify-branch-number", "verify-certificate-branch-number",
         "verify-certificate-regime-null", "verify-certificate-digest-number",
-        "verify-certificate-diagonal-true"])
+        "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
@@ -641,7 +694,7 @@ def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage
             payload = json.loads(families["fam"].read_text())
             edit(payload)
             families[name] = tmp_path / f"{name}.json"
-            write_json(families[name], payload)
+            families[name].write_text(json.dumps(payload))  # json.dumps writes NaN
     paper = tmp_path / "paper.json"
     write_json(paper, {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
     try:
@@ -663,7 +716,7 @@ def _raise(exc):
 
 
 def _failed_certificate(vectors, c, budget, seed):
-    return InclinationCertificate(dimension=1, family_digest="x", candidate=np.ones(1),
+    return InclinationCertificate(family_digest="x", candidate=np.ones(1),
                                   achieved=1.0, bound=c, seed=seed, iterations_used=budget,
                                   status="failed")
 
@@ -671,7 +724,7 @@ def _failed_certificate(vectors, c, budget, seed):
 @pytest.mark.parametrize("target, run, argv, code", [
     ("find_inclined_vector", _failed_certificate, ["demo", "--outdir", "{out}"], 3),
     ("build_branch_projection",
-     _raise(SuppressionFailure("over the bound", max_diagonal=1.0, bound=0.9)),
+     _raise(SuppressionFailure("over the bound")),
      ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
       "--out", "{out}/f.json"], 1),
 ], ids=["demo-budget", "build-suppression"])

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from inclined import (
 )
 from inclined import search
 from inclined.search import _STEP_SCHEDULE, InclinationCertificate, minimize_max_group_norm
+from inclined.serialize import inclination_from_obj, read_json, read_vectors
 
 TIE_SHARE, TIE_MAX_GROUPS = 0.1, 16  # the kernel's tie-step constants, restated
 
@@ -244,7 +247,7 @@ def test_certificate_roundtrip_and_tamper_detection():
     assert verify_inclination(cert, family) == pytest.approx(cert.achieved, abs=1e-10)
     # candidate tampered: recomputed achieved will not match the stored one
     tampered = InclinationCertificate(
-        dimension=cert.dimension, family_digest=cert.family_digest,
+        family_digest=cert.family_digest,
         candidate=np.roll(cert.candidate, 1), achieved=cert.achieved,
         bound=cert.bound, seed=cert.seed, iterations_used=cert.iterations_used)
     with pytest.raises(ValueError):
@@ -254,19 +257,37 @@ def test_certificate_roundtrip_and_tamper_detection():
         verify_inclination(cert, family[:-1])
 
 
+def test_a_nan_achieved_or_bound_fails_verification():
+    # NaN compares false both ways, so only pass conditions refuse it
+    rng = np.random.default_rng(7)
+    family = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(10)]
+    cert = find_inclined_vector(family, 0.9, 500, 2)
+    for field in ("achieved", "bound"):
+        with pytest.raises(ValueError):
+            verify_inclination(dataclasses.replace(cert, **{field: math.nan}), family)
+
+
+def test_incline_certificate_written_by_0_9_0_verifies():
+    # Built by version 0.9.0: `incline incline_v090_vectors.json --bound 0.45 --seed 9`.
+    data = Path(__file__).parent / "data"
+    cert = inclination_from_obj(read_json(data / "incline_v090.json")["certificate"])
+    achieved = verify_inclination(cert, read_vectors(data / "incline_v090_vectors.json"))
+    assert abs(achieved - cert.achieved) <= 1e-10
+
+
 def test_certificate_invariants_enforced():
     with pytest.raises(ValueError):
-        InclinationCertificate(dimension=2, family_digest="x", candidate=E2[0],
+        InclinationCertificate(family_digest="x", candidate=E2[0],
                                achieved=0.95, bound=0.9, seed=0, iterations_used=1)
     with pytest.raises(ValueError):
-        InclinationCertificate(dimension=2, family_digest="x", candidate=2 * E2[0],
+        InclinationCertificate(family_digest="x", candidate=2 * E2[0],
                                achieved=0.1, bound=0.9, seed=0, iterations_used=1)
     with pytest.raises(ValueError, match="status"):
-        InclinationCertificate(dimension=2, family_digest="x", candidate=E2[0],
+        InclinationCertificate(family_digest="x", candidate=E2[0],
                                achieved=0.1, bound=0.9, seed=0, iterations_used=1,
                                status="undecided")
     # a failed certificate records a best value above its bound
-    InclinationCertificate(dimension=2, family_digest="x", candidate=E2[0],
+    InclinationCertificate(family_digest="x", candidate=E2[0],
                            achieved=0.95, bound=0.9, seed=0, iterations_used=1, status="failed")
 
 

@@ -187,13 +187,27 @@ def test_inclination_certificate_round_trip():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("d", "2"), ("achieved", "0.5"), ("bound", True), ("seed", "3"), ("iterations_used", 4.9)])
+    ("d", "2"), ("achieved", "0.5"), ("bound", True), ("seed", "3"), ("iterations_used", 4.9),
+    # json.loads reads these tokens and literals as non-finite floats
+    ("achieved", json.loads("NaN")), ("bound", json.loads("NaN")),
+    ("bound", json.loads("Infinity")), ("achieved", json.loads("1e400"))])
 def test_inclination_fields_take_json_types_strictly(field, value):
     cert = find_inclined_vector([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 0.9, 200, 3)
     obj = json.loads(canonical_json(inclination_to_obj(cert)))
     inclination_from_obj(obj)  # the unedited record is accepted
     obj[field] = value
     with pytest.raises(TypeError, match=field):
+        inclination_from_obj(obj)
+
+
+def test_an_inclination_record_whose_d_is_not_its_candidate_length_is_refused():
+    rng = np.random.default_rng(5)
+    cert = find_inclined_vector(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)),
+                                0.9, 200, 3)
+    obj = json.loads(canonical_json(inclination_to_obj(cert)))
+    assert inclination_from_obj(obj).dimension == obj["d"] == 4
+    obj["d"] = 99
+    with pytest.raises(ValueError, match="d 99 is not the candidate's length 4"):
         inclination_from_obj(obj)
 
 
