@@ -255,8 +255,8 @@ def cmd_family_verify(args, argv) -> int:
     recorded = np.asarray(stored["diagonals"])
     # a boolean among numbers would be read as 0 or 1
     if (recorded.ndim != 1 or recorded.dtype.kind not in "iuf"
-            or bool in set(map(type, stored["diagonals"]))):
-        raise TypeError("the certificate's diagonals must be a list of numbers")
+            or bool in set(map(type, stored["diagonals"])) or not np.isfinite(recorded).all()):
+        raise TypeError("the certificate's diagonals must be a list of finite numbers")
     max_diagonal = _json_number(stored["max_diagonal"], "max_diagonal")
     bound = _json_number(stored["bound"], "bound")
     rho = _json_number(obj["rho"], "rho")

@@ -45,7 +45,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .hilbert import _row_blocks, as_vector
+from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family, as_vector
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
@@ -208,21 +208,16 @@ def paper_stage(alphabet_sizes: Sequence[int]) -> StageParameters:
 
 
 def basis_matrix(basis, dim: int | None = None) -> np.ndarray:
-    """A vector family as the rows of an (n, d) array, checked orthonormal.
+    """A vector family as the rows of an (n, d) array (hilbert.as_family),
+    checked orthonormal.
 
-    The entries must be finite and the Gram matrix must equal the identity
-    within 1e-8 entrywise.  The Gram matrix is Hermitian, so only its lower
-    triangle is formed, in strips of _GRAM_STRIP columns: each unordered
-    pair of rows is checked once, and the check needs O(_GRAM_STRIP * n)
-    scratch instead of the full n x n product.
+    The Gram matrix must equal the identity within 1e-8 entrywise.  It is
+    Hermitian, so only its lower triangle is formed, in strips of
+    _GRAM_STRIP columns: each unordered pair of rows is checked once, and
+    the check needs O(_GRAM_STRIP * n) scratch instead of the full n x n
+    product.
     """
-    mat = np.ascontiguousarray(basis, dtype=np.complex128)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"expected a nonempty (n, d) vector family, got shape {mat.shape}")
-    if dim is not None and mat.shape[1] != dim:
-        raise ValueError(f"basis vectors have dimension {mat.shape[1]}, expected {dim}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("basis has non-finite entries")
+    mat = as_family(basis, dim)
     err = 0.0
     for i in range(0, mat.shape[0], _GRAM_STRIP):
         strip = mat[i:] @ mat[i:i + _GRAM_STRIP].conj().T  # Gram rows i.., columns i..i+w
@@ -491,12 +486,18 @@ def branch_intersection(specs: Sequence[BranchProjectionSpec]) -> tuple[np.ndarr
     tensor of their directions (padded with a fixed basis direction on the
     unused axes) is fixed by each of them; embedded at level m it is fixed
     by every full branch projection.  A residual above 1e-10 raises.
+    Raises ValueError, before allocating, when the complex128 vector of the
+    stage (16 * stage.dim bytes) passes hilbert.RANDOM_BASIS_CAP_BYTES.
     """
     if len(specs) < 2:
         raise ValueError("need at least two branch projections")
     stage = specs[0].stage
     if any(s.stage != stage for s in specs):
         raise ValueError("branch projections live on different stages")
+    if 16 * stage.dim > RANDOM_BASIS_CAP_BYTES:
+        raise ValueError(f"an intersection vector of C^{stage.dim} needs "
+                         f"{16 * stage.dim / 2 ** 30:.3g} GiB, above the "
+                         f"{RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap")
     m = separating_level([s.branch for s in specs])
     lv = stage.levels[m - 1]
     e0 = np.zeros(lv.d, dtype=np.complex128)

@@ -23,9 +23,9 @@ DENSE_ORACLE_CAP = 4096
 # n <= 8192.  The draw holds one such matrix plus one row block of scratch.
 RANDOM_BASIS_CAP_BYTES = 2 ** 30
 
-# Scratch for one block of rows in the passes that go over a basis matrix a
-# row block at a time (the draw's phase multiplies, and family's masses,
-# search groups and diagonals).
+# Scratch for one block of rows in the passes that go over a matrix a row
+# block at a time (the draw's phase multiplies, family's masses, search
+# groups and diagonals, and cover_witness's trials).
 _ROW_BLOCK_BYTES = 2 ** 20
 
 
@@ -48,6 +48,21 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
+
+
+def as_family(x, dim: int | None = None) -> np.ndarray:
+    """Coerce ``x`` to a C-contiguous (n, d) complex128 array of finite
+    entries, n, d >= 1, optionally checking the width d: as_vector for a
+    family of vectors.  Members of different lengths raise ValueError from
+    numpy."""
+    mat = np.ascontiguousarray(x, dtype=np.complex128)
+    if mat.ndim != 2 or mat.size == 0:
+        raise ValueError(f"expected a nonempty (n, d) family of 1-D vectors, got shape {mat.shape}")
+    if dim is not None and mat.shape[1] != dim:
+        raise ValueError(f"family vectors have dimension {mat.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("family has non-finite entries")
+    return mat
 
 
 def inner(x, y) -> complex:

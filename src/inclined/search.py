@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import as_vector
+from .hilbert import _row_blocks, as_family, as_vector
 from .serialize import digest_vectors
 
 # A certificate must clear its bound by this margin, so that independent
@@ -48,9 +48,6 @@ _GRAM_CACHE_BYTES = 64 * 2 ** 20
 _TIE_SHARE = 0.1
 # ... at most this many of them, largest first.
 _TIE_MAX_GROUPS = 16
-
-# Entries of each (trials, points) float64 temporary of a cover_witness batch.
-_COVER_BATCH_ENTRIES = 2 ** 21
 
 CAPACITY_BASE = Fraction(100, 91)
 
@@ -83,9 +80,10 @@ class InclinationCertificate:
     def __post_init__(self):
         if self.status not in ("ok", "failed"):
             raise ValueError(f"status must be 'ok' or 'failed', got {self.status!r}")
-        if self.status == "ok" and self.achieved > self.bound:
+        # pass conditions, which a NaN fails
+        if self.status == "ok" and not self.achieved <= self.bound:
             raise ValueError(f"achieved {self.achieved} exceeds bound {self.bound}")
-        if abs(np.linalg.norm(self.candidate) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(self.candidate) - 1.0) <= 1e-12:
             raise ValueError("certificate candidate is not a unit vector")
 
     @property
@@ -331,20 +329,8 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     return best_v, evaluate(best_v)[2], evals, False
 
 
-def _clean_family(vectors) -> np.ndarray:
-    """The family as one finite (n, d) complex128 array, n and d >= 1.
-
-    Members of different dimensions raise ValueError from numpy."""
-    mat = np.asarray(vectors, dtype=np.complex128)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValueError(f"expected a nonempty family of 1-D vectors, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("vector has non-finite entries")
-    return mat
-
-
 def _unit_rows(vs: np.ndarray) -> np.ndarray:
-    """The nonzero members of a clean family, each scaled to unit norm; zero
+    """The nonzero members of an as_family array, each scaled to unit norm; zero
     vectors impose no constraint."""
     norms = np.linalg.norm(vs, axis=1)
     keep = norms > 0.0
@@ -353,7 +339,7 @@ def _unit_rows(vs: np.ndarray) -> np.ndarray:
 
 def recompute_achieved(candidate, vectors) -> float:
     """max_j |inner(candidate, x_j)| / ||x_j|| over the nonzero family members."""
-    vs = _clean_family(vectors)
+    vs = as_family(vectors)
     cand = as_vector(candidate, dim=vs.shape[1])
     return float(np.abs(_unit_rows(vs) @ cand.conj()).max(initial=0.0))
 
@@ -368,7 +354,7 @@ def find_inclined_vector(vectors, c: float, budget: int, seed: int) -> Inclinati
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")
-    vs = _clean_family(vectors)
+    vs = as_family(vectors)
     target = c - CERT_MARGIN
     cand, achieved, evals, ok = minimize_max_group_norm(
         _unit_rows(vs)[:, None, :], target, budget, seed)
@@ -388,7 +374,7 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
     """
     if cert.status != "ok":
         raise ValueError(f"a {cert.status!r} certificate certifies nothing")
-    vs = _clean_family(vectors)
+    vs = as_family(vectors)
     digest = digest_vectors(vs)
     if digest != cert.family_digest:
         raise ValueError("family digest mismatch: certificate does not belong to these vectors")
@@ -403,16 +389,9 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
 def _net_matrix(points) -> np.ndarray:
     """The points as the rows of one float64 matrix, complex ones realified
     (C-contiguous complex128 rows read as float64 are realify's layout)."""
-    mat = np.asarray(points)  # points of different lengths raise ValueError
-    if mat.size == 0:
-        raise ValueError("points must be nonempty")
-    if mat.ndim != 2:
-        raise ValueError("points must be 1-D vectors of a common dimension")
-    if not np.iscomplexobj(mat):
-        return mat.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("vector has non-finite entries")
-    return np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64)
+    mat = np.asarray(points)
+    family = as_family(mat)
+    return family.view(np.float64) if np.iscomplexobj(mat) else family.real.copy()
 
 
 def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray | None:
@@ -428,15 +407,14 @@ def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray |
     if trials < 1:
         raise ValueError("trials must be >= 1")
     mat = _net_matrix(points)
-    dim = mat.shape[1]
+    n, dim = mat.shape
     rng = np.random.default_rng(seed)
     pts_sq = (mat ** 2).sum(axis=1)
-    # standard_normal draws the same stream in any split into batches.
-    batch = max(1, min(1024, _COVER_BATCH_ENTRIES // mat.shape[0]))
-    done = 0
-    while done < trials:
-        take = min(batch, trials - done)
-        ys = rng.standard_normal((take, dim))
+    # standard_normal draws the same stream in any split into row blocks.  A
+    # trial's widest float64 temporary has max(n, dim) entries, the bytes of
+    # half as many complex128 ones, the unit _row_blocks counts in.
+    for trial_rows in _row_blocks(trials, -(-max(n, dim) // 2)):
+        ys = rng.standard_normal((trial_rows.stop - trial_rows.start, dim))
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
         # ||y - p||^2 = 1 - 2 y.p + ||p||^2 for unit y
         dist_sq = 1.0 - 2.0 * (ys @ mat.T) + pts_sq[None, :]
@@ -445,5 +423,4 @@ def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray |
         for i in hits:
             if np.linalg.norm(mat - ys[i], axis=1).min() > radius:  # re-verify directly
                 return ys[i]
-        done += take
     return None

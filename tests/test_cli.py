@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,10 +18,10 @@ from hypothesis import strategies as st
 import inclined
 from inclined import cli
 from inclined.cli import main
-from inclined.family import SuppressionFailure, predicate_sides
+from inclined.family import BranchProjectionSpec, SuppressionFailure, predicate_sides, toy_stage
 from inclined.search import InclinationCertificate
 from inclined import serialize
-from inclined.serialize import branch_spec_from_obj, vectors_to_obj, write_json
+from inclined.serialize import branch_spec_from_obj, branch_spec_to_obj, vectors_to_obj, write_json
 
 RHO_DEFAULT_BOUND = 19 / 20
 
@@ -313,11 +314,11 @@ def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, caps
                                                    "check": "diagonals"}
 
 
-def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120):
+def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120, preexec_fn=None):
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
                PYTHONPATH=str(Path(inclined.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "inclined.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
 def test_importing_the_cli_loads_no_process_machinery():
@@ -491,6 +492,26 @@ def test_paper_stage_with_a_huge_alphabet_is_decided_at_once(tmp_path):
     assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
 
 
+def _limit_address_space():
+    # 3 GiB: an allocation of the 64 GiB vector fails at once instead of
+    # exhausting the machine's memory
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+
+
+def test_intersect_of_an_oversized_stage_is_refused_before_allocating(tmp_path):
+    # Toy stage [2, 2, 2, 2, 2] has dimension 4 295 033 108, so its
+    # intersection vector would take 64 GiB; intersecting needs no basis.
+    stage = toy_stage([2] * 5)
+    e0 = np.array([1, 0], dtype=complex)
+    for branch in ("00000", "10000"):
+        spec = BranchProjectionSpec(stage=stage, branch=branch, directions=(e0,) * 5)
+        write_json(tmp_path / f"{branch}.json", branch_spec_to_obj(spec))
+    done = _cli_in_subprocess(["family", "intersect", "00000.json", "10000.json"], tmp_path,
+                              blas_threads=1, timeout=60, preexec_fn=_limit_address_space)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
+
+
 @pytest.mark.parametrize("argv, stage", [
     (["params", "--m", "30"], None),
     (["family", "build", "--stage", "deep.json", "--branch", "0" * 30, "--basis", "random",
@@ -622,6 +643,9 @@ _FAMILY_EDITS = {
     "cert_diagonal_true": lambda payload: payload["certificate"]["diagonals"].__setitem__(0, True),
     # json.loads reads the token NaN (which write_json never writes) as a float
     "cert_max_diagonal_nan": lambda payload: payload["certificate"].update(max_diagonal=math.nan),
+    "cert_diagonal_nan": lambda payload: payload["certificate"]["diagonals"].__setitem__(0, math.nan),
+    "cert_diagonal_infinity":
+        lambda payload: payload["certificate"]["diagonals"].__setitem__(0, math.inf),
 }
 
 
@@ -665,6 +689,8 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{cert_digest_number}"]),
     (None, ["family", "verify", "{cert_diagonal_true}"]),
     (None, ["family", "verify", "{cert_max_diagonal_nan}"]),
+    (None, ["family", "verify", "{cert_diagonal_nan}"]),
+    (None, ["family", "verify", "{cert_diagonal_infinity}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
         "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
@@ -676,7 +702,8 @@ _FAMILY_EDITS = {
         "verify-rho-negative", "verify-rho-above-one", "verify-level-repeated",
         "verify-branch-number", "verify-certificate-branch-number",
         "verify-certificate-regime-null", "verify-certificate-digest-number",
-        "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan"])
+        "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan",
+        "verify-certificate-diagonal-nan", "verify-certificate-diagonal-infinity"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2

@@ -24,7 +24,7 @@ from inclined import (
     recompute_achieved,
     verify_inclination,
 )
-from inclined import search
+from inclined import hilbert, search
 from inclined.search import _STEP_SCHEDULE, InclinationCertificate, minimize_max_group_norm
 from inclined.serialize import inclination_from_obj, read_json, read_vectors
 
@@ -286,6 +286,16 @@ def test_certificate_invariants_enforced():
         InclinationCertificate(family_digest="x", candidate=E2[0],
                                achieved=0.1, bound=0.9, seed=0, iterations_used=1,
                                status="undecided")
+    # a NaN passes no comparison, so it cannot slip through a fail condition
+    with pytest.raises(ValueError, match="exceeds bound"):
+        InclinationCertificate(family_digest="x", candidate=E2[0],
+                               achieved=math.nan, bound=0.9, seed=0, iterations_used=1)
+    with pytest.raises(ValueError, match="exceeds bound"):
+        InclinationCertificate(family_digest="x", candidate=E2[0],
+                               achieved=0.1, bound=math.nan, seed=0, iterations_used=1)
+    with pytest.raises(ValueError, match="unit vector"):
+        InclinationCertificate(family_digest="x", candidate=np.array([1.0, math.nan]),
+                               achieved=0.1, bound=0.9, seed=0, iterations_used=1)
     # a failed certificate records a best value above its bound
     InclinationCertificate(family_digest="x", candidate=E2[0],
                            achieved=0.95, bound=0.9, seed=0, iterations_used=1, status="failed")
@@ -615,7 +625,8 @@ def test_cover_witness_does_not_depend_on_the_batch_size(monkeypatch):
     points /= np.linalg.norm(points, axis=1, keepdims=True)
     w = cover_witness(points, 0.7, 1000, 5)
     assert w is not None
-    monkeypatch.setattr(search, "_COVER_BATCH_ENTRIES", 3 * len(points))  # 3 trials a batch
+    # 40 float64 entries a trial, as wide as 20 complex128 ones: 3 trials a block
+    monkeypatch.setattr(hilbert, "_ROW_BLOCK_BYTES", 3 * 16 * 20)
     np.testing.assert_array_equal(cover_witness(points, 0.7, 1000, 5), w)
 
 
@@ -629,6 +640,18 @@ def test_cover_witness_batch_memory_is_bounded_on_a_large_net():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_cover_witness_memory_is_bounded_in_a_large_dimension():
+    # A trial is 10 000 floats wide here; 1024 trials a batch held 156 MiB.
+    points = np.eye(4, 5000, dtype=complex)
+    tracemalloc.start()
+    try:
+        assert cover_witness(points, 1.5, 1100, 0) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_cover_witness_realifies_a_complex_net_at_once():
@@ -656,6 +679,9 @@ def test_realify_returns_a_copy():
     ([np.ones((2, 2))], "1-D vectors"),
     (np.ones((0, 3)), "nonempty"),
     ([np.array([1.0, np.nan * 1j])], "non-finite"),
+    # a real net is checked like a complex one
+    ([np.array([1.0, np.nan])], "non-finite"),
+    ([np.array([np.inf, 0.0])], "non-finite"),
 ])
 def test_cover_witness_rejects_a_malformed_net(points, match):
     with pytest.raises(ValueError, match=match):
