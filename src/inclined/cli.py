@@ -20,7 +20,6 @@ the files would break that reproducibility.
 from __future__ import annotations
 
 import argparse
-import decimal
 import itertools
 import json
 import math
@@ -45,6 +44,7 @@ from .family import (
 from .hilbert import random_orthonormal_basis
 from .search import BudgetExhausted, cover_witness, find_inclined_vector
 from .serialize import (
+    _json_int,
     _json_number,
     branch_spec_from_obj,
     branch_spec_to_obj,
@@ -109,17 +109,17 @@ def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
     """The basis a basis record names, the record that identifies it, and its digest.
 
     A "phase-dft" record is identified by its integer seed and n, and the
-    basis is redrawn from them.  A "file" record is identified by the
-    digest of the basis read from ``path``; comparing the returned record
-    with a recorded one compares those digests.
+    basis is redrawn from them; a ``path`` beside it is refused, not
+    ignored.  A "file" record is identified by the digest of the basis read
+    from ``path``; comparing the returned record with a recorded one
+    compares those digests.
     """
     if not isinstance(record, dict):
         raise TypeError(f"a basis record must be a JSON object, got {record!r}")
     if record["kind"] == "phase-dft":
-        seed, n = record["seed"], record["n"]
-        if type(seed) is not int or type(n) is not int:
-            raise TypeError(f"a phase-dft basis record needs integer 'seed' and 'n', "
-                            f"got {seed!r} and {n!r}")
+        if path is not None:
+            raise ValueError("family records a seeded basis; it takes no --basis file")
+        seed, n = _json_int(record["seed"], "seed"), _json_int(record["n"], "n")
         basis = random_orthonormal_basis(n, seed)
         return basis, {"kind": "phase-dft", "seed": seed, "n": n}, digest_vectors(basis)
     if record["kind"] != "file":
@@ -145,48 +145,13 @@ def _family_payload(manifest: dict, spec, basis_record: dict, rho: float, cert) 
     }
 
 
-# Integers below this many bits go to Decimal(n) directly.
-_DIGITS_SPLIT_BITS = 2048
-
-
-def _digits(n: int) -> str:
-    """The decimal digits of ``n``, the same as ``str(decimal.Decimal(n))``.
-
-    str(int) refuses more than 4300 digits (sys.set_int_max_str_digits), and
-    Decimal(n) takes quadratic time.  Divide and conquer instead: split n
-    at half its bit length k, convert both halves, and join them as
-    hi * 2**k + lo in decimal arithmetic, whose large products are fast.
-    The context has the largest precision and traps Inexact, so every step
-    is exact.
-    """
-    powers: dict[int, decimal.Decimal] = {}
-
-    def power(k: int) -> decimal.Decimal:  # 2**k
-        if k not in powers:
-            powers[k] = (decimal.Decimal(1 << k) if k < _DIGITS_SPLIT_BITS
-                         else power(k // 2) * power(k - k // 2))
-        return powers[k]
-
-    def convert(m: int) -> decimal.Decimal:
-        k = m.bit_length() // 2
-        if k < _DIGITS_SPLIT_BITS // 2:
-            return decimal.Decimal(m)
-        hi = m >> k
-        return convert(hi) * power(k) + convert(m - (hi << k))
-
-    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                              Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
-    with decimal.localcontext(context):
-        return str(convert(n))
-
-
 def cmd_params(args, argv) -> int:
     d_min = min_level_dimension(args.m)
     trace = {}
     # d_min > 2^7 for every m (see min_level_dimension), so d_min - 1 is a failure.
     for key, d in (("first_success", d_min), ("last_fail", d_min - 1)):
-        lhs, rhs = predicate_sides(args.m, d)
-        trace[key] = {"d": d, "lhs": _digits(lhs), "rhs": _digits(rhs)}
+        lhs, rhs = predicate_sides(args.m, d)  # exact, in base 16: int(s, 16) reads them back
+        trace[key] = {"d": d, "lhs": hex(lhs), "rhs": hex(rhs)}
     out = {
         "manifest": _manifest("params", argv, None, {}),
         "m": args.m,
@@ -231,9 +196,10 @@ def cmd_family_build(args, argv) -> int:
     stage = stage_from_obj(read_json(args.stage))
     if args.basis == "random":
         request = {"kind": "phase-dft", "seed": derive_seed(args.seed, "basis"), "n": stage.dim}
+        path = None
     else:
-        request = {"kind": "file"}
-    basis, basis_record, basis_digest = _load_basis(request, args.basis)
+        request, path = {"kind": "file"}, args.basis
+    basis, basis_record, basis_digest = _load_basis(request, path)
     spec, cert = build_branch_projection(
         stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed,
         basis_digest=basis_digest)
@@ -252,11 +218,9 @@ def cmd_family_verify(args, argv) -> int:
     for key in ("branch", "regime", "basis_digest"):
         if type(stored[key]) is not str:
             raise TypeError(f"the certificate's {key} must be a JSON string, got {stored[key]!r}")
-    recorded = np.asarray(stored["diagonals"])
-    # a boolean among numbers would be read as 0 or 1
-    if (recorded.ndim != 1 or recorded.dtype.kind not in "iuf"
-            or bool in set(map(type, stored["diagonals"])) or not np.isfinite(recorded).all()):
-        raise TypeError("the certificate's diagonals must be a list of finite numbers")
+    if not isinstance(stored["diagonals"], list):
+        raise TypeError("the certificate's diagonals must be a JSON array")
+    recorded = np.array([_json_number(x, "diagonals") for x in stored["diagonals"]])
     max_diagonal = _json_number(stored["max_diagonal"], "max_diagonal")
     bound = _json_number(stored["bound"], "bound")
     rho = _json_number(obj["rho"], "rho")
@@ -318,8 +282,7 @@ def cmd_demo(args, argv) -> int:
     written: dict[str, str] = {}
 
     def write(name: str, payload: dict) -> None:
-        write_json(outdir / name, payload)
-        written[name] = sha256_hex((outdir / name).read_bytes())
+        written[name] = sha256_hex(write_json(outdir / name, payload))
 
     # Inclined search at full dimension: 1000 directions in C^128.
     fam_rng = np.random.default_rng(derive_seed(root, "demo", "incline", "vectors"))

@@ -448,7 +448,7 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
         del groups  # before the next level's groups are formed
         if not ok:
             raise BudgetExhausted(f"level {lv.m}: no direction found within budget {budget} "
-                                  f"(best achieved {achieved:.6g} > {c})", level=lv.m)
+                                  f"(best achieved {achieved:.6g} > {c})")
         directions.append(v)
 
     spec = BranchProjectionSpec(stage=stage, branch=branch, directions=tuple(directions))

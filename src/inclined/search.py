@@ -54,11 +54,7 @@ CAPACITY_BASE = Fraction(100, 91)
 
 class BudgetExhausted(RuntimeError):
     """Search budget ran out before the target was met; explicitly NOT a
-    disproof of existence.  ``level`` names a family build's failing level."""
-
-    def __init__(self, message: str, level: int | None = None):
-        super().__init__(message)
-        self.level = level
+    disproof of existence.  A family build's message names the failing level."""
 
 
 @dataclass(frozen=True)

@@ -231,10 +231,13 @@ def inclination_from_obj(obj: Any):
     return cert
 
 
-def write_json(path: str | Path, obj: Any) -> None:
-    """Write canonical_json(obj) and a newline; a dict goes through _encode_in_two."""
+def write_json(path: str | Path, obj: Any) -> str:
+    """Write canonical_json(obj) and a newline, and return that text, the
+    file's bytes on every platform; a dict goes through _encode_in_two."""
     text = _encode_in_two(obj) if isinstance(obj, dict) else None
-    Path(path).write_text((canonical_json(obj) if text is None else text) + "\n", encoding="utf-8")
+    text = (canonical_json(obj) if text is None else text) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    return text
 
 
 def _loads(text: str) -> Any:

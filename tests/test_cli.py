@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import decimal
 import io
 import json
 import math
@@ -53,32 +52,36 @@ def test_params_reports_minimum_and_trace(capsys):
     trace = out["trace"]
     assert trace["last_fail"]["d"] == 346
     assert trace["first_success"]["d"] == 347
-    assert int(trace["last_fail"]["lhs"]) >= int(trace["last_fail"]["rhs"])
-    assert int(trace["first_success"]["lhs"]) < int(trace["first_success"]["rhs"])
+    assert int(trace["last_fail"]["lhs"], 16) >= int(trace["last_fail"]["rhs"], 16)
+    assert int(trace["first_success"]["lhs"], 16) < int(trace["first_success"]["rhs"], 16)
 
 
 def test_params_beyond_the_int_string_limit(capsys):
-    # The sides at m = 4 have more digits than str(int) converts by default.
+    # The sides at m = 4 have more decimal digits than str(int) converts by
+    # default; base 16 has no such limit.
     assert main(["params", "--m", "4"]) == 0
     out = json.loads(capsys.readouterr().out.splitlines()[0])
     assert out["d_min"] == 4228
     for key, d in (("first_success", 4228), ("last_fail", 4227)):
         lhs, rhs = predicate_sides(4, d)
-        assert out["trace"][key] == {"d": d, "lhs": str(decimal.Decimal(lhs)),
-                                     "rhs": str(decimal.Decimal(rhs))}
+        assert out["trace"][key] == {"d": d, "lhs": hex(lhs), "rhs": hex(rhs)}
 
 
-_DIGITS_CASES = {
-    **{f"10^{k}{e:+d}": 10 ** k + e for k in (0, 1, 616, 617, 1233, 5000) for e in (-1, 0, 1)},
-    **{f"2^{k}": 2 ** k for k in (0, 1, 2047, 2048, 4095, 4096, 20_000)},
-    "-3^30000": -(3 ** 30_000),
-    "10^5 sevens": 7 * (10 ** 100_000 - 1) // 9,
-}
-
-
-@pytest.mark.parametrize("n", _DIGITS_CASES.values(), ids=_DIGITS_CASES.keys())
-def test_digits_match_decimal(n):
-    assert cli._digits(n) == str(decimal.Decimal(n))
+@pytest.mark.parametrize("m", range(1, 9))
+def test_params_trace_reads_back_to_the_predicate_sides(m, capsys):
+    assert main(["params", "--m", str(m)]) == 0
+    out = json.loads(capsys.readouterr().out.splitlines()[0])
+    sides = {}
+    for key in ("first_success", "last_fail"):
+        entry = out["trace"][key]
+        sides[key] = int(entry["lhs"], 16), int(entry["rhs"], 16)
+        assert sides[key] == predicate_sides(m, entry["d"])
+    assert out["trace"]["first_success"]["d"] == out["d_min"]
+    assert out["trace"]["last_fail"]["d"] == out["d_min"] - 1
+    lhs, rhs = sides["first_success"]
+    assert lhs < rhs
+    lhs, rhs = sides["last_fail"]
+    assert lhs >= rhs
 
 
 # ------------------------------------------------------------ incline
@@ -691,6 +694,8 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{cert_max_diagonal_nan}"]),
     (None, ["family", "verify", "{cert_diagonal_nan}"]),
     (None, ["family", "verify", "{cert_diagonal_infinity}"]),
+    # a seeded family takes no basis file
+    (None, ["family", "verify", "{fam}", "--basis", "{v}"]),
 ], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
         "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
         "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
@@ -703,7 +708,8 @@ _FAMILY_EDITS = {
         "verify-branch-number", "verify-certificate-branch-number",
         "verify-certificate-regime-null", "verify-certificate-digest-number",
         "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan",
-        "verify-certificate-diagonal-nan", "verify-certificate-diagonal-infinity"])
+        "verify-certificate-diagonal-nan", "verify-certificate-diagonal-infinity",
+        "verify-seeded-family-with-basis-file"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
@@ -711,7 +717,7 @@ def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage
         path = str(tmp_path / "bad.json")
         write_json(path, family)
     families = {}
-    if any(arg.strip("{}") in _FAMILY_EDITS for arg in argv):
+    if any(arg.strip("{}") in {"fam", *_FAMILY_EDITS} for arg in argv):
         # a valid family, so only the bad input can fail; its branch has no
         # leading 0, so the branch_number edit keeps every digit
         rc, families["fam"] = _build(tmp_path, toy_stage_file, "10")
@@ -974,3 +980,6 @@ def test_demo_writes_expected_files(tmp_path):
     assert summary["max_diagonal"] <= RHO_DEFAULT_BOUND
     assert summary["max_intersection_residual"] <= 1e-10
     assert summary["incline_achieved"] <= 0.9
+    # the summary's digests are those of the files' bytes
+    assert summary["files"] == {name: serialize.sha256_hex((outdir / name).read_bytes())
+                                for name in names if name != "demo_summary.json"}

@@ -517,9 +517,8 @@ def test_build_budget_exhaustion_names_level():
     # leaked vector, so a target below 1/sqrt(2) is unreachable
     stage = toy_stage([2])
     basis = np.eye(4, dtype=complex)
-    with pytest.raises(BudgetExhausted) as info:
+    with pytest.raises(BudgetExhausted, match="level 1:") as info:
         build_branch_projection(stage, basis, "0", 0.5, 300, 0)
-    assert info.value.level == 1
     best = float(str(info.value).split("best achieved ")[1].split(" ")[0])  # to 6 digits
     assert best >= 1 / math.sqrt(2) - 1e-6
 

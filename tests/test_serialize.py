@@ -566,8 +566,8 @@ def test_write_json_of_a_vector_is_canonical_json_byte_for_byte(entries, tmp_pat
 
         monkeypatch.setattr(serialize, "vector_to_obj", recorded)
         with _split_floor(split_min_bytes):
-            write_json(tmp_path / "w.json", payload)
-        assert (tmp_path / "w.json").read_text() == expected
+            assert write_json(tmp_path / "w.json", payload) == expected
+        assert (tmp_path / "w.json").read_bytes() == expected.encode()
         two = _FORKS and entries > 1 and 44 * entries >= split_min_bytes
         assert len(forks) == two
         assert converted == ([entries // 2] if two else [entries])  # the parent's half alone
