@@ -4,8 +4,9 @@ Commands: parameter queries (params), inclined-vector search (incline),
 covering-witness experiments (cover), projection-family build / verify /
 intersect (family ...), and an end-to-end demo.
 
-Exit codes distinguish outcomes (main alone maps exceptions to them):
-  0  success
+Exit codes distinguish outcomes (main alone maps exceptions, argparse's
+SystemExit included, to them, and returns the code):
+  0  success, or -h
   1  verified negative, or incline's "failed" certificate (best in budget)
   2  input or usage error, including a file that cannot be read or written
   3  family build, demo or cover ran out of budget (build names the level)
@@ -20,6 +21,7 @@ the files would break that reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -336,6 +338,7 @@ def cmd_demo(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; parse_args returns a fresh Namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="inclined",
@@ -399,10 +402,15 @@ def main(argv: list[str] | None = None) -> int:
 
     This is the only place where an exception becomes an exit code, with one
     `error:` line on stderr; an uncaught traceback would exit 1 and read as
-    a verified negative.  A last stderr line gives the code and wall time.
+    a verified negative.  A usage error returns 2 after argparse's usage and
+    `error:` lines, and -h returns 0 after the help.  A last stderr line
+    gives a command's code and wall time.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     command = " ".join(filter(None, (args.command, getattr(args, "family_command", None))))
     t0 = time.perf_counter()
     message = None

@@ -503,11 +503,15 @@ def branch_intersection(specs: Sequence[BranchProjectionSpec]) -> tuple[np.ndarr
     e0 = np.zeros(lv.d, dtype=np.complex128)
     e0[0] = 1.0
     dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1] for s in specs}
+    sl = stage.level_slice(m)
     out = np.zeros(stage.dim, dtype=np.complex128)
-    out[stage.level_slice(m)] = joint_fixed_vector(ProductProjectionSpec(lv.space, dirs))
+    out[sl] = joint_fixed_vector(ProductProjectionSpec(lv.space, dirs))
+    # P is block-diagonal and x is zero off level m, so P x - x is too; the
+    # full-length gap keeps the residual sums grouped as for the whole stage.
+    gap = np.zeros_like(out)
     residuals = {}
     for s in specs:
-        gap = apply_branch_projection(s, out) - out
+        gap[sl] = apply_axis(s.level_projection(m), out[sl]) - out[sl]
         # not np.linalg.norm: its BLAS dot rounds by thread count on long vectors
         residual = residuals[s.branch] = math.sqrt(float((gap.real ** 2 + gap.imag ** 2).sum()))
         if residual > 1e-10:  # cannot happen for distinct axes; defensive

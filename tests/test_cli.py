@@ -324,6 +324,58 @@ def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120, preexec_fn=None):
                           capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
 
 
+_REUSE_ARGV = [
+    ["family", "build", "--stage", "stage.json", "--branch", "000", "--basis", "random",
+     "--seed", "3", "--out", "f000.json"],
+    ["family", "build", "--stage", "stage.json", "--branch", "001"],  # usage error
+    ["family", "build", "--stage", "stage.json", "--branch", "001", "--basis", "random",
+     "--out", "f001.json"],
+    ["family", "verify", "f001.json"],
+    ["family", "intersect", "f000.json", "f001.json", "--out", "common.json"],
+]
+
+
+def test_commands_in_one_process_match_one_process_each(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no option value, default or
+    # error carries from one call to the next.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    stage = {"regime": "toy", "levels": [{"m": m, "d": 2} for m in (1, 2, 3)]}
+    runs = {}
+    for where in ("in_process", "subprocess"):
+        workdir = tmp_path / where
+        workdir.mkdir()
+        write_json(workdir / "stage.json", stage)
+        monkeypatch.chdir(workdir)
+        results = []
+        for argv in _REUSE_ARGV:
+            if where == "subprocess":
+                done = _cli_in_subprocess(argv, workdir, blas_threads=1)
+                rc, out, err = done.returncode, done.stdout, done.stderr
+            else:
+                rc = main(argv)
+                out, err = capsys.readouterr()
+            # stderr only for the usage error: a command's last line holds its wall time
+            results.append((rc, out, err if rc == 2 else None))
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        runs[where] = results, files
+    results, files = runs["in_process"]
+    assert [rc for rc, _, _ in results] == [0, 2, 0, 0, 0]
+    usage_error = results[1][2]
+    assert "Traceback" not in usage_error
+    assert sum("error:" in line for line in usage_error.splitlines()) == 1
+    assert json.loads(files["f001.json"])["manifest"]["root_seed"] == 0
+    assert runs["in_process"] == runs["subprocess"]
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: inclined" in capsys.readouterr().out
+    assert main([]) == 2
+    assert main(["params", "--m", "x"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("error:") == 2
+
+
 def test_importing_the_cli_loads_no_process_machinery():
     # The two-process vectors decode uses os.fork alone, so start-up stays as lean.
     code = ("import sys, inclined.cli; "
@@ -582,21 +634,21 @@ def test_family_intersect(tmp_path, toy_stage_file, capsys, monkeypatch):
     assert norm == pytest.approx(1.0, abs=1e-10)
 
 
-def test_family_intersect_applies_each_branch_projection_once(tmp_path, toy_stage_file,
-                                                            monkeypatch):
+def test_family_intersect_projects_each_branch_once_at_the_separating_level(
+        tmp_path, toy_stage_file, monkeypatch):
+    # Branches 00, 01 and 10 first separate at level 2 (4^4 = 256 coordinates);
+    # the vector is zero on level 1, which is never projected.
     families = [str(_build(tmp_path, toy_stage_file, b)[1]) for b in ("00", "01", "10")]
     calls = []
-    original = inclined.family.apply_branch_projection
+    original = inclined.family.apply_axis
 
     def counting(spec, x):
-        calls.append(spec.branch)
+        calls.append((spec.axis, x.size))
         return original(spec, x)
 
-    for module in (inclined.family, cli):
-        if hasattr(module, "apply_branch_projection"):
-            monkeypatch.setattr(module, "apply_branch_projection", counting)
+    monkeypatch.setattr(inclined.family, "apply_axis", counting)
     assert main(["family", "intersect", *families]) == 0
-    assert sorted(calls) == ["00", "01", "10"]
+    assert sorted(calls) == [("00", 256), ("01", 256), ("10", 256)]
 
 
 def test_family_intersect_duplicate_branch_exits_two(tmp_path, toy_stage_file):
@@ -730,12 +782,9 @@ def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage
             families[name].write_text(json.dumps(payload))  # json.dumps writes NaN
     paper = tmp_path / "paper.json"
     write_json(paper, {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
-    try:
-        rc = main([arg.format(v=path, stage=toy_stage_file, paper=paper, out=tmp_path,
-                              missing=tmp_path / "missing", **families)
-                   for arg in argv])
-    except SystemExit as exc:  # argparse usage errors
-        rc = exc.code
+    rc = main([arg.format(v=path, stage=toy_stage_file, paper=paper, out=tmp_path,
+                          missing=tmp_path / "missing", **families)
+               for arg in argv])
     assert rc == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -958,8 +1007,6 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv_files, tmp_path_factory, 
     os.chdir(workdir)
     try:
         rc, err = _exit_code_and_stderr(argv)
-    except SystemExit as exc:  # argparse: 2 for a usage error, 0 for -h
-        rc, err = exc.code, ""
     finally:
         os.chdir(cwd)
     assert rc in (0, 1, 2, 3)

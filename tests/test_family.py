@@ -36,6 +36,7 @@ from inclined import cli, family, hilbert
 from inclined.family import (
     LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
 from inclined.serialize import write_json
+from inclined.tensor_projection import ProductProjectionSpec, joint_fixed_vector
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -688,6 +689,32 @@ def test_certified_values_do_not_depend_on_the_blas_thread_count(tmp_path):
         printed[threads] = done.stdout
     assert len(printed[1].splitlines()) == 7
     assert printed[1] == printed[2]
+
+
+@pytest.mark.parametrize("sizes", [[2, 2, 2], [4, 4, 2]])
+def test_branch_intersection_matches_the_full_stage_formula_bit_for_bit(sizes):
+    # The vector is built at the separating level m alone and the residuals
+    # project level m alone; both equal the whole-stage computation exactly.
+    stage = toy_stage(sizes)
+    rng = np.random.default_rng(41)
+    specs = [BranchProjectionSpec(stage, "".join(bits), tuple(
+        rng.standard_normal(lv.d) + 1j * rng.standard_normal(lv.d) for lv in stage.levels))
+        for bits in itertools.product("01", repeat=stage.depth)]
+    for size in (2, 3):
+        for group in itertools.combinations(specs, size):
+            vec, residuals = branch_intersection(group)
+            m = separating_level([s.branch for s in group])
+            lv = stage.levels[m - 1]
+            e0 = np.eye(lv.d, dtype=complex)[0]
+            dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1]
+                                                       for s in group}
+            expected = np.zeros(stage.dim, dtype=complex)
+            expected[stage.level_slice(m)] = joint_fixed_vector(
+                ProductProjectionSpec(lv.space, dirs))
+            assert vec.tobytes() == expected.tobytes()
+            for s in group:
+                gap = apply_branch_projection(s, vec) - vec
+                assert residuals[s.branch] == math.sqrt(float((gap.real ** 2 + gap.imag ** 2).sum()))
 
 
 def test_branch_intersection_rejects_duplicates_and_mixed_stages():
