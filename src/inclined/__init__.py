@@ -1,36 +1,18 @@
 """Certified inclined-vector search and tensor-product projection families."""
 
-from .hilbert import (
-    DENSE_ORACLE_CAP,
-    as_vector,
-    dense_rank_one,
-    inner,
-    norm,
-    normalized,
-    random_orthonormal_basis,
-    random_unit_vector,
-    rank_one_apply,
-)
+from .hilbert import normalized, random_orthonormal_basis
 from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
 from .tensor_projection import (
     AxisProjectionSpec,
     ProductProjectionSpec,
     apply_axis,
-    apply_product,
-    dense_materialize,
     joint_fixed_vector,
 )
 from .search import (
     BudgetExhausted,
-    CapacityReport,
     InclinationCertificate,
-    capacity,
-    complexify,
     cover_witness,
     find_inclined_vector,
-    four_copies,
-    inclination_bound,
-    realify,
     recompute_achieved,
     verify_inclination,
 )
@@ -40,11 +22,8 @@ from .family import (
     StageParameters,
     SuppressionCertificate,
     SuppressionFailure,
-    apply_branch_projection,
-    branch_diagonals,
     branch_intersection,
     build_branch_projection,
-    leakage_set,
     level_leakage_sets,
     level_masses,
     min_level_dimension,
@@ -56,14 +35,12 @@ from .family import (
 )
 from .serialize import canonical_json, derive_seed, digest_vectors
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
-    "DENSE_ORACLE_CAP",
     "AxisProjectionSpec",
     "BranchProjectionSpec",
     "BudgetExhausted",
-    "CapacityReport",
     "InclinationCertificate",
     "LevelSpec",
     "ProductProjectionSpec",
@@ -72,38 +49,22 @@ __all__ = [
     "SuppressionFailure",
     "TensorIndexSpace",
     "apply_axis",
-    "apply_branch_projection",
-    "apply_product",
-    "as_vector",
     "block_view",
     "blocks_matrix",
-    "branch_diagonals",
     "branch_intersection",
     "build_branch_projection",
     "canonical_json",
-    "capacity",
-    "complexify",
     "cover_witness",
-    "dense_materialize",
-    "dense_rank_one",
     "derive_seed",
     "digest_vectors",
     "find_inclined_vector",
-    "four_copies",
-    "inclination_bound",
-    "inner",
     "joint_fixed_vector",
-    "leakage_set",
     "level_leakage_sets",
     "level_masses",
     "min_level_dimension",
-    "norm",
     "normalized",
     "paper_stage",
     "random_orthonormal_basis",
-    "random_unit_vector",
-    "rank_one_apply",
-    "realify",
     "recompute_achieved",
     "separating_level",
     "stage_predicate",

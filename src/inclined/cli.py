@@ -48,6 +48,7 @@ from .search import BudgetExhausted, cover_witness, find_inclined_vector
 from .serialize import (
     _json_int,
     _json_number,
+    _json_str,
     branch_spec_from_obj,
     branch_spec_to_obj,
     derive_seed,
@@ -218,8 +219,7 @@ def cmd_family_verify(args, argv) -> int:
     if not isinstance(stored, dict):
         raise TypeError(f"the certificate must be a JSON object, got {stored!r}")
     for key in ("branch", "regime", "basis_digest"):
-        if type(stored[key]) is not str:
-            raise TypeError(f"the certificate's {key} must be a JSON string, got {stored[key]!r}")
+        _json_str(stored[key], key)
     if not isinstance(stored["diagonals"], list):
         raise TypeError("the certificate's diagonals must be a JSON array")
     recorded = np.array([_json_number(x, "diagonals") for x in stored["diagonals"]])

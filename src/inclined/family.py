@@ -41,11 +41,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family, as_vector
+from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
@@ -229,19 +229,6 @@ def basis_matrix(basis, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def leakage_set(basis, subspace_projector: Callable[[np.ndarray], np.ndarray], eps: float) -> list[int]:
-    """Indices whose basis vector leaks squared mass >= eps into the subspace.
-
-    For every k outside the returned set, ||P_F(e_k)||^2 < eps.  When the
-    basis is orthonormal and P_F has rank r, the set has at most r^2 / eps
-    elements (the leaked masses sum to the trace r).
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return [k for k, e in enumerate(basis_matrix(basis))
-            if float(np.linalg.norm(subspace_projector(e)) ** 2) >= eps]
-
-
 def _masses(stage: StageParameters, mat: np.ndarray) -> np.ndarray:
     # Each row's sums, a row block at a time: the bits of the whole-level sums.
     out = np.empty((stage.depth, mat.shape[0]))
@@ -326,16 +313,6 @@ class SuppressionCertificate:
         object.__setattr__(self, "diagonals", tuple(float(x) for x in self.diagonals))
 
 
-def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:
-    """Block-diagonal action: each level block is projected independently."""
-    xv = as_vector(x, dim=spec.stage.dim)
-    out = np.zeros_like(xv)
-    for lv in spec.stage.levels:
-        sl = spec.stage.level_slice(lv.m)
-        out[sl] = apply_axis(spec.level_projection(lv.m), xv[sl])
-    return out
-
-
 def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
     # A row block at a time, levels added in order: the whole-level bits.
     stage = spec.stage
@@ -347,15 +324,6 @@ def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
             coeff = np.einsum("...j,j->...", blocks, spec.directions[lv.m - 1].conj())
             diag[rows] += (np.abs(coeff) ** 2).sum(axis=1)
     return diag
-
-
-def branch_diagonals(spec: BranchProjectionSpec, basis) -> np.ndarray:
-    """All diagonal values <P e_k, e_k> = ||P e_k||^2 at once.
-
-    For a unit direction v the level contribution is the summed |inner(block, v)|^2
-    over the blocks along the level's axis.
-    """
-    return _diagonals(spec, basis_matrix(basis, dim=spec.stage.dim))
 
 
 def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,

@@ -1,4 +1,4 @@
-"""Complex inner-product arithmetic, rank-one projections and random bases.
+"""Complex vectors and vector families, and seeded orthonormal bases.
 
 Convention used everywhere in this package: the inner product is linear in
 the FIRST argument and conjugate-linear in the second,
@@ -15,9 +15,6 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-
-# Dense operators exist only as test oracles; above this size they are refused.
-DENSE_ORACLE_CAP = 4096
 
 # Largest (n, n) complex128 basis random_orthonormal_basis will draw: 1 GiB,
 # n <= 8192.  The draw holds one such matrix plus one row block of scratch.
@@ -65,60 +62,12 @@ def as_family(x, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def inner(x, y) -> complex:
-    """Inner product, linear in the first slot: sum_k x_k * conj(y_k)."""
-    xv = as_vector(x)
-    yv = as_vector(y, dim=xv.size)
-    # np.vdot conjugates its first argument, so the slots are swapped here.
-    return complex(np.vdot(yv, xv))
-
-
-def norm(x) -> float:
-    return float(np.linalg.norm(as_vector(x)))
-
-
-def rank_one_apply(v, x) -> np.ndarray:
-    """Apply the orthogonal projection onto the line spanned by ``v``.
-
-    Returns (inner(x, v) / inner(v, v)) * v.  Idempotent and self-adjoint.
-    """
-    vv = as_vector(v)
-    xv = as_vector(x, dim=vv.size)
-    vnorm2 = np.vdot(vv, vv).real
-    if vnorm2 == 0.0:
-        raise ValueError("cannot project onto the zero vector")
-    coeff = np.vdot(vv, xv) / vnorm2  # inner(x, v) / inner(v, v)
-    return coeff * vv
-
-
-def dense_rank_one(v) -> np.ndarray:
-    """Dense matrix v v* / ||v||^2 of rank_one_apply; oracle use only."""
-    vv = as_vector(v)
-    vnorm2 = np.vdot(vv, vv).real
-    if vnorm2 == 0.0:
-        raise ValueError("cannot project onto the zero vector")
-    return np.outer(vv, vv.conj()) / vnorm2
-
-
 def normalized(v) -> np.ndarray:
     vv = as_vector(v)
     n = np.linalg.norm(vv)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return vv / n
-
-
-def random_unit_vector(dim: int, seed: int) -> np.ndarray:
-    """Uniformly random unit vector (normalized complex Gaussian).
-
-    Deterministic given ``seed``; the distribution is invariant under any
-    unitary change of basis.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
 
 
 def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Certified inclined-vector search and sphere-capacity arithmetic.
+"""Certified inclined-vector search and covering-witness sampling.
 
 Given a family of directions in C^d, an inclined vector is a unit vector
 whose normalized inner product against every family member stays below a
@@ -7,16 +7,12 @@ than an exponential capacity in d; this module supplies the constructive
 side: a restarted projected-subgradient search whose output is wrapped in
 a self-contained certificate that anyone can re-verify from the inputs
 alone, independent of how the candidate was found.
-
-The capacity arithmetic (powers of 100/91) is done in exact rational
-arithmetic and only rounded toward zero at the end.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,9 +44,6 @@ _GRAM_CACHE_BYTES = 64 * 2 ** 20
 _TIE_SHARE = 0.1
 # ... at most this many of them, largest first.
 _TIE_MAX_GROUPS = 16
-
-CAPACITY_BASE = Fraction(100, 91)
-
 
 class BudgetExhausted(RuntimeError):
     """Search budget ran out before the target was met; explicitly NOT a
@@ -85,76 +78,6 @@ class InclinationCertificate:
     @property
     def dimension(self) -> int:
         return self.candidate.size
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Exponential capacities governing how many directions can be avoided."""
-
-    d: int
-    net_lower_bound: float
-    inclined_capacity: float
-    net_lower_bound_exact: Fraction
-    inclined_capacity_exact: Fraction
-
-
-def realify(x) -> np.ndarray:
-    """C^d -> R^(2d), x_k = z_{2k} + i z_{2k+1}.  Norm-preserving."""
-    return np.array(as_vector(x)).view(np.float64)  # a copy: re, im interleaved
-
-
-def complexify(z) -> np.ndarray:
-    """Inverse of realify."""
-    zv = np.asarray(z, dtype=np.float64)
-    if zv.ndim != 1 or zv.size % 2 != 0 or zv.size == 0:
-        raise ValueError(f"expected an even-length 1-D real vector, got shape {zv.shape}")
-    return zv[0::2] + 1j * zv[1::2]
-
-
-def four_copies(x) -> list[np.ndarray]:
-    """Realifications of x, -x, ix, -ix; all four share the norm of x."""
-    xv = as_vector(x)
-    return [realify(xv), realify(-xv), realify(1j * xv), realify(-1j * xv)]
-
-
-def inclination_bound(eps: float) -> float:
-    """Upper bound sqrt(2) * (1 - eps^2 / 2) on |<x, y>| for unit vectors
-    whose four distances ||x +- y||, ||x +- iy|| are all at least eps.
-
-    Monotone decreasing on [0, sqrt(2)], from sqrt(2) down to 0.
-    """
-    if not 0.0 <= eps <= math.sqrt(2.0) + 1e-15:
-        raise ValueError(f"eps must lie in [0, sqrt(2)], got {eps}")
-    return math.sqrt(2.0) * (1.0 - eps * eps / 2.0)
-
-
-def _float_lower(frac: Fraction) -> float:
-    """Largest double <= frac (float() rounds to nearest, possibly up)."""
-    f = float(frac)
-    while Fraction(f) > frac:
-        f = math.nextafter(f, -math.inf)
-    return f
-
-
-def capacity(d: int) -> CapacityReport:
-    """Net-size lower bound (100/91)^d / 2 and inclined capacity (100/91)^d / 8.
-
-    Evaluated exactly; the float fields are guaranteed lower bounds (rounded
-    toward zero).  The inclined capacity is exactly a quarter of the net
-    bound.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    power = CAPACITY_BASE ** d
-    net = power / 2
-    inclined = power / 8
-    return CapacityReport(
-        d=d,
-        net_lower_bound=_float_lower(net),
-        inclined_capacity=_float_lower(inclined),
-        net_lower_bound_exact=net,
-        inclined_capacity_exact=inclined,
-    )
 
 
 def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed: int,
@@ -384,7 +307,7 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
 
 def _net_matrix(points) -> np.ndarray:
     """The points as the rows of one float64 matrix, complex ones realified
-    (C-contiguous complex128 rows read as float64 are realify's layout)."""
+    (C-contiguous complex128 rows read as float64: x_k = z_{2k} + i z_{2k+1})."""
     mat = np.asarray(points)
     family = as_family(mat)
     return family.view(np.float64) if np.iscomplexobj(mat) else family.real.copy()

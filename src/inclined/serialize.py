@@ -71,6 +71,14 @@ def _json_number(value: Any, name: str) -> float:
     return float(value)
 
 
+def _json_str(value: Any, name: str) -> str:
+    """A field that must be a JSON string; str() would also take 5, null or
+    a list."""
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
 def vector_to_obj(v: np.ndarray) -> dict:
     arr = np.asarray(v, dtype=np.complex128)
     return {"dim": int(arr.size), "entries": np.stack([arr.real, arr.imag], 1).tolist()}
@@ -218,7 +226,7 @@ def inclination_from_obj(obj: Any):
 
     d = _json_int(obj["d"], "d")
     cert = InclinationCertificate(
-        family_digest=str(obj["family_digest"]),
+        family_digest=_json_str(obj["family_digest"], "family_digest"),
         candidate=vector_from_obj(obj["candidate"]),
         achieved=_json_number(obj["achieved"], "achieved"),
         bound=_json_number(obj["bound"], "bound"),

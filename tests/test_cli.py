@@ -21,6 +21,7 @@ from inclined.family import BranchProjectionSpec, SuppressionFailure, predicate_
 from inclined.search import InclinationCertificate
 from inclined import serialize
 from inclined.serialize import branch_spec_from_obj, branch_spec_to_obj, vectors_to_obj, write_json
+from oracles import branch_diagonals
 
 RHO_DEFAULT_BOUND = 19 / 20
 
@@ -294,16 +295,26 @@ def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
         assert repr(json.loads(capsys.readouterr().out)["max_diagonal"]) == repr(built)
 
 
-def test_family_written_by_0_6_0_reproduces_its_diagonals(capsys):
-    # Built by version 0.6.0, which normalized every direction once more.
-    fam = Path(__file__).parent / "data" / "family_v060.json"
+def _corpus_family_reproduces_its_diagonals(name, capsys):
+    fam = Path(__file__).parent / "data" / name
     obj = json.loads(fam.read_text())
     cert = obj["certificate"]
     assert main(["family", "verify", str(fam)]) == 0
     assert json.loads(capsys.readouterr().out)["max_diagonal"] == cert["max_diagonal"]
     basis = inclined.random_orthonormal_basis(obj["basis"]["n"], obj["basis"]["seed"])
-    diagonals = inclined.branch_diagonals(branch_spec_from_obj(obj), basis)
+    diagonals = branch_diagonals(branch_spec_from_obj(obj), basis)
     assert diagonals.tolist() == cert["diagonals"]
+
+
+def test_family_written_by_0_6_0_reproduces_its_diagonals(capsys):
+    # Built by version 0.6.0, which normalized every direction once more.
+    _corpus_family_reproduces_its_diagonals("family_v060.json", capsys)
+
+
+def test_family_written_by_0_10_0_reproduces_its_diagonals(capsys):
+    # Built by version 0.10.0: `inclined demo --seed 0 --outdir out`, whose
+    # out/family_101.json this is.
+    _corpus_family_reproduces_its_diagonals("family_v0100.json", capsys)
 
 
 def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, capsys):
@@ -322,6 +333,17 @@ def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120, preexec_fn=None):
                PYTHONPATH=str(Path(inclined.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "inclined.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
+
+
+def test_the_cli_starts_without_fractions_or_decimal(tmp_path):
+    # They served only the capacity arithmetic, which the tests keep in
+    # oracles.py; a fresh start of the CLI must not load them again.
+    probe = "import sys, inclined.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(Path(inclined.__file__).parents[1])),
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 _REUSE_ARGV = [
@@ -456,7 +478,7 @@ def test_descending_searches_do_not_depend_on_the_blas_thread_count(tmp_path, mo
     assert len(evals) == 5 and min(evals[1], evals[3], evals[4]) > 1, evals
 
 
-def test_demo_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
+def test_demo_is_byte_identical_under_one_and_two_blas_threads(tmp_path, capsys):
     # The manifest records argv, so both runs use the same relative --outdir.
     outputs = {}
     for threads in (1, 2):
@@ -468,6 +490,14 @@ def test_demo_is_byte_identical_under_one_and_two_blas_threads(tmp_path):
         outputs[threads] = {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
     assert len(outputs[1]) == 11
     assert outputs[1] == outputs[2]
+    # Every demo family verifies from its seeded basis record (no --basis)
+    # and prints exactly the max_diagonal it records.
+    families = sorted((tmp_path / "threads1" / "out").glob("family_*.json"))
+    assert len(families) == 8
+    for fam in families:
+        assert main(["family", "verify", str(fam)]) == 0, fam.name
+        printed = json.loads(capsys.readouterr().out)["max_diagonal"]
+        assert printed == json.loads(fam.read_text())["certificate"]["max_diagonal"], fam.name
 
 
 @pytest.mark.parametrize("argv", [

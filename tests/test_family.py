@@ -14,14 +14,10 @@ import inclined
 from inclined import (
     BranchProjectionSpec,
     BudgetExhausted,
-    apply_branch_projection,
     blocks_matrix,
-    branch_diagonals,
     branch_intersection,
     build_branch_projection,
     digest_vectors,
-    inner,
-    leakage_set,
     level_leakage_sets,
     level_masses,
     min_level_dimension,
@@ -37,6 +33,7 @@ from inclined.family import (
     LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
 from inclined.serialize import write_json
 from inclined.tensor_projection import ProductProjectionSpec, joint_fixed_vector
+from oracles import apply_branch_projection, branch_diagonals, inner, leakage_set
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -260,7 +257,8 @@ def test_family_command_steps_hold_few_basis_copies(basis_1024, toy_452, on_toy,
 
 
 # ------------------------------------------------ row blocks keep the bits
-# The whole-level arithmetic the row-block passes replace, as first written.
+# The whole-level arithmetic the row-block passes replace, as first written
+# (the diagonals' is oracles.branch_diagonals).
 
 def _reference_masses(stage, mat):
     out = np.empty((stage.depth, mat.shape[0]))
@@ -285,15 +283,6 @@ def _reference_groups(stage, mat, masses, leaked, lv, sigma):
         groups = np.linalg.qr(groups, mode="r")
     keep = norms > 0.0
     return groups[keep] * (1.0 / norms[keep])[:, None, None]
-
-
-def _reference_diagonals(spec, mat):
-    diag = np.zeros(mat.shape[0])
-    for lv in spec.stage.levels:
-        blocks = blocks_matrix(lv.space, mat[:, spec.stage.level_slice(lv.m)], spec.sigma(lv.m))
-        coeff = np.einsum("...j,j->...", blocks, spec.directions[lv.m - 1].conj())
-        diag += (np.abs(coeff) ** 2).sum(axis=1)
-    return diag
 
 
 def _paper_members(count):
@@ -345,7 +334,7 @@ def test_row_blocks_keep_the_whole_level_bits(make, row_budget):
         dirs = rng.standard_normal((stage.depth, 2, max(lv.d for lv in stage.levels)))
         spec = BranchProjectionSpec(stage, branch, tuple(
             z[0, :lv.d] + 1j * z[1, :lv.d] for z, lv in zip(dirs, stage.levels)))
-        assert family._diagonals(spec, mat).tobytes() == _reference_diagonals(spec, mat).tobytes()
+        assert family._diagonals(spec, mat).tobytes() == branch_diagonals(spec, mat).tobytes()
 
 
 @pytest.mark.parametrize("ds", [[2, 2, 2], [4, 4, 2], [4, 5, 2]], ids=str)
@@ -393,7 +382,7 @@ def _whole_levels(mp):
     """Put the whole-level references in place of the row-block passes."""
     mp.setattr(family, "_masses", _reference_masses)
     mp.setattr(family, "_level_groups", _reference_groups)
-    mp.setattr(family, "_diagonals", _reference_diagonals)
+    mp.setattr(family, "_diagonals", branch_diagonals)
 
 
 def test_family_files_and_verify_output_match_the_whole_level_arithmetic(

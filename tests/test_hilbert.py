@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from inclined import (
-    inner,
-    norm,
-    random_orthonormal_basis,
-    random_unit_vector,
-    rank_one_apply,
-)
-from inclined import hilbert
+from inclined import hilbert, random_orthonormal_basis
 from inclined.hilbert import RANDOM_BASIS_CAP_BYTES
+from oracles import inner, norm, random_unit_vector, rank_one_apply
 
 E2 = np.eye(2, dtype=complex)
 

@@ -11,22 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inclined import (
-    capacity,
-    complexify,
-    cover_witness,
-    find_inclined_vector,
-    four_copies,
-    inclination_bound,
-    inner,
-    rank_one_apply,
-    realify,
-    recompute_achieved,
-    verify_inclination,
-)
+from inclined import cover_witness, find_inclined_vector, recompute_achieved, verify_inclination
 from inclined import hilbert, search
 from inclined.search import _STEP_SCHEDULE, InclinationCertificate, minimize_max_group_norm
 from inclined.serialize import inclination_from_obj, read_json, read_vectors
+from oracles import (
+    capacity, complexify, four_copies, inclination_bound, inner, rank_one_apply, realify)
 
 TIE_SHARE, TIE_MAX_GROUPS = 0.1, 16  # the kernel's tie-step constants, restated
 
@@ -267,12 +257,25 @@ def test_a_nan_achieved_or_bound_fails_verification():
             verify_inclination(dataclasses.replace(cert, **{field: math.nan}), family)
 
 
+def _corpus_certificate_verifies(name):
+    data = Path(__file__).parent / "data"
+    cert = inclination_from_obj(read_json(data / f"{name}.json")["certificate"])
+    achieved = verify_inclination(cert, read_vectors(data / f"{name}_vectors.json"))
+    assert abs(achieved - cert.achieved) <= 1e-10
+
+
 def test_incline_certificate_written_by_0_9_0_verifies():
     # Built by version 0.9.0: `incline incline_v090_vectors.json --bound 0.45 --seed 9`.
-    data = Path(__file__).parent / "data"
-    cert = inclination_from_obj(read_json(data / "incline_v090.json")["certificate"])
-    achieved = verify_inclination(cert, read_vectors(data / "incline_v090_vectors.json"))
-    assert abs(achieved - cert.achieved) <= 1e-10
+    _corpus_certificate_verifies("incline_v090")
+
+
+def test_incline_certificate_written_by_0_10_0_verifies():
+    # Built by version 0.10.0: `inclined incline incline_v0100_vectors.json
+    # --bound 0.45 --seed 10 --out incline_v0100.json`, on 40 unit rows in
+    # C^8, the rows of z / ||z|| for z = rng.standard_normal((40, 8))
+    # + 1j * rng.standard_normal((40, 8)), rng = np.random.default_rng(100),
+    # written by serialize.write_json(path, vectors_to_obj(...)).
+    _corpus_certificate_verifies("incline_v0100")
 
 
 def test_certificate_invariants_enforced():

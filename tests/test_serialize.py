@@ -188,6 +188,7 @@ def test_inclination_certificate_round_trip():
 
 @pytest.mark.parametrize("field, value", [
     ("d", "2"), ("achieved", "0.5"), ("bound", True), ("seed", "3"), ("iterations_used", 4.9),
+    ("family_digest", 5), ("family_digest", None),
     # json.loads reads these tokens and literals as non-finite floats
     ("achieved", json.loads("NaN")), ("bound", json.loads("NaN")),
     ("bound", json.loads("Infinity")), ("achieved", json.loads("1e400"))])

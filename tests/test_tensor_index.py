@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from inclined import TensorIndexSpace, block_view, blocks_matrix
-
-
-def _kron_basis_vector(t, d):
-    """e_t in the dense oracle's Kronecker order, first axis most significant."""
-    out = np.ones(1, dtype=complex)
-    for b in t:
-        out = np.kron(out, np.eye(d, dtype=complex)[b])
-    return out
+from oracles import kron_basis_vector
 
 
 def test_space_validation():
@@ -29,7 +22,7 @@ def test_every_index_sits_where_the_kronecker_order_puts_it(n, d):
     # and splitting t = s | (axis, b) puts it in block row s, column b
     sp = TensorIndexSpace(tuple(f"a{i}" for i in range(n)), d)
     for t in itertools.product(range(d), repeat=n):
-        x = _kron_basis_vector(t, d)
+        x = kron_basis_vector(t, d)
         assert np.flatnonzero(x).tolist() == [np.ravel_multi_index(t, (d,) * n)]
         for pos, axis in enumerate(sp.axes):
             s = t[:pos] + t[pos + 1:]
@@ -49,7 +42,7 @@ def test_linearize_round_trip_all_indices():
         i = int(np.ravel_multi_index(t, shape))
         seen.add(i)
         assert tuple(int(b) for b in np.unravel_index(i, shape)) == t
-        assert np.flatnonzero(_kron_basis_vector(t, sp.alphabet_size)).tolist() == [i]
+        assert np.flatnonzero(kron_basis_vector(t, sp.alphabet_size)).tolist() == [i]
     assert seen == set(range(sp.dim))
 
 
@@ -59,15 +52,15 @@ def test_function_indices_enumeration_is_lexicographic():
     sp = TensorIndexSpace(("a", "b"), 3)
     indices = list(itertools.product(range(sp.alphabet_size), repeat=len(sp.axes)))
     assert indices == sorted(indices)
-    order = [int(np.flatnonzero(_kron_basis_vector(t, 3))[0]) for t in indices]
+    order = [int(np.flatnonzero(kron_basis_vector(t, 3))[0]) for t in indices]
     assert order == list(range(9))
-    stacked = np.array([_kron_basis_vector(t, 3) for t in indices])
+    stacked = np.array([kron_basis_vector(t, 3) for t in indices])
     np.testing.assert_array_equal(stacked, np.eye(9))
 
 
 def test_block_view_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 3)
-    x = _kron_basis_vector((0, 1), 3)
+    x = kron_basis_vector((0, 1), 3)
     blocks = block_view(sp, x, "a")
     np.testing.assert_array_equal(blocks[(1,)], [1, 0, 0])  # e_0 at s = {b: 1}
     for key in itertools.product(range(3), repeat=1):
@@ -114,7 +107,7 @@ def test_block_view_dimension_mismatch():
 def test_basis_vectors_have_exactly_one_standard_block():
     sp = TensorIndexSpace(("a", "b", "c"), 2)
     for t in itertools.product(range(2), repeat=3):
-        x = _kron_basis_vector(t, 2)
+        x = kron_basis_vector(t, 2)
         for axis in sp.axes:
             mat = blocks_matrix(sp, x, axis)
             nonzero = mat[np.linalg.norm(mat, axis=1) > 0]

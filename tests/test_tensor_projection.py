@@ -8,15 +8,12 @@ from inclined import (
     ProductProjectionSpec,
     TensorIndexSpace,
     apply_axis,
-    apply_product,
     block_view,
     blocks_matrix,
-    dense_materialize,
-    dense_rank_one,
-    inner,
     joint_fixed_vector,
-    rank_one_apply,
 )
+from oracles import (
+    apply_product, dense_materialize, dense_rank_one, inner, kron_basis_vector, rank_one_apply)
 
 
 def _random_space(rng, max_axes=3, max_d=4):
@@ -28,14 +25,6 @@ def _random_space(rng, max_axes=3, max_d=4):
 def _random_direction(rng, d):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
-
-
-def _kron_basis_vector(t, d):
-    """e_t in the dense oracle's Kronecker order, first axis most significant."""
-    out = np.ones(1, dtype=complex)
-    for b in t:
-        out = np.kron(out, np.eye(d, dtype=complex)[b])
-    return out
 
 
 def _round_trip_apply_axis(spec, x):
@@ -51,14 +40,14 @@ def _round_trip_apply_axis(spec, x):
 def test_apply_axis_fixes_matching_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 2)
     spec = AxisProjectionSpec(sp, "a", np.array([1, 0], dtype=complex))
-    x = _kron_basis_vector((0, 1), 2)
+    x = kron_basis_vector((0, 1), 2)
     np.testing.assert_allclose(apply_axis(spec, x), x)
 
 
 def test_apply_axis_kills_orthogonal_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 2)
     spec = AxisProjectionSpec(sp, "a", np.array([1, 0], dtype=complex))
-    x = _kron_basis_vector((1, 1), 2)
+    x = kron_basis_vector((1, 1), 2)
     np.testing.assert_allclose(apply_axis(spec, x), np.zeros(4))
 
 
@@ -69,7 +58,7 @@ def test_apply_axis_basic_vector_identity():
     v = _random_direction(rng, 3)
     spec = AxisProjectionSpec(sp, "b", v)
     for t in [(0, 2, 1), (2, 0, 0)]:
-        out = apply_axis(spec, _kron_basis_vector(t, 3))
+        out = apply_axis(spec, kron_basis_vector(t, 3))
         blocks = block_view(sp, out, "b")
         s_key = (t[0], t[2])
         e_b = np.zeros(3, dtype=complex)
@@ -109,9 +98,9 @@ def test_apply_product_joint_eigenvector():
     sp = TensorIndexSpace(("a", "b"), 2)
     e = np.eye(2, dtype=complex)
     spec = ProductProjectionSpec(sp, {"a": e[0], "b": e[1]})
-    x = _kron_basis_vector((0, 1), 2)
+    x = kron_basis_vector((0, 1), 2)
     np.testing.assert_allclose(apply_product(spec, x), x)
-    y = _kron_basis_vector((1, 1), 2)
+    y = kron_basis_vector((1, 1), 2)
     np.testing.assert_allclose(apply_product(spec, y), np.zeros(4))
 
 
@@ -135,7 +124,7 @@ def test_joint_fixed_vector_basis_directions():
     sp = TensorIndexSpace(("a", "b"), 2)
     e = np.eye(2, dtype=complex)
     v = joint_fixed_vector(ProductProjectionSpec(sp, {"a": e[0], "b": e[1]}))
-    np.testing.assert_allclose(v, _kron_basis_vector((0, 1), 2))
+    np.testing.assert_allclose(v, kron_basis_vector((0, 1), 2))
 
 
 def test_joint_fixed_vector_expansion():
@@ -143,7 +132,7 @@ def test_joint_fixed_vector_expansion():
     e = np.eye(2, dtype=complex)
     v = joint_fixed_vector(
         ProductProjectionSpec(sp, {"a": (e[0] + e[1]) / np.sqrt(2), "b": e[0]}))
-    expected = (_kron_basis_vector((0, 0), 2) + _kron_basis_vector((1, 0), 2)) / np.sqrt(2)
+    expected = (kron_basis_vector((0, 0), 2) + kron_basis_vector((1, 0), 2)) / np.sqrt(2)
     np.testing.assert_allclose(v, expected, atol=1e-15)
 
 
