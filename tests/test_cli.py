@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -177,11 +178,12 @@ def test_cover_single_point_finds_witness(tmp_path, capsys):
     assert out["status"] == "witness"
 
 
-def test_cover_radius_two_finds_nothing(tmp_path):
+def test_cover_radius_two_finds_nothing(basis2, tmp_path):
     # a budget miss, not a covering proof
     src = tmp_path / "one.json"
     _write_vectors(src, [np.array([1.0, 0, 0], dtype=complex)])
     assert main(["cover", str(src), "--radius", "2.0", "--trials", "2000", "--seed", "0"]) == 3
+    assert main(["cover", basis2, "--radius", "2.0"]) == 3
 
 
 # ------------------------------------------------------------- family
@@ -328,11 +330,80 @@ def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, caps
                                                    "check": "diagonals"}
 
 
-def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120, preexec_fn=None):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads),
-               PYTHONPATH=str(Path(inclined.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "inclined.cli", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
+# Runs argv[1:] as the only child of a fresh interpreter, then prints that
+# child's peak RSS from os.wait4 as a last stderr line.  A command forked from
+# the test process itself would count that process's resident pages as its own.
+_PEAK_LAUNCHER = """import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120, preexec_fn=None, peak=False):
+    """``python -m inclined.cli argv`` in ``cwd``, with OPENBLAS_NUM_THREADS
+    ``blas_threads`` (None: unset); with ``peak``, the result's ``peak_kib`` is
+    the command's peak RSS."""
+    env = dict(os.environ, PYTHONPATH=str(Path(inclined.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    launcher = [sys.executable, "-c", _PEAK_LAUNCHER] if peak else []
+    done = subprocess.run([*launcher, sys.executable, "-m", "inclined.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=preexec_fn)
+    if peak:
+        done.stderr, _, kib = done.stderr.rstrip("\n").rpartition("\n")
+        done.peak_kib = int(kib)
+    return done
+
+
+def _one_cpu():
+    # like `taskset -c 0`, on the first CPU this process may use
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+# How each run starts its commands.  On one CPU the BLAS thread count is left
+# to OpenBLAS, which follows the CPU affinity.
+_ENVIRONMENTS = {"threads1": {"blas_threads": 1}, "threads2": {"blas_threads": 2},
+                 "one_cpu": {"blas_threads": None, "preexec_fn": _one_cpu}}
+
+
+def _run_all(workdir, commands, where, code=0, peak_below=None):
+    """Run each argv of ``commands`` in a new ``workdir`` under the environment
+    ``where``; each must exit ``code`` and, given ``peak_below``, peak below
+    that many KiB.  Returns every command's stdout and every file's bytes."""
+    if where == "one_cpu" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no os.sched_setaffinity to run on one CPU")
+    workdir.mkdir()
+    stdouts = []
+    for argv in commands:
+        done = _cli_in_subprocess(argv, workdir, peak=peak_below is not None,
+                                  **_ENVIRONMENTS[where])
+        assert done.returncode == code, (argv, done.stderr)
+        if peak_below is not None:
+            assert done.peak_kib < peak_below, (argv, done.peak_kib, peak_below)
+        stdouts.append(done.stdout)
+    return stdouts, {p.name: p.read_bytes() for p in workdir.iterdir()}
+
+
+def _inputs(tmp_path_factory, files, commands, code=0):
+    """Write ``files`` (name: JSON object) to a new directory; return it and a
+    function that runs ``commands`` there in a subdirectory named after the
+    environment, at most once per environment."""
+    root = tmp_path_factory.mktemp("inputs")
+    for name, obj in files.items():
+        write_json(root / name, obj)
+    return root, functools.cache(lambda where: _run_all(root / where, commands, where, code))
+
+
+def _unit_rows(seed, n, d):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return vectors_to_obj(z / np.linalg.norm(z, axis=1, keepdims=True))
 
 
 def test_the_cli_starts_without_fractions_or_decimal(tmp_path):
@@ -439,26 +510,64 @@ _DESCENDING_BUILDS = [
     *(["family", "build", "--stage", "../paper.json", "--branch", branch, "--basis", "../basis.json",
        "--rho", "0.015", "--seed", "11", "--out", f"paper_{branch}.json"] for branch in "01"),
 ]
+# Those builds verified, the paper-stage members built and verified at rho
+# 0.9, where every level search ends at its first evaluation, and intersected.
+_PAPER_CHAIN = [
+    *_DESCENDING_BUILDS,
+    ["family", "verify", "toy_101.json"],
+    *(argv for branch in "01" for argv in (
+        ["family", "verify", f"paper_{branch}.json", "--basis", "../basis.json"],
+        ["family", "build", "--stage", "../paper.json", "--branch", branch, "--basis",
+         "../basis.json", "--seed", "11", "--out", f"family_{branch}.json"],
+        ["family", "verify", f"family_{branch}.json", "--basis", "../basis.json"])),
+    ["family", "intersect", "family_0.json", "family_1.json", "--out", "intersect.json"],
+]
 
 
-def test_descending_searches_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch,
-                                                                     capsys):
-    write_json(tmp_path / "toy.json", {"regime": "toy", "levels": [
-        {"m": 1, "d": 2}, {"m": 2, "d": 2}, {"m": 3, "d": 2}]})
-    write_json(tmp_path / "paper.json", {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
+@pytest.fixture(scope="module")
+def paper_stage(tmp_path_factory):
+    """Six orthonormal members of the paper stage d = 347 (33.7 MB), written once."""
     rng = np.random.default_rng(11)
     z = rng.standard_normal((347 ** 2, 6)) + 1j * rng.standard_normal((347 ** 2, 6))
-    _write_vectors(tmp_path / "basis.json", np.linalg.qr(z)[0].T)
-    del z
-    outputs = {}
-    for threads in (1, 2):
-        workdir = tmp_path / f"threads{threads}"
-        workdir.mkdir()
-        for argv in _DESCENDING_BUILDS:
-            done = _cli_in_subprocess(argv, workdir, blas_threads=threads)
-            assert done.returncode == 0, done.stderr
-        outputs[threads] = {p.name: p.read_bytes() for p in workdir.iterdir()}
-    assert len(outputs[1]) == 3 and outputs[1] == outputs[2]
+    return _inputs(tmp_path_factory, {
+        "toy.json": {"regime": "toy", "levels": [{"m": m, "d": 2} for m in (1, 2, 3)]},
+        "paper.json": {"regime": "paper", "levels": [{"m": 1, "d": 347}]},
+        "basis.json": vectors_to_obj(np.linalg.qr(z)[0].T)}, _PAPER_CHAIN)
+
+
+@pytest.fixture(scope="module")
+def frontier(tmp_path_factory):
+    # A bound below reach spends the whole budget, through tie steps, kept
+    # Gram columns and trials rejected on the largest groups, and exits 1.
+    return _inputs(tmp_path_factory, {"vectors.json": _unit_rows(77, 1000, 128)},
+                   [["incline", "../vectors.json", "--bound", "0.05", "--budget", "20000",
+                     "--seed", "3", "--out", "frontier.json"]], code=1)
+
+
+@pytest.fixture(scope="module")
+def cover_net(tmp_path_factory):
+    # 3 000 unit points in C^40 miss a trial within the budget: a witness.
+    return _inputs(tmp_path_factory, {"net.json": _unit_rows(5, 3000, 40)},
+                   [["cover", "../net.json", "--radius", "1.15", "--trials", "20000",
+                     "--seed", "3", "--out", "cover.json"]])
+
+
+@pytest.mark.parametrize("where", ["threads2", "one_cpu"])
+@pytest.mark.parametrize("inputs", ["paper_stage", "frontier", "cover_net"])
+def test_bytes_do_not_depend_on_the_blas_thread_or_cpu_count(inputs, where, request):
+    # Every stdout and file against those under one BLAS thread.  On one
+    # usable CPU the basis and vectors files are decoded, and the intersect
+    # vector (about 5.6 MB) written, in one process, not two.
+    _, run = request.getfixturevalue(inputs)
+    assert run(where) == run("threads1")
+
+
+def test_descending_searches_do_not_depend_on_the_blas_thread_count(paper_stage, monkeypatch,
+                                                                     capsys):
+    root, run = paper_stage
+    built = {argv[-1] for argv in _DESCENDING_BUILDS}
+    outputs = [{name: run(where)[1][name] for name in built} for where in ("threads1", "threads2")]
+    assert outputs[0] == outputs[1]
     # The same builds in this process, each level search's evaluations counted.
     evals = []
     search = inclined.family.minimize_max_group_norm
@@ -469,11 +578,12 @@ def test_descending_searches_do_not_depend_on_the_blas_thread_count(tmp_path, mo
         return result
 
     monkeypatch.setattr(inclined.family, "minimize_max_group_norm", counted)
-    monkeypatch.chdir(tmp_path / "threads1")
+    (root / "in_process").mkdir()
+    monkeypatch.chdir(root / "in_process")
     for argv in _DESCENDING_BUILDS:
         assert main(argv) == 0
     capsys.readouterr()
-    assert outputs[1] == {p.name: p.read_bytes() for p in Path().iterdir()}
+    assert outputs[0] == {p.name: p.read_bytes() for p in Path().iterdir()}
     # toy levels 1-3, then the paper stage's one level on each branch
     assert len(evals) == 5 and min(evals[1], evals[3], evals[4]) > 1, evals
 
@@ -577,10 +687,10 @@ def test_paper_stage_with_a_huge_alphabet_is_decided_at_once(tmp_path):
     assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
 
 
-def _limit_address_space():
-    # 3 GiB: an allocation of the 64 GiB vector fails at once instead of
-    # exhausting the machine's memory
-    resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 30, 3 * 2 ** 30))
+def _limit_address_space(nbytes):
+    """`ulimit -v`: an allocation beyond ``nbytes`` fails at once instead of
+    exhausting the machine's memory."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (nbytes, nbytes))
 
 
 def test_intersect_of_an_oversized_stage_is_refused_before_allocating(tmp_path):
@@ -592,9 +702,40 @@ def test_intersect_of_an_oversized_stage_is_refused_before_allocating(tmp_path):
         spec = BranchProjectionSpec(stage=stage, branch=branch, directions=(e0,) * 5)
         write_json(tmp_path / f"{branch}.json", branch_spec_to_obj(spec))
     done = _cli_in_subprocess(["family", "intersect", "00000.json", "10000.json"], tmp_path,
-                              blas_threads=1, timeout=60, preexec_fn=_limit_address_space)
+                              blas_threads=1, timeout=60,
+                              preexec_fn=_limit_address_space(3 * 2 ** 30))
     assert done.returncode == 2, done.stderr
     assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
+
+
+@pytest.mark.skipif(sys.platform == "darwin", reason="macOS does not enforce RLIMIT_AS")
+def test_cover_of_the_paper_basis_runs_in_a_bounded_address_space(paper_stage):
+    # cover draws one row block of trials at a time: one trial of 240 818
+    # floats here, where one batch of 1 024 trials took 1.84 GiB.  Radius 1.5
+    # is beyond reach, so it spends its budget and exits 3.
+    done = _cli_in_subprocess(["cover", "basis.json", "--radius", "1.5", "--trials", "1024"],
+                              paper_stage[0], blas_threads=1,
+                              preexec_fn=_limit_address_space(2_000_000 * 1024))
+    assert done.returncode == 3, done.stderr
+
+
+@pytest.mark.skipif(sys.platform == "darwin", reason="ru_maxrss is in bytes on macOS, not KiB")
+def test_a_seeded_toy_build_and_verify_hold_about_one_basis_copy(tmp_path):
+    # Toy stage [4, 7, 2]: n = 2673, so one basis copy is 2673^2 * 16 bytes
+    # (109 MiB) above `params --m 1`, the interpreter with numpy loaded.
+    # Built a whole level at a time, the build held about 3.2 copies above
+    # that, and about 2.3 while it kept every block of its toy search groups.
+    write_json(tmp_path / "stage.json", {"regime": "toy", "levels": [
+        {"m": 1, "d": 4}, {"m": 2, "d": 7}, {"m": 3, "d": 2}]})
+    base = _cli_in_subprocess(["params", "--m", "1"], tmp_path, blas_threads=None, peak=True)
+    assert base.returncode == 0, base.stderr
+    commands = [["family", "build", "--stage", "../stage.json", "--branch", "010", "--basis",
+                 "random", "--seed", "5", "--out", "family.json"],
+                ["family", "verify", "family.json"]]
+    limit = base.peak_kib + 1.6 * 2673 ** 2 * 16 / 1024
+    runs = [_run_all(tmp_path / where, commands, where, peak_below=limit)
+            for where in ("threads1", "threads2")]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("argv, stage", [
