@@ -1,13 +1,8 @@
 """Certified inclined-vector search and tensor-product projection families."""
 
-from .hilbert import normalized, random_orthonormal_basis
+from .hilbert import random_orthonormal_basis
 from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
-from .tensor_projection import (
-    AxisProjectionSpec,
-    ProductProjectionSpec,
-    apply_axis,
-    joint_fixed_vector,
-)
+from .tensor_projection import apply_axis, joint_fixed_vector
 from .search import (
     BudgetExhausted,
     InclinationCertificate,
@@ -35,15 +30,13 @@ from .family import (
 )
 from .serialize import canonical_json, derive_seed, digest_vectors
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
-    "AxisProjectionSpec",
     "BranchProjectionSpec",
     "BudgetExhausted",
     "InclinationCertificate",
     "LevelSpec",
-    "ProductProjectionSpec",
     "StageParameters",
     "SuppressionCertificate",
     "SuppressionFailure",
@@ -62,7 +55,6 @@ __all__ = [
     "level_leakage_sets",
     "level_masses",
     "min_level_dimension",
-    "normalized",
     "paper_stage",
     "random_orthonormal_basis",
     "recompute_achieved",

@@ -49,8 +49,7 @@ from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed, digest_vectors
 from .tensor_index import TensorIndexSpace, blocks_matrix
-from .tensor_projection import (
-    AxisProjectionSpec, ProductProjectionSpec, _frozen_unit, apply_axis, joint_fixed_vector)
+from .tensor_projection import _frozen_unit, apply_axis, joint_fixed_vector
 
 MIN_PAPER_ALPHABET = 2 ** 7
 
@@ -293,10 +292,6 @@ class BranchProjectionSpec:
             raise ValueError(f"level {m} not in stage of depth {self.stage.depth}")
         return self.branch[:m]
 
-    def level_projection(self, m: int) -> AxisProjectionSpec:
-        lv = self.stage.levels[m - 1]
-        return AxisProjectionSpec(lv.space, self.sigma(m), self.directions[m - 1])
-
 
 @dataclass(frozen=True)
 class SuppressionCertificate:
@@ -473,13 +468,13 @@ def branch_intersection(specs: Sequence[BranchProjectionSpec]) -> tuple[np.ndarr
     dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1] for s in specs}
     sl = stage.level_slice(m)
     out = np.zeros(stage.dim, dtype=np.complex128)
-    out[sl] = joint_fixed_vector(ProductProjectionSpec(lv.space, dirs))
+    out[sl] = joint_fixed_vector(lv.space, dirs)
     # P is block-diagonal and x is zero off level m, so P x - x is too; the
     # full-length gap keeps the residual sums grouped as for the whole stage.
     gap = np.zeros_like(out)
     residuals = {}
     for s in specs:
-        gap[sl] = apply_axis(s.level_projection(m), out[sl]) - out[sl]
+        gap[sl] = apply_axis(lv.space, s.sigma(m), s.directions[m - 1], out[sl]) - out[sl]
         # not np.linalg.norm: its BLAS dot rounds by thread count on long vectors
         residual = residuals[s.branch] = math.sqrt(float((gap.real ** 2 + gap.imag ** 2).sum()))
         if residual > 1e-10:  # cannot happen for distinct axes; defensive

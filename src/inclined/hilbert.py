@@ -62,14 +62,6 @@ def as_family(x, dim: int | None = None) -> np.ndarray:
     return mat
 
 
-def normalized(v) -> np.ndarray:
-    vv = as_vector(v)
-    n = np.linalg.norm(vv)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return vv / n
-
-
 def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
     """Seeded orthonormal basis of C^n: the rows of D_0 F D_1 F D_2.
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from inclined.family import BranchProjectionSpec, basis_matrix
 from inclined.hilbert import as_family, as_vector
-from inclined.tensor_index import blocks_matrix
-from inclined.tensor_projection import AxisProjectionSpec, ProductProjectionSpec, apply_axis
+from inclined.tensor_index import TensorIndexSpace, blocks_matrix
+from inclined.tensor_projection import apply_axis
 
 # Dense operators exist only as test oracles; above this size they are refused.
 DENSE_ORACLE_CAP = 4096
@@ -87,31 +87,28 @@ def kron_basis_vector(t, d):
     return out
 
 
-def apply_product(spec: ProductProjectionSpec, x) -> np.ndarray:
-    """Apply the participating axis projections sequentially.
+def apply_product(space: TensorIndexSpace, directions: Mapping[str, np.ndarray], x) -> np.ndarray:
+    """Apply the axis projections R_v, one per (axis, v) of ``directions``,
+    sequentially.
 
     The factors act on distinct axes, so they commute and any application
     order gives the same result.
     """
-    out = as_vector(x, dim=spec.space.dim)
-    for axis, v in spec.directions.items():
-        out = apply_axis(AxisProjectionSpec(spec.space, axis, v), out)
+    out = as_vector(x, dim=space.dim)
+    for axis, v in directions.items():
+        out = apply_axis(space, axis, v, out)
     return out
 
 
-def dense_materialize(spec: AxisProjectionSpec | ProductProjectionSpec) -> np.ndarray:
-    """Dense Kronecker-product matrix of a spec, for cross-checking only.
+def dense_materialize(space: TensorIndexSpace, directions: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Dense Kronecker-product matrix of the product of the axis projections
+    in ``directions`` (identity on the other axes), for cross-checking only.
 
     Kronecker factors follow the coordinate layout: first axis most
     significant.  Refuses total dimension above DENSE_ORACLE_CAP.
     """
-    space = spec.space
     if space.dim > DENSE_ORACLE_CAP:
         raise ValueError(f"total dimension {space.dim} exceeds dense oracle cap {DENSE_ORACLE_CAP}")
-    if isinstance(spec, AxisProjectionSpec):
-        directions = {spec.axis: spec.direction}
-    else:
-        directions = dict(spec.directions)
     d = space.alphabet_size
     out = np.ones((1, 1), dtype=np.complex128)
     for a in space.axes:
@@ -141,7 +138,7 @@ def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:
     out = np.zeros_like(xv)
     for lv in spec.stage.levels:
         sl = spec.stage.level_slice(lv.m)
-        out[sl] = apply_axis(spec.level_projection(lv.m), xv[sl])
+        out[sl] = apply_axis(lv.space, spec.sigma(lv.m), spec.directions[lv.m - 1], xv[sl])
     return out
 
 

@@ -85,16 +85,16 @@ def test_criterion_01_quadratic_form_identity():
         for _ in range(250):  # single axis
             sp = _space(rng, int(rng.integers(1, 4)), int(rng.integers(2, 5)))
             axis = sp.axes[int(rng.integers(len(sp.axes)))]
-            spec = inc.AxisProjectionSpec(sp, axis, _unit(rng, sp.alphabet_size))
+            v = _unit(rng, sp.alphabet_size)
             x = _random_vec(rng, sp.dim)
-            check(inc.apply_axis(spec, x), x)
+            check(inc.apply_axis(sp, axis, v, x), x)
         for _ in range(250):  # products over several axes
             sp = _space(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
             k = int(rng.integers(1, len(sp.axes) + 1))
             axes = [sp.axes[i] for i in rng.choice(len(sp.axes), size=k, replace=False)]
-            spec = inc.ProductProjectionSpec(sp, {a: _unit(rng, sp.alphabet_size) for a in axes})
+            dirs = {a: _unit(rng, sp.alphabet_size) for a in axes}
             x = _random_vec(rng, sp.dim)
-            check(oracles.apply_product(spec, x), x)
+            check(oracles.apply_product(sp, dirs, x), x)
         stage = inc.toy_stage([3, 2])  # block-diagonal branch projections
         for i in range(250):
             dirs = tuple(_unit(rng, lv.d) for lv in stage.levels)
@@ -119,10 +119,10 @@ def test_criterion_02_block_application_matches_dense_oracle():
             sp = _space(rng, n, d)
             assert sp.dim <= 256
             axis = sp.axes[int(rng.integers(n))]
-            spec = inc.AxisProjectionSpec(sp, axis, _unit(rng, d))
+            v = _unit(rng, d)
             x = _random_vec(rng, sp.dim)
-            dense = oracles.dense_materialize(spec)
-            assert np.abs(dense @ x - inc.apply_axis(spec, x)).max() <= 1e-10
+            dense = oracles.dense_materialize(sp, {axis: v})
+            assert np.abs(dense @ x - inc.apply_axis(sp, axis, v, x)).max() <= 1e-10
             checked += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.2f}s"
@@ -136,20 +136,18 @@ def test_criterion_03_product_projections_and_fixed_vectors():
             d = int(rng.integers(2, 5))
             sp = _space(rng, n, d)
             dirs = {a: _unit(rng, d) for a in sp.axes}
-            spec = inc.ProductProjectionSpec(sp, dirs)
-            w = inc.joint_fixed_vector(spec)
+            w = inc.joint_fixed_vector(sp, dirs)
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
             for a in sp.axes:
-                axis_spec = inc.AxisProjectionSpec(sp, a, dirs[a])
-                assert np.linalg.norm(inc.apply_axis(axis_spec, w) - w) <= 1e-10
-            assert np.linalg.norm(oracles.apply_product(spec, w) - w) <= 1e-10
+                assert np.linalg.norm(inc.apply_axis(sp, a, dirs[a], w) - w) <= 1e-10
+            assert np.linalg.norm(oracles.apply_product(sp, dirs, w) - w) <= 1e-10
             if trial < 20:
                 x = _random_vec(rng, sp.dim)
                 outs = []
                 for order in itertools.permutations(sp.axes):
                     out = x
                     for a in order:
-                        out = inc.apply_axis(inc.AxisProjectionSpec(sp, a, dirs[a]), out)
+                        out = inc.apply_axis(sp, a, dirs[a], out)
                     outs.append(out)
                 for out in outs[1:]:
                     assert np.abs(out - outs[0]).max() <= 1e-12

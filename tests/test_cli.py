@@ -297,8 +297,15 @@ def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
         assert repr(json.loads(capsys.readouterr().out)["max_diagonal"]) == repr(built)
 
 
-def _corpus_family_reproduces_its_diagonals(name, capsys):
-    fam = Path(__file__).parent / "data" / name
+# Families built by earlier versions:
+# - family_v060.json by 0.6.0, which normalized every direction once more;
+# - family_v0100.json by 0.10.0: `inclined demo --seed 0 --outdir out`, whose
+#   out/family_101.json it is;
+# - family_v0110.json by 0.11.0 (commit 81c04e6): `inclined demo --seed 11
+#   --outdir out`, whose out/family_101.json it is.
+@pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110"])
+def test_family_written_by_an_earlier_version_reproduces_its_diagonals(name, capsys):
+    fam = Path(__file__).parent / "data" / f"{name}.json"
     obj = json.loads(fam.read_text())
     cert = obj["certificate"]
     assert main(["family", "verify", str(fam)]) == 0
@@ -306,17 +313,6 @@ def _corpus_family_reproduces_its_diagonals(name, capsys):
     basis = inclined.random_orthonormal_basis(obj["basis"]["n"], obj["basis"]["seed"])
     diagonals = branch_diagonals(branch_spec_from_obj(obj), basis)
     assert diagonals.tolist() == cert["diagonals"]
-
-
-def test_family_written_by_0_6_0_reproduces_its_diagonals(capsys):
-    # Built by version 0.6.0, which normalized every direction once more.
-    _corpus_family_reproduces_its_diagonals("family_v060.json", capsys)
-
-
-def test_family_written_by_0_10_0_reproduces_its_diagonals(capsys):
-    # Built by version 0.10.0: `inclined demo --seed 0 --outdir out`, whose
-    # out/family_101.json this is.
-    _corpus_family_reproduces_its_diagonals("family_v0100.json", capsys)
 
 
 def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, capsys):
@@ -813,9 +809,9 @@ def test_family_intersect_projects_each_branch_once_at_the_separating_level(
     calls = []
     original = inclined.family.apply_axis
 
-    def counting(spec, x):
-        calls.append((spec.axis, x.size))
-        return original(spec, x)
+    def counting(space, axis, direction, x):
+        calls.append((axis, x.size))
+        return original(space, axis, direction, x)
 
     monkeypatch.setattr(inclined.family, "apply_axis", counting)
     assert main(["family", "intersect", *families]) == 0

@@ -32,7 +32,7 @@ from inclined import cli, family, hilbert
 from inclined.family import (
     LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
 from inclined.serialize import write_json
-from inclined.tensor_projection import ProductProjectionSpec, joint_fixed_vector
+from inclined.tensor_projection import joint_fixed_vector
 from oracles import apply_branch_projection, branch_diagonals, inner, leakage_set
 
 RHO = 0.9
@@ -698,8 +698,7 @@ def test_branch_intersection_matches_the_full_stage_formula_bit_for_bit(sizes):
             dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1]
                                                        for s in group}
             expected = np.zeros(stage.dim, dtype=complex)
-            expected[stage.level_slice(m)] = joint_fixed_vector(
-                ProductProjectionSpec(lv.space, dirs))
+            expected[stage.level_slice(m)] = joint_fixed_vector(lv.space, dirs)
             assert vec.tobytes() == expected.tobytes()
             for s in group:
                 gap = apply_branch_projection(s, vec) - vec
@@ -744,5 +743,6 @@ def test_apply_branch_norm_splits_over_levels():
     per_level = 0.0
     for lv in stage.levels:
         sl = stage.level_slice(lv.m)
-        per_level += np.linalg.norm(apply_axis(spec.level_projection(lv.m), x[sl])) ** 2
+        px = apply_axis(lv.space, spec.sigma(lv.m), spec.directions[lv.m - 1], x[sl])
+        per_level += np.linalg.norm(px) ** 2
     assert np.linalg.norm(out) ** 2 == pytest.approx(per_level, abs=1e-12)

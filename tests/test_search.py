@@ -257,25 +257,22 @@ def test_a_nan_achieved_or_bound_fails_verification():
             verify_inclination(dataclasses.replace(cert, **{field: math.nan}), family)
 
 
-def _corpus_certificate_verifies(name):
+# Certificates built by earlier versions:
+# - incline_v090 by 0.9.0: `incline incline_v090_vectors.json --bound 0.45 --seed 9`;
+# - incline_v0100 by 0.10.0: `inclined incline incline_v0100_vectors.json
+#   --bound 0.45 --seed 10 --out incline_v0100.json`, on 40 unit rows in C^8,
+#   the rows of z / ||z|| for z = rng.standard_normal((40, 8))
+#   + 1j * rng.standard_normal((40, 8)), rng = np.random.default_rng(100),
+#   written by serialize.write_json(path, vectors_to_obj(...));
+# - incline_v0110 by 0.11.0 (commit 81c04e6): `inclined incline
+#   incline_v0110_vectors.json --bound 0.45 --seed 11 --out incline_v0110.json`,
+#   on rows made as for incline_v0100 with rng = np.random.default_rng(110).
+@pytest.mark.parametrize("name", ["incline_v090", "incline_v0100", "incline_v0110"])
+def test_incline_certificate_written_by_an_earlier_version_verifies(name):
     data = Path(__file__).parent / "data"
     cert = inclination_from_obj(read_json(data / f"{name}.json")["certificate"])
     achieved = verify_inclination(cert, read_vectors(data / f"{name}_vectors.json"))
     assert abs(achieved - cert.achieved) <= 1e-10
-
-
-def test_incline_certificate_written_by_0_9_0_verifies():
-    # Built by version 0.9.0: `incline incline_v090_vectors.json --bound 0.45 --seed 9`.
-    _corpus_certificate_verifies("incline_v090")
-
-
-def test_incline_certificate_written_by_0_10_0_verifies():
-    # Built by version 0.10.0: `inclined incline incline_v0100_vectors.json
-    # --bound 0.45 --seed 10 --out incline_v0100.json`, on 40 unit rows in
-    # C^8, the rows of z / ||z|| for z = rng.standard_normal((40, 8))
-    # + 1j * rng.standard_normal((40, 8)), rng = np.random.default_rng(100),
-    # written by serialize.write_json(path, vectors_to_obj(...)).
-    _corpus_certificate_verifies("incline_v0100")
 
 
 def test_certificate_invariants_enforced():

@@ -3,15 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from inclined import (
-    AxisProjectionSpec,
-    ProductProjectionSpec,
-    TensorIndexSpace,
-    apply_axis,
-    block_view,
-    blocks_matrix,
-    joint_fixed_vector,
-)
+from inclined import TensorIndexSpace, apply_axis, block_view, blocks_matrix, joint_fixed_vector
 from oracles import (
     apply_product, dense_materialize, dense_rank_one, inner, kron_basis_vector, rank_one_apply)
 
@@ -27,28 +19,25 @@ def _random_direction(rng, d):
     return v / np.linalg.norm(v)
 
 
-def _round_trip_apply_axis(spec, x):
+def _round_trip_apply_axis(space, axis, v, x):
     # Reference: the blocks -> outer product -> unblocks round trip that
     # apply_axis replaced by a write through block_view.
-    space, v = spec.space, spec.direction
     d, n = space.alphabet_size, len(space.axes)
-    coeff = np.einsum("...j,j->...", blocks_matrix(space, x, spec.axis), v.conj())
+    coeff = np.einsum("...j,j->...", blocks_matrix(space, x, axis), v.conj())
     cube = np.multiply.outer(coeff, v).reshape((d,) * n)
-    return np.moveaxis(cube, -1, space.axis_position(spec.axis)).reshape(-1)
+    return np.moveaxis(cube, -1, space.axis_position(axis)).reshape(-1)
 
 
 def test_apply_axis_fixes_matching_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 2)
-    spec = AxisProjectionSpec(sp, "a", np.array([1, 0], dtype=complex))
     x = kron_basis_vector((0, 1), 2)
-    np.testing.assert_allclose(apply_axis(spec, x), x)
+    np.testing.assert_allclose(apply_axis(sp, "a", np.array([1, 0], dtype=complex), x), x)
 
 
 def test_apply_axis_kills_orthogonal_basis_vector():
     sp = TensorIndexSpace(("a", "b"), 2)
-    spec = AxisProjectionSpec(sp, "a", np.array([1, 0], dtype=complex))
     x = kron_basis_vector((1, 1), 2)
-    np.testing.assert_allclose(apply_axis(spec, x), np.zeros(4))
+    np.testing.assert_allclose(apply_axis(sp, "a", np.array([1, 0], dtype=complex), x), np.zeros(4))
 
 
 def test_apply_axis_basic_vector_identity():
@@ -56,9 +45,8 @@ def test_apply_axis_basic_vector_identity():
     sp = TensorIndexSpace(("a", "b", "c"), 3)
     rng = np.random.default_rng(7)
     v = _random_direction(rng, 3)
-    spec = AxisProjectionSpec(sp, "b", v)
     for t in [(0, 2, 1), (2, 0, 0)]:
-        out = apply_axis(spec, kron_basis_vector(t, 3))
+        out = apply_axis(sp, "b", v, kron_basis_vector(t, 3))
         blocks = block_view(sp, out, "b")
         s_key = (t[0], t[2])
         e_b = np.zeros(3, dtype=complex)
@@ -74,34 +62,52 @@ def test_apply_axis_is_bit_identical_to_the_round_trip():
     for _ in range(60):
         sp = _random_space(rng, max_axes=3, max_d=5)
         axis = sp.axes[int(rng.integers(len(sp.axes)))]
-        spec = AxisProjectionSpec(sp, axis, _random_direction(rng, sp.alphabet_size))
+        v = _random_direction(rng, sp.alphabet_size)
         x = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        np.testing.assert_array_equal(apply_axis(spec, x), _round_trip_apply_axis(spec, x))
+        np.testing.assert_array_equal(apply_axis(sp, axis, v, x), _round_trip_apply_axis(sp, axis, v, x))
 
 
 def test_apply_axis_dimension_mismatch():
     sp = TensorIndexSpace(("a", "b"), 2)
-    spec = AxisProjectionSpec(sp, "a", np.array([1, 0], dtype=complex))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        apply_axis(spec, np.zeros(3, dtype=complex))
+        apply_axis(sp, "a", np.array([1, 0], dtype=complex), np.zeros(3, dtype=complex))
 
 
-def test_spec_rejects_unknown_axis_and_zero_direction():
+_BAD_DIRECTIONS = [
+    (np.zeros(2, dtype=complex), "zero vector"),
+    (np.array([1, np.nan], dtype=complex), "non-finite"),
+    (np.array([1, 0, 0], dtype=complex), "dimension mismatch"),
+]
+
+
+def test_apply_axis_rejects_unknown_axis_and_bad_directions():
     sp = TensorIndexSpace(("a", "b"), 2)
-    with pytest.raises(ValueError):
-        AxisProjectionSpec(sp, "z", np.array([1, 0], dtype=complex))
-    with pytest.raises(ValueError):
-        AxisProjectionSpec(sp, "a", np.zeros(2, dtype=complex))
+    x = kron_basis_vector((0, 1), 2)
+    with pytest.raises(ValueError, match="not in"):
+        apply_axis(sp, "z", np.array([1, 0], dtype=complex), x)
+    for v, message in _BAD_DIRECTIONS:
+        with pytest.raises(ValueError, match=message):
+            apply_axis(sp, "a", v, x)
+
+
+def test_joint_fixed_vector_rejects_unknown_axis_and_bad_directions():
+    sp = TensorIndexSpace(("a", "b"), 2)
+    e = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match="not in"):
+        joint_fixed_vector(sp, {"a": e[0], "b": e[1], "z": e[0]})
+    for v, message in _BAD_DIRECTIONS:
+        with pytest.raises(ValueError, match=message):
+            joint_fixed_vector(sp, {"a": e[0], "b": v})
 
 
 def test_apply_product_joint_eigenvector():
     sp = TensorIndexSpace(("a", "b"), 2)
     e = np.eye(2, dtype=complex)
-    spec = ProductProjectionSpec(sp, {"a": e[0], "b": e[1]})
+    dirs = {"a": e[0], "b": e[1]}
     x = kron_basis_vector((0, 1), 2)
-    np.testing.assert_allclose(apply_product(spec, x), x)
+    np.testing.assert_allclose(apply_product(sp, dirs, x), x)
     y = kron_basis_vector((1, 1), 2)
-    np.testing.assert_allclose(apply_product(spec, y), np.zeros(4))
+    np.testing.assert_allclose(apply_product(sp, dirs, y), np.zeros(4))
 
 
 def test_apply_product_order_independent():
@@ -113,25 +119,24 @@ def test_apply_product_order_independent():
     for order in itertools.permutations(sp.axes):
         out = x
         for a in order:
-            out = apply_axis(AxisProjectionSpec(sp, a, dirs[a]), out)
+            out = apply_axis(sp, a, dirs[a], out)
         results.append(out)
     for out in results[1:]:
         assert np.abs(out - results[0]).max() <= 1e-12
-    np.testing.assert_allclose(apply_product(ProductProjectionSpec(sp, dirs), x), results[0], atol=1e-12)
+    np.testing.assert_allclose(apply_product(sp, dirs, x), results[0], atol=1e-12)
 
 
 def test_joint_fixed_vector_basis_directions():
     sp = TensorIndexSpace(("a", "b"), 2)
     e = np.eye(2, dtype=complex)
-    v = joint_fixed_vector(ProductProjectionSpec(sp, {"a": e[0], "b": e[1]}))
+    v = joint_fixed_vector(sp, {"a": e[0], "b": e[1]})
     np.testing.assert_allclose(v, kron_basis_vector((0, 1), 2))
 
 
 def test_joint_fixed_vector_expansion():
     sp = TensorIndexSpace(("a", "b"), 2)
     e = np.eye(2, dtype=complex)
-    v = joint_fixed_vector(
-        ProductProjectionSpec(sp, {"a": (e[0] + e[1]) / np.sqrt(2), "b": e[0]}))
+    v = joint_fixed_vector(sp, {"a": (e[0] + e[1]) / np.sqrt(2), "b": e[0]})
     expected = (kron_basis_vector((0, 0), 2) + kron_basis_vector((1, 0), 2)) / np.sqrt(2)
     np.testing.assert_allclose(v, expected, atol=1e-15)
 
@@ -140,19 +145,18 @@ def test_joint_fixed_vector_random_directions():
     sp = TensorIndexSpace(("a", "b"), 4)
     rng = np.random.default_rng(9)
     dirs = {a: _random_direction(rng, 4) for a in sp.axes}
-    spec = ProductProjectionSpec(sp, dirs)
-    v = joint_fixed_vector(spec)
+    v = joint_fixed_vector(sp, dirs)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
     for a in sp.axes:
-        axis_spec = AxisProjectionSpec(sp, a, dirs[a])
-        assert np.linalg.norm(apply_axis(axis_spec, v) - v) <= 1e-10
+        assert np.linalg.norm(apply_axis(sp, a, dirs[a], v) - v) <= 1e-10
 
 
 def test_joint_fixed_vector_missing_axis():
     sp = TensorIndexSpace(("a", "b"), 2)
-    spec = ProductProjectionSpec(sp, {"a": np.array([1, 0], dtype=complex)})
     with pytest.raises(ValueError, match="missing"):
-        joint_fixed_vector(spec)
+        joint_fixed_vector(sp, {"a": np.array([1, 0], dtype=complex)})
+    with pytest.raises(ValueError, match="missing"):
+        joint_fixed_vector(sp, {})
 
 
 def test_dense_single_axis_is_rank_one_matrix():
@@ -160,13 +164,13 @@ def test_dense_single_axis_is_rank_one_matrix():
     rng = np.random.default_rng(10)
     v = _random_direction(rng, 3)
     np.testing.assert_allclose(
-        dense_materialize(AxisProjectionSpec(sp, "a", v)), dense_rank_one(v), atol=1e-14)
+        dense_materialize(sp, {"a": v}), dense_rank_one(v), atol=1e-14)
 
 
 def test_dense_two_axes_diagonal():
     sp = TensorIndexSpace(("a", "b"), 2)
-    spec = AxisProjectionSpec(sp, "a", np.array([1, 0], dtype=complex))
-    np.testing.assert_allclose(dense_materialize(spec), np.diag([1, 1, 0, 0]).astype(complex))
+    dense = dense_materialize(sp, {"a": np.array([1, 0], dtype=complex)})
+    np.testing.assert_allclose(dense, np.diag([1, 1, 0, 0]).astype(complex))
 
 
 def test_dense_agrees_with_structural_application():
@@ -174,28 +178,27 @@ def test_dense_agrees_with_structural_application():
     sp = TensorIndexSpace(("a", "b"), 4)
     for _ in range(10):
         axis = sp.axes[int(rng.integers(2))]
-        spec = AxisProjectionSpec(sp, axis, _random_direction(rng, 4))
+        v = _random_direction(rng, 4)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(dense_materialize(spec) @ x, apply_axis(spec, x), atol=1e-10)
+        np.testing.assert_allclose(dense_materialize(sp, {axis: v}) @ x, apply_axis(sp, axis, v, x),
+                                   atol=1e-10)
 
 
 def test_dense_product_agrees_and_is_projection():
     rng = np.random.default_rng(12)
     sp = TensorIndexSpace(("a", "b", "c"), 3)
     dirs = {a: _random_direction(rng, 3) for a in ("a", "c")}
-    spec = ProductProjectionSpec(sp, dirs)
-    mat = dense_materialize(spec)
+    mat = dense_materialize(sp, dirs)
     x = rng.standard_normal(27) + 1j * rng.standard_normal(27)
-    np.testing.assert_allclose(mat @ x, apply_product(spec, x), atol=1e-10)
+    np.testing.assert_allclose(mat @ x, apply_product(sp, dirs, x), atol=1e-10)
     np.testing.assert_allclose(mat, mat.conj().T, atol=1e-10)
     np.testing.assert_allclose(mat @ mat, mat, atol=1e-10)
 
 
 def test_dense_refuses_oversized_space():
     sp = TensorIndexSpace(tuple(f"a{i}" for i in range(13)), 2)  # dim 8192
-    spec = AxisProjectionSpec(sp, "a0", np.array([1, 0], dtype=complex))
     with pytest.raises(ValueError, match="cap"):
-        dense_materialize(spec)
+        dense_materialize(sp, {"a0": np.array([1, 0], dtype=complex)})
 
 
 def test_projection_invariants_on_random_specs():
@@ -203,14 +206,14 @@ def test_projection_invariants_on_random_specs():
     for _ in range(40):
         sp = _random_space(rng)
         axis = sp.axes[int(rng.integers(len(sp.axes)))]
-        spec = AxisProjectionSpec(sp, axis, _random_direction(rng, sp.alphabet_size))
+        v = _random_direction(rng, sp.alphabet_size)
         x = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
         y = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        px = apply_axis(spec, x)
+        px = apply_axis(sp, axis, v, x)
         # idempotence, contraction, self-adjointness via the bilinear form
-        assert np.linalg.norm(apply_axis(spec, px) - px) <= 1e-10 * max(np.linalg.norm(x), 1)
+        assert np.linalg.norm(apply_axis(sp, axis, v, px) - px) <= 1e-10 * max(np.linalg.norm(x), 1)
         assert np.linalg.norm(px) <= np.linalg.norm(x) + 1e-12
-        assert inner(px, y) == pytest.approx(inner(x, apply_axis(spec, y)), abs=1e-10)
+        assert inner(px, y) == pytest.approx(inner(x, apply_axis(sp, axis, v, y)), abs=1e-10)
 
 
 def test_product_dominated_by_each_factor():
@@ -220,11 +223,10 @@ def test_product_dominated_by_each_factor():
         k = int(rng.integers(1, len(sp.axes) + 1))
         chosen = list(rng.choice(len(sp.axes), size=k, replace=False))
         dirs = {sp.axes[i]: _random_direction(rng, sp.alphabet_size) for i in chosen}
-        spec = ProductProjectionSpec(sp, dirs)
         x = rng.standard_normal(sp.dim) + 1j * rng.standard_normal(sp.dim)
-        full = np.linalg.norm(apply_product(spec, x))
+        full = np.linalg.norm(apply_product(sp, dirs, x))
         for a, v in dirs.items():
-            single = np.linalg.norm(apply_axis(AxisProjectionSpec(sp, a, v), x))
+            single = np.linalg.norm(apply_axis(sp, a, v, x))
             assert full <= single + 1e-12
 
 
@@ -233,9 +235,8 @@ def test_distinct_axis_projections_commute():
     sp = TensorIndexSpace(("a", "b", "c"), 3)
     for _ in range(20):
         a1, a2 = rng.choice(3, size=2, replace=False)
-        s1 = AxisProjectionSpec(sp, sp.axes[a1], _random_direction(rng, 3))
-        s2 = AxisProjectionSpec(sp, sp.axes[a2], _random_direction(rng, 3))
+        v1, v2 = _random_direction(rng, 3), _random_direction(rng, 3)
         x = rng.standard_normal(27) + 1j * rng.standard_normal(27)
-        one = apply_axis(s1, apply_axis(s2, x))
-        two = apply_axis(s2, apply_axis(s1, x))
+        one = apply_axis(sp, sp.axes[a1], v1, apply_axis(sp, sp.axes[a2], v2, x))
+        two = apply_axis(sp, sp.axes[a2], v2, apply_axis(sp, sp.axes[a1], v1, x))
         assert np.abs(one - two).max() <= 1e-12
