@@ -19,8 +19,6 @@ from .family import (
     SuppressionFailure,
     branch_intersection,
     build_branch_projection,
-    level_leakage_sets,
-    level_masses,
     min_level_dimension,
     paper_stage,
     separating_level,
@@ -30,7 +28,7 @@ from .family import (
 )
 from .serialize import canonical_json, derive_seed, digest_vectors
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "BranchProjectionSpec",
@@ -52,8 +50,6 @@ __all__ = [
     "digest_vectors",
     "find_inclined_vector",
     "joint_fixed_vector",
-    "level_leakage_sets",
-    "level_masses",
     "min_level_dimension",
     "paper_stage",
     "random_orthonormal_basis",

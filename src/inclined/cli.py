@@ -80,32 +80,24 @@ def _manifest(command: str, argv: list[str], root_seed: int | None,
     }
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(convert, holds, what: str):
+    """An argparse type: convert(text), refused unless holds(value).  It takes
+    convert's name, which argparse names in "invalid int value: 'x'"."""
+    def check(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must {what}, got {text}")
+        return value
+
+    check.__name__ = convert.__name__
+    return check
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _positive_finite_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
-
-
-def _open_unit_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
-    return value
+_positive_int = _checked(int, lambda n: n >= 1, "be a positive integer")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "be a non-negative integer")
+_positive_finite_float = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
+                                  "be a positive finite number")
+_open_unit_float = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 
 
 def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
@@ -138,13 +130,14 @@ def _incline_payload(manifest: dict, cert) -> dict:
     return {"manifest": manifest, "certificate": inclination_to_obj(cert)}
 
 
-def _family_payload(manifest: dict, spec, basis_record: dict, rho: float, cert) -> dict:
+def _family_payload(manifest: dict, spec, basis_record: dict, basis_digest: str, rho: float,
+                    cert) -> dict:
     return {
         "manifest": manifest,
         **branch_spec_to_obj(spec),
         "basis": basis_record,
         "rho": rho,
-        "certificate": suppression_to_obj(cert),
+        "certificate": suppression_to_obj(spec, cert, basis_digest),
     }
 
 
@@ -204,10 +197,9 @@ def cmd_family_build(args, argv) -> int:
         request, path = {"kind": "file"}, args.basis
     basis, basis_record, basis_digest = _load_basis(request, path)
     spec, cert = build_branch_projection(
-        stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed,
-        basis_digest=basis_digest)
+        stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed)
     manifest = _manifest("family build", argv, args.seed, {"basis": basis_digest})
-    write_json(args.out, _family_payload(manifest, spec, basis_record, args.rho, cert))
+    write_json(args.out, _family_payload(manifest, spec, basis_record, basis_digest, args.rho, cert))
     print(canonical_json({"out": str(args.out), "max_diagonal": cert.max_diagonal, "bound": cert.bound}))
     return EXIT_OK
 
@@ -231,7 +223,7 @@ def cmd_family_verify(args, argv) -> int:
     basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
-    cert = verify_suppression(spec, basis, bound, basis_digest=basis_digest)
+    cert = verify_suppression(spec, basis, bound)
     # Every stored field must pass its check, in order (tampering with the
     # directions or with any recorded value shows up); the first miss is named.
     checks = [
@@ -241,8 +233,8 @@ def cmd_family_verify(args, argv) -> int:
          and np.abs(recorded - cert.diagonals).max() <= 1e-10),
         ("max_diagonal", cert.max_diagonal <= bound
          and abs(max_diagonal - cert.max_diagonal) <= 1e-10),
-        ("branch", stored["branch"] == cert.branch),
-        ("regime", stored["regime"] == cert.regime),
+        ("branch", stored["branch"] == spec.branch),
+        ("regime", stored["regime"] == spec.stage.regime),
         ("basis_digest", stored["basis_digest"] == basis_digest),
     ]
     failed = [name for name, passed in checks if not passed]
@@ -307,11 +299,11 @@ def cmd_demo(args, argv) -> int:
     max_diagonal = 0.0
     for bits in itertools.product("01", repeat=stage.depth):
         spec, scert = build_branch_projection(
-            stage, basis, "".join(bits), float(np.sqrt(rho)), 10_000, build_seed,
-            basis_digest=basis_digest)
+            stage, basis, "".join(bits), float(np.sqrt(rho)), 10_000, build_seed)
         specs.append(spec)
         max_diagonal = max(max_diagonal, scert.max_diagonal)
-        write(f"family_{spec.branch}.json", _family_payload(manifest, spec, basis_record, rho, scert))
+        write(f"family_{spec.branch}.json",
+              _family_payload(manifest, spec, basis_record, basis_digest, rho, scert))
 
     # Common fixed vectors for every pair and triple of branches.
     entries = []

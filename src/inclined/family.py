@@ -32,7 +32,7 @@ and its energy must stay below rho.  The regime picks what a group is:
             requirement that is all the diagonal bound needs), and the
             certificate records what the search actually achieved.
 
-The regime is stamped into every certificate.  The growth predicate is
+The regime is stamped into every family record.  The growth predicate is
 decided purely in integer arithmetic; floating point never touches it.
 """
 
@@ -47,7 +47,7 @@ import numpy as np
 
 from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
-from .serialize import derive_seed, digest_vectors
+from .serialize import derive_seed
 from .tensor_index import TensorIndexSpace, blocks_matrix
 from .tensor_projection import _frozen_unit, apply_axis, joint_fixed_vector
 
@@ -297,15 +297,9 @@ class BranchProjectionSpec:
 class SuppressionCertificate:
     """Diagonals <P e_k, e_k>; the bound holds when max_diagonal <= bound."""
 
-    basis_digest: str
-    branch: str
     diagonals: tuple[float, ...]
     max_diagonal: float
     bound: float
-    regime: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "diagonals", tuple(float(x) for x in self.diagonals))
 
 
 def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
@@ -321,15 +315,12 @@ def _diagonals(spec: BranchProjectionSpec, mat: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float,
-             basis_digest: str | None) -> SuppressionCertificate:
+def _certify(spec: BranchProjectionSpec, mat: np.ndarray, bound: float) -> SuppressionCertificate:
     """Every diagonal of spec on the basis rows of mat, whatever their maximum
-    (the bound holds when max_diagonal <= bound); a None basis_digest is mat's."""
+    (the bound holds when max_diagonal <= bound)."""
     diagonals = _diagonals(spec, mat)
     return SuppressionCertificate(
-        basis_digest=digest_vectors(mat) if basis_digest is None else basis_digest,
-        branch=spec.branch, diagonals=tuple(diagonals), max_diagonal=float(diagonals.max()),
-        bound=bound, regime=spec.stage.regime)
+        diagonals=tuple(diagonals.tolist()), max_diagonal=float(diagonals.max()), bound=bound)
 
 
 def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
@@ -369,9 +360,8 @@ def _level_groups(stage: StageParameters, mat: np.ndarray, masses: np.ndarray,
     return groups[:filled].reshape(-1, height, lv.d)
 
 
-def build_branch_projection(stage: StageParameters, basis, branch: str, c: float,
-                            budget: int, seed: int, basis_digest: str | None = None,
-                            ) -> tuple[BranchProjectionSpec, SuppressionCertificate]:
+def build_branch_projection(stage: StageParameters, basis, branch: str, c: float, budget: int,
+                            seed: int) -> tuple[BranchProjectionSpec, SuppressionCertificate]:
     """Choose per-level directions suppressing every diagonal below (1+c^2)/2.
 
     At each level the leaked indices' level components are split into blocks
@@ -415,19 +405,18 @@ def build_branch_projection(stage: StageParameters, basis, branch: str, c: float
         directions.append(v)
 
     spec = BranchProjectionSpec(stage=stage, branch=branch, directions=tuple(directions))
-    cert = _certify(spec, mat, (1.0 + c * c) / 2.0, basis_digest)
+    cert = _certify(spec, mat, (1.0 + c * c) / 2.0)
     if not cert.max_diagonal <= cert.bound:
         raise SuppressionFailure(
             f"diagonal suppression fails: max {cert.max_diagonal} > bound {cert.bound}")
     return spec, cert
 
 
-def verify_suppression(spec: BranchProjectionSpec, basis, bound: float,
-                       basis_digest: str | None = None) -> SuppressionCertificate:
+def verify_suppression(spec: BranchProjectionSpec, basis, bound: float) -> SuppressionCertificate:
     """Recompute every diagonal, whatever their maximum: the bound holds when
     the returned max_diagonal <= bound.  Raises ValueError on a stage/basis
     dimension mismatch."""
-    return _certify(spec, basis_matrix(basis, dim=spec.stage.dim), bound, basis_digest)
+    return _certify(spec, basis_matrix(basis, dim=spec.stage.dim), bound)
 
 
 def separating_level(branches: Sequence[str]) -> int:

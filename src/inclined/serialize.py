@@ -197,14 +197,16 @@ def branch_spec_from_obj(obj: Any):
     return spec
 
 
-def suppression_to_obj(cert) -> dict:
+def suppression_to_obj(spec, cert, basis_digest: str) -> dict:
+    """The certificate record of a family: cert's values, with the branch and
+    regime of spec and the digest of the basis cert was computed on."""
     return {
-        "basis_digest": cert.basis_digest,
-        "branch": cert.branch,
-        "diagonals": [float(x) for x in cert.diagonals],
+        "basis_digest": basis_digest,
+        "branch": spec.branch,
+        "diagonals": list(cert.diagonals),
         "max_diagonal": float(cert.max_diagonal),
         "bound": float(cert.bound),
-        "regime": cert.regime,
+        "regime": spec.stage.regime,
     }
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import inclined as inc
-from inclined.family import LEAKAGE_COEFF
+from inclined.family import LEAKAGE_COEFF, level_leakage_sets, level_masses
 
 import oracles
 
@@ -55,13 +55,11 @@ def toy528():
     """Shared stage, basis and all eight branch projections (criteria 8, 9)."""
     stage = inc.toy_stage([4, 4, 2])
     basis = np.stack(inc.random_orthonormal_basis(stage.dim, inc.derive_seed(ROOT_SEED, "basis")))
-    digest = inc.digest_vectors(basis)
     specs = {}
     certs = {}
     for bits in itertools.product("01", repeat=3):
         branch = "".join(bits)
-        spec, cert = inc.build_branch_projection(
-            stage, basis, branch, C, 10_000, ROOT_SEED, basis_digest=digest)
+        spec, cert = inc.build_branch_projection(stage, basis, branch, C, 10_000, ROOT_SEED)
         specs[branch] = spec
         certs[branch] = cert
     return stage, basis, specs, certs
@@ -253,8 +251,8 @@ def test_criterion_08_toy_stage_diagonal_suppression():
 
         # per-index recomputed bound rho * (1 - a_k) + a_k, with a_k the
         # off-leakage mass of index k
-        masses = inc.level_masses(stage, basis)
-        leakage = inc.level_leakage_sets(stage, basis)
+        masses = level_masses(stage, basis)
+        leakage = level_leakage_sets(stage, basis)
         leaked = [set(s) for s in leakage]
         for i, lv in enumerate(stage.levels):
             threshold = LEAKAGE_COEFF / lv.m ** 2

@@ -302,8 +302,10 @@ def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
 # - family_v0100.json by 0.10.0: `inclined demo --seed 0 --outdir out`, whose
 #   out/family_101.json it is;
 # - family_v0110.json by 0.11.0 (commit 81c04e6): `inclined demo --seed 11
+#   --outdir out`, whose out/family_101.json it is;
+# - family_v0120.json by 0.12.0 (commit 143c9a1): `inclined demo --seed 12
 #   --outdir out`, whose out/family_101.json it is.
-@pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110"])
+@pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110", "family_v0120"])
 def test_family_written_by_an_earlier_version_reproduces_its_diagonals(name, capsys):
     fam = Path(__file__).parent / "data" / f"{name}.json"
     obj = json.loads(fam.read_text())
@@ -862,6 +864,8 @@ _FAMILY_EDITS = {
     "cert_branch_number": lambda payload: payload["certificate"].update(branch=10),
     "cert_regime_null": lambda payload: payload["certificate"].update(regime=None),
     "cert_digest_number": lambda payload: payload["certificate"].update(basis_digest=7),
+    # iterated, the empty string would read as no diagonals and exit 1
+    "cert_diagonals_str": lambda payload: payload["certificate"].update(diagonals=""),
     "cert_diagonal_true": lambda payload: payload["certificate"]["diagonals"].__setitem__(0, True),
     # json.loads reads the token NaN (which write_json never writes) as a float
     "cert_max_diagonal_nan": lambda payload: payload["certificate"].update(max_diagonal=math.nan),
@@ -909,6 +913,7 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{cert_branch_number}"]),
     (None, ["family", "verify", "{cert_regime_null}"]),
     (None, ["family", "verify", "{cert_digest_number}"]),
+    (None, ["family", "verify", "{cert_diagonals_str}"]),
     (None, ["family", "verify", "{cert_diagonal_true}"]),
     (None, ["family", "verify", "{cert_max_diagonal_nan}"]),
     (None, ["family", "verify", "{cert_diagonal_nan}"]),
@@ -926,6 +931,7 @@ _FAMILY_EDITS = {
         "verify-rho-negative", "verify-rho-above-one", "verify-level-repeated",
         "verify-branch-number", "verify-certificate-branch-number",
         "verify-certificate-regime-null", "verify-certificate-digest-number",
+        "verify-certificate-diagonals-string",
         "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan",
         "verify-certificate-diagonal-nan", "verify-certificate-diagonal-infinity",
         "verify-seeded-family-with-basis-file"])

@@ -18,8 +18,6 @@ from inclined import (
     branch_intersection,
     build_branch_projection,
     digest_vectors,
-    level_leakage_sets,
-    level_masses,
     min_level_dimension,
     paper_stage,
     random_orthonormal_basis,
@@ -30,8 +28,9 @@ from inclined import (
 )
 from inclined import cli, family, hilbert
 from inclined.family import (
-    LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes)
-from inclined.serialize import write_json
+    LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes,
+    level_leakage_sets, level_masses)
+from inclined.serialize import suppression_to_obj, write_json
 from inclined.tensor_projection import joint_fixed_vector
 from oracles import apply_branch_projection, branch_diagonals, inner, leakage_set
 
@@ -102,6 +101,25 @@ def test_levels_deeper_than_max_level_are_refused(m):
     # refused before 2^m axis labels or d^(2^m) coordinates are formed
     with pytest.raises(ValueError, match="deepest level"):
         LevelSpec(m, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: stage_predicate(0, 200), "m and d must be >= 1"),
+    (lambda: LevelSpec(1, 0), "level index and alphabet size must be >= 1"),
+    (lambda: toy_stage([2, 2]).level_slice(3), "level 3 not in stage of depth 2"),
+    (lambda: BranchProjectionSpec(stage=toy_stage([2, 2]), branch="01", directions=([1, 0],)),
+     "need exactly one direction per level"),
+    (lambda: BranchProjectionSpec(stage=toy_stage([2]), branch="0", directions=([1, 0],)).sigma(2),
+     "level 2 not in stage of depth 1"),
+    (lambda: build_branch_projection(toy_stage([2]), np.eye(4), "0", 1.0, 100, 0),
+     r"bound c must lie in \(0, 1\), got 1.0"),
+    (lambda: build_branch_projection(toy_stage([2]), np.eye(4), "2", C, 100, 0),
+     "branch must be a binary string of length 1, got '2'"),
+], ids=["predicate-m-0", "level-d-0", "level-slice-3", "one-direction-for-two-levels",
+        "sigma-2", "build-c-1", "build-branch-2"])
+def test_bad_arguments_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ------------------------------------------------------------- stages
@@ -465,7 +483,7 @@ def test_build_round_trip_toy_stage():
     spec, cert = build_branch_projection(stage, basis, "01", C, 10_000, 24)
     assert cert.max_diagonal <= 19 / 20
     assert cert.bound == pytest.approx((1 + RHO) / 2)
-    assert cert.regime == "toy"
+    assert suppression_to_obj(spec, cert, digest_vectors(basis))["regime"] == "toy"
     # re-verify diagonals by direct application, one index at a time
     for k in range(0, stage.dim, 37):
         px = apply_branch_projection(spec, basis[k])
@@ -558,16 +576,15 @@ def test_verify_dimension_mismatch():
         verify_suppression(spec, np.eye(7, dtype=complex), 0.95)
 
 
-@pytest.mark.parametrize("basis_digest", [None, "0" * 64])
-def test_non_finite_basis_is_rejected(basis_digest):
+def test_non_finite_basis_is_rejected():
     stage = toy_stage([2])
     basis = np.full((4, 4), np.nan, dtype=complex)
     spec = BranchProjectionSpec(
         stage=stage, branch="0", directions=(np.array([1, 0], dtype=complex),))
     with pytest.raises(ValueError, match="non-finite"):
-        build_branch_projection(stage, basis, "0", C, 100, 0, basis_digest=basis_digest)
+        build_branch_projection(stage, basis, "0", C, 100, 0)
     with pytest.raises(ValueError, match="non-finite"):
-        verify_suppression(spec, basis, 0.95, basis_digest=basis_digest)
+        verify_suppression(spec, basis, 0.95)
 
 
 def test_paper_regime_build_at_level_one():
@@ -579,8 +596,7 @@ def test_paper_regime_build_at_level_one():
     q, _ = np.linalg.qr(g)
     basis = np.ascontiguousarray(q.T)
     spec, cert = build_branch_projection(stage, basis, "1", C, 2_000, 32)
-    assert cert.basis_digest == digest_vectors(basis)
-    assert cert.regime == "paper"
+    assert suppression_to_obj(spec, cert, digest_vectors(basis))["regime"] == "paper"
     assert cert.max_diagonal <= 19 / 20
     # per-block guarantee: every block of every family member is suppressed
     v = spec.directions[0]

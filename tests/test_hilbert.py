@@ -99,6 +99,16 @@ def test_random_unit_vector_rejects_bad_dim():
         random_unit_vector(0, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: hilbert.as_vector(np.ones((2, 2))), r"expected a nonempty 1-D vector, got shape \(2, 2\)"),
+    (lambda: hilbert.as_vector([]), r"expected a nonempty 1-D vector, got shape \(0,\)"),
+    (lambda: random_orthonormal_basis(0, 1), "n must be >= 1"),
+], ids=["vector-2d", "vector-empty", "basis-n-0"])
+def test_bad_arguments_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_random_basis_single_vector():
     (v,) = random_orthonormal_basis(1, 3)
     assert abs(np.linalg.norm(v) - 1.0) <= 1e-12

@@ -266,8 +266,12 @@ def test_a_nan_achieved_or_bound_fails_verification():
 #   written by serialize.write_json(path, vectors_to_obj(...));
 # - incline_v0110 by 0.11.0 (commit 81c04e6): `inclined incline
 #   incline_v0110_vectors.json --bound 0.45 --seed 11 --out incline_v0110.json`,
-#   on rows made as for incline_v0100 with rng = np.random.default_rng(110).
-@pytest.mark.parametrize("name", ["incline_v090", "incline_v0100", "incline_v0110"])
+#   on rows made as for incline_v0100 with rng = np.random.default_rng(110);
+# - incline_v0120 by 0.12.0 (commit 143c9a1): `inclined incline
+#   incline_v0120_vectors.json --bound 0.45 --seed 12 --out incline_v0120.json`,
+#   on rows made as for incline_v0100 with rng = np.random.default_rng(120).
+@pytest.mark.parametrize("name", ["incline_v090", "incline_v0100", "incline_v0110",
+                                  "incline_v0120"])
 def test_incline_certificate_written_by_an_earlier_version_verifies(name):
     data = Path(__file__).parent / "data"
     cert = inclination_from_obj(read_json(data / f"{name}.json")["certificate"])
@@ -573,6 +577,27 @@ def test_a_group_the_step_annihilates_stays_finite():
 def test_groups_that_are_not_three_dimensional_are_rejected(shape):
     with pytest.raises(ValueError, match=r"\(n, r, d\)"):
         minimize_max_group_norm(np.ones(shape, dtype=complex), 0.5, 10, 0)
+
+
+def _verify_a_certificate_just_below_its_recomputation():
+    # achieved and bound 5e-11 below the recomputed value: within the 1e-10
+    # agreement, so only the bound check refuses it
+    rng = np.random.default_rng(7)
+    family = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(10)]
+    cert = find_inclined_vector(family, 0.9, 500, 2)
+    low = recompute_achieved(cert.candidate, family) - 5e-11
+    verify_inclination(dataclasses.replace(cert, achieved=low, bound=low), family)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: minimize_max_group_norm(np.eye(3, dtype=complex)[None], 0.5, 0, 0),
+     "budget must be >= 1"),
+    (_verify_a_certificate_just_below_its_recomputation, "recomputed achieved .* exceeds bound"),
+    (lambda: cover_witness([np.array([1.0, 0.0])], 0.5, 0, 0), "trials must be >= 1"),
+], ids=["search-budget-0", "verify-achieved-above-bound", "cover-trials-0"])
+def test_bad_arguments_are_refused_with_their_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_an_all_zero_group_imposes_no_constraint():

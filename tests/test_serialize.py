@@ -88,6 +88,12 @@ def test_vector_from_obj_rejects_malformed_input():
         vector_from_obj({"dim": 1, "entries": [[float("inf"), 0]]})
 
 
+@pytest.mark.parametrize("vectors", [np.ones(3), np.ones((2, 2, 2))], ids=["1-d", "3-d"])
+def test_digest_vectors_refuses_what_is_not_a_family(vectors):
+    with pytest.raises(ValueError, match=r"a vector family is an \(n, d\) array, got shape"):
+        digest_vectors(vectors)
+
+
 def test_vectors_from_obj_requires_nonempty_list():
     with pytest.raises(ValueError):
         vectors_from_obj([])
