@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -30,7 +31,7 @@ from inclined import cli, family, hilbert
 from inclined.family import (
     LEAKAGE_COEFF, MAX_LEVEL, LevelSpec, StageParameters, basis_matrix, level_axes,
     level_leakage_sets, level_masses)
-from inclined.serialize import suppression_to_obj, write_json
+from inclined.serialize import suppression_to_obj, vectors_to_obj, write_json
 from inclined.tensor_projection import joint_fixed_vector
 from oracles import apply_branch_projection, branch_diagonals, inner, leakage_set
 
@@ -576,7 +577,8 @@ def test_verify_dimension_mismatch():
         verify_suppression(spec, np.eye(7, dtype=complex), 0.95)
 
 
-def test_non_finite_basis_is_rejected():
+@pytest.mark.parametrize("basis_digest", [None, "0" * 64])
+def test_non_finite_basis_is_rejected(basis_digest, tmp_path, capsys):
     stage = toy_stage([2])
     basis = np.full((4, 4), np.nan, dtype=complex)
     spec = BranchProjectionSpec(
@@ -585,6 +587,22 @@ def test_non_finite_basis_is_rejected():
         build_branch_projection(stage, basis, "0", C, 100, 0)
     with pytest.raises(ValueError, match="non-finite"):
         verify_suppression(spec, basis, 0.95)
+    # through the CLI a basis file is read, and refused, before its digest is
+    # compared with the one the family's basis record holds, whatever that is
+    write_json(tmp_path / "stage.json", {"regime": "toy", "levels": [{"m": 1, "d": 2}]})
+    write_json(tmp_path / "eye.json", vectors_to_obj(np.eye(4, dtype=complex)))
+    (tmp_path / "nan.json").write_text(json.dumps(vectors_to_obj(basis)))  # writes NaN
+    fam = tmp_path / "fam.json"
+    build = ["family", "build", "--stage", str(tmp_path / "stage.json"), "--branch", "0",
+             "--rho", "0.99", "--seed", "3", "--out", str(fam), "--basis"]
+    assert cli.main(build + [str(tmp_path / "nan.json")]) == 2
+    assert cli.main(build + [str(tmp_path / "eye.json")]) == 0
+    payload = json.loads(fam.read_text())
+    payload["basis"]["digest"] = basis_digest
+    fam.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["family", "verify", str(fam), "--basis", str(tmp_path / "nan.json")]) == 2
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_paper_regime_build_at_level_one():
