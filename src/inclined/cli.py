@@ -8,7 +8,8 @@ Exit codes distinguish outcomes (main alone maps exceptions, argparse's
 SystemExit included, to them, and returns the code):
   0  success, or -h
   1  verified negative, or incline's "failed" certificate (best in budget)
-  2  input or usage error, including a file that cannot be read or written
+  2  input or usage error, including a file that cannot be read or written,
+     or work too large to run: refused before it starts, or out of memory
   3  family build, demo or cover ran out of budget (build names the level)
 
 Every output file embeds a manifest (command, argument vector, root seed,
@@ -416,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
         message, code = str(exc), EXIT_INPUT
     except RecursionError:  # JSON nested deeper than the decoder recurses
         message, code = "input nested too deeply", EXIT_INPUT
+    except MemoryError:  # work below every cap that still does not fit, such as a write
+        message, code = "out of memory", EXIT_INPUT
     except BudgetExhausted as exc:
         message, code = str(exc), EXIT_BUDGET
     except SuppressionFailure as exc:

@@ -431,39 +431,35 @@ def separating_level(branches: Sequence[str]) -> int:
 
 
 def branch_intersection(specs: Sequence[BranchProjectionSpec]) -> tuple[np.ndarray, dict[str, float]]:
-    """A common unit fixed vector x of branch projections P, and ||P x - x|| by branch.
+    """A common unit fixed vector x of branch projections P, on their
+    separating level, and ||P x - x|| by branch.
 
     At the first level m where the branch prefixes are pairwise distinct the
     participating axis projections act on distinct axes, so the elementary
     tensor of their directions (padded with a fixed basis direction on the
-    unused axes) is fixed by each of them; embedded at level m it is fixed
-    by every full branch projection.  A residual above 1e-10 raises.
-    Raises ValueError, before allocating, when the complex128 vector of the
-    stage (16 * stage.dim bytes) passes hilbert.RANDOM_BASIS_CAP_BYTES.
+    unused axes) is fixed by each of them.  x is that vector, of length
+    stage.levels[m - 1].dim: at stage.level_slice(m), zero elsewhere, it is
+    fixed by every full branch projection, which acts level by level, so the
+    residuals are taken on level m alone.  A residual above 1e-10 raises.
+    Raises ValueError, before allocating, when x (16 * dim bytes) passes
+    hilbert.RANDOM_BASIS_CAP_BYTES.
     """
     if len(specs) < 2:
         raise ValueError("need at least two branch projections")
     stage = specs[0].stage
     if any(s.stage != stage for s in specs):
         raise ValueError("branch projections live on different stages")
-    if 16 * stage.dim > RANDOM_BASIS_CAP_BYTES:
-        raise ValueError(f"an intersection vector of C^{stage.dim} needs "
-                         f"{16 * stage.dim / 2 ** 30:.3g} GiB, above the "
-                         f"{RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap")
     m = separating_level([s.branch for s in specs])
     lv = stage.levels[m - 1]
-    e0 = np.zeros(lv.d, dtype=np.complex128)
-    e0[0] = 1.0
+    if 16 * lv.dim > RANDOM_BASIS_CAP_BYTES:
+        raise ValueError(f"an intersection vector of C^{lv.dim} needs {16 * lv.dim / 2 ** 30:.3g} GiB, "
+                         f"above the {RANDOM_BASIS_CAP_BYTES / 2 ** 30:.3g} GiB cap (level {m})")
+    e0 = np.eye(1, lv.d, dtype=np.complex128)[0]
     dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1] for s in specs}
-    sl = stage.level_slice(m)
-    out = np.zeros(stage.dim, dtype=np.complex128)
-    out[sl] = joint_fixed_vector(lv.space, dirs)
-    # P is block-diagonal and x is zero off level m, so P x - x is too; the
-    # full-length gap keeps the residual sums grouped as for the whole stage.
-    gap = np.zeros_like(out)
+    out = joint_fixed_vector(lv.space, dirs)
     residuals = {}
     for s in specs:
-        gap[sl] = apply_axis(lv.space, s.sigma(m), s.directions[m - 1], out[sl]) - out[sl]
+        gap = apply_axis(lv.space, s.sigma(m), s.directions[m - 1], out) - out
         # not np.linalg.norm: its BLAS dot rounds by thread count on long vectors
         residual = residuals[s.branch] = math.sqrt(float((gap.real ** 2 + gap.imag ** 2).sum()))
         if residual > 1e-10:  # cannot happen for distinct axes; defensive

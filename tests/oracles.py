@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from inclined.family import BranchProjectionSpec, basis_matrix
+from inclined.family import BranchProjectionSpec, basis_matrix, separating_level
 from inclined.hilbert import as_family, as_vector
 from inclined.tensor_index import TensorIndexSpace, blocks_matrix
 from inclined.tensor_projection import apply_axis
@@ -139,6 +139,16 @@ def apply_branch_projection(spec: BranchProjectionSpec, x) -> np.ndarray:
     for lv in spec.stage.levels:
         sl = spec.stage.level_slice(lv.m)
         out[sl] = apply_axis(lv.space, spec.sigma(lv.m), spec.directions[lv.m - 1], xv[sl])
+    return out
+
+
+def embed_intersection(specs, x) -> np.ndarray:
+    """The vector x of branch_intersection(specs), which lives on the specs'
+    separating level m, as a vector of the whole stage: x at
+    stage.level_slice(m), zero on every other level."""
+    stage = specs[0].stage
+    out = np.zeros(stage.dim, dtype=np.complex128)
+    out[stage.level_slice(separating_level([s.branch for s in specs]))] = x
     return out
 
 

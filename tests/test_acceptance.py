@@ -277,7 +277,7 @@ def test_criterion_09_branch_family_intersections(toy528):
         all_specs = list(specs.values())
         for size in (2, 3):
             for combo in itertools.combinations(all_specs, size):
-                w, _ = inc.branch_intersection(combo)
+                w = oracles.embed_intersection(combo, inc.branch_intersection(combo)[0])
                 assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
                 for s in combo:
                     assert np.linalg.norm(oracles.apply_branch_projection(s, w) - w) <= 1e-10

@@ -304,8 +304,11 @@ def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
 # - family_v0110.json by 0.11.0 (commit 81c04e6): `inclined demo --seed 11
 #   --outdir out`, whose out/family_101.json it is;
 # - family_v0120.json by 0.12.0 (commit 143c9a1): `inclined demo --seed 12
+#   --outdir out`, whose out/family_101.json it is;
+# - family_v0130.json by 0.13.0 (commit c5fca04): `inclined demo --seed 13
 #   --outdir out`, whose out/family_101.json it is.
-@pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110", "family_v0120"])
+@pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110", "family_v0120",
+                                  "family_v0130"])
 def test_family_written_by_an_earlier_version_reproduces_its_diagonals(name, capsys):
     fam = Path(__file__).parent / "data" / f"{name}.json"
     obj = json.loads(fam.read_text())
@@ -692,18 +695,52 @@ def _limit_address_space(nbytes):
 
 
 def test_intersect_of_an_oversized_stage_is_refused_before_allocating(tmp_path):
-    # Toy stage [2, 2, 2, 2, 2] has dimension 4 295 033 108, so its
-    # intersection vector would take 64 GiB; intersecting needs no basis.
+    # Toy stage [2, 2, 2, 2, 2]: branches 00000 and 00001 separate at level 5,
+    # whose 2^32 coordinates would take 64 GiB; intersecting needs no basis.
+    # Branches 00000 and 10000 separate at level 1, whose vector has 4 entries.
     stage = toy_stage([2] * 5)
     e0 = np.array([1, 0], dtype=complex)
-    for branch in ("00000", "10000"):
+    for branch in ("00000", "00001", "10000"):
         spec = BranchProjectionSpec(stage=stage, branch=branch, directions=(e0,) * 5)
         write_json(tmp_path / f"{branch}.json", branch_spec_to_obj(spec))
-    done = _cli_in_subprocess(["family", "intersect", "00000.json", "10000.json"], tmp_path,
+    done = _cli_in_subprocess(["family", "intersect", "00000.json", "00001.json"], tmp_path,
                               blas_threads=1, timeout=60,
                               preexec_fn=_limit_address_space(3 * 2 ** 30))
     assert done.returncode == 2, done.stderr
     assert done.stderr.count("error:") == 1 and "Traceback" not in done.stderr
+    assert "level 5" in done.stderr
+    done = _cli_in_subprocess(["family", "intersect", "00000.json", "10000.json", "--out",
+                               "i.json"], tmp_path, blas_threads=1, timeout=60,
+                              preexec_fn=_limit_address_space(3 * 2 ** 30))
+    assert done.returncode == 0, done.stderr
+    record = json.loads((tmp_path / "i.json").read_text())
+    assert record["separating_level"] == 1 and record["vector"]["dim"] == 4
+    assert len(record["vector"]["entries"]) == 4
+
+
+@pytest.mark.skipif(sys.platform == "darwin", reason="macOS does not enforce RLIMIT_AS")
+def test_an_intersect_write_that_runs_out_of_memory_exits_two(tmp_path):
+    # Toy stage [7, 7, 7]: branches 000 and 001 separate at level 3, whose
+    # vector has 7^8 = 5 764 801 entries (88 MiB), below the 1 GiB cap.  Its
+    # JSON write builds Python lists of several times that.  With one BLAS
+    # thread on Linux x86-64 (Python 3.11, numpy 2.4) the intersection alone
+    # ran at 400 MiB of address space and failed at 380, and the write ran at
+    # 680 and failed at 660; 530 MiB leaves about 140 MiB on either side.
+    stage = toy_stage([7, 7, 7])
+    e0 = np.eye(1, 7, dtype=complex)[0]
+    for branch in ("000", "001"):
+        spec = BranchProjectionSpec(stage=stage, branch=branch, directions=(e0,) * 3)
+        write_json(tmp_path / f"{branch}.json", branch_spec_to_obj(spec))
+    argv = ["family", "intersect", "000.json", "001.json"]
+    limit = _limit_address_space(530 * 2 ** 20)
+    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1, preexec_fn=limit)
+    assert done.returncode == 0, done.stderr
+    done = _cli_in_subprocess([*argv, "--out", "i.json"], tmp_path, blas_threads=1,
+                              preexec_fn=limit)
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].split("error:", 1)[1].strip()
 
 
 @pytest.mark.skipif(sys.platform == "darwin", reason="macOS does not enforce RLIMIT_AS")
@@ -779,8 +816,9 @@ def test_family_build_stage_basis_mismatch_exits_two(tmp_path, toy_stage_file):
 def test_family_intersect(tmp_path, toy_stage_file, capsys, monkeypatch):
     _, fam_a = _build(tmp_path, toy_stage_file, "01")
     _, fam_b = _build(tmp_path, toy_stage_file, "10")
-    # The toy vector (about 6 KB) is written in one process at the real size
-    # floor and, on two CPUs before Python 3.12, in two at a floor of 0.
+    # The level-1 vector (16 entries, under 1 KB) is written in one process
+    # at the real size floor and, on two CPUs before Python 3.12, in two at a
+    # floor of 0.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(serialize, "_cpu_quota", lambda: None)
     forks, fork = [], os.fork if hasattr(os, "fork") else None
@@ -982,14 +1020,18 @@ def _failed_certificate(vectors, c, budget, seed):
      _raise(SuppressionFailure("over the bound")),
      ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
       "--out", "{out}/f.json"], 1),
-], ids=["demo-budget", "build-suppression"])
+    ("build_branch_projection", _raise(MemoryError()),
+     ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "random",
+      "--out", "{out}/f.json"], 2),
+], ids=["demo-budget", "build-suppression", "build-out-of-memory"])
 def test_uncaught_outcomes_keep_the_exit_code_contract(target, run, argv, code, toy_stage_file,
                                                        tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, target, run)
     assert main([arg.format(stage=toy_stage_file, out=tmp_path) for arg in argv]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert sum("error:" in line for line in err.splitlines()) == 1
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].split("error:", 1)[1].strip()
 
 
 # ----------------------------------------------------- fuzzed families

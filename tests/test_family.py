@@ -33,7 +33,8 @@ from inclined.family import (
     level_leakage_sets, level_masses)
 from inclined.serialize import suppression_to_obj, vectors_to_obj, write_json
 from inclined.tensor_projection import joint_fixed_vector
-from oracles import apply_branch_projection, branch_diagonals, inner, leakage_set
+from oracles import (
+    apply_branch_projection, branch_diagonals, embed_intersection, inner, leakage_set)
 
 RHO = 0.9
 C = math.sqrt(RHO)
@@ -651,10 +652,10 @@ def test_branch_intersection_three_branches():
     basis = np.stack(random_orthonormal_basis(stage.dim, 35))
     specs = [build_branch_projection(stage, basis, b, C, 10_000, 36)[0]
              for b in ("00", "01", "10")]
-    w, _ = branch_intersection(specs)
+    x, _ = branch_intersection(specs)
+    assert x.size == stage.levels[1].dim  # the separating level 2 alone
+    w = embed_intersection(specs, x)
     assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
-    # supported at the separating level only
-    assert np.linalg.norm(w[stage.level_slice(1)]) == 0.0
     for s in specs:
         assert np.linalg.norm(apply_branch_projection(s, w) - w) <= 1e-10
 
@@ -664,7 +665,8 @@ def test_branch_intersection_reports_each_branch_residual():
     basis = np.stack(random_orthonormal_basis(stage.dim, 35))
     specs = [build_branch_projection(stage, basis, b, C, 10_000, 36)[0]
              for b in ("10", "00", "01")]
-    w, residuals = branch_intersection(specs)
+    x, residuals = branch_intersection(specs)
+    w = embed_intersection(specs, x)
     assert list(residuals) == ["10", "00", "01"]
     for s in specs:
         assert residuals[s.branch] == pytest.approx(
@@ -716,8 +718,9 @@ def test_certified_values_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 @pytest.mark.parametrize("sizes", [[2, 2, 2], [4, 4, 2]])
 def test_branch_intersection_matches_the_full_stage_formula_bit_for_bit(sizes):
-    # The vector is built at the separating level m alone and the residuals
-    # project level m alone; both equal the whole-stage computation exactly.
+    # The vector is the level-m elementary tensor bit for bit, and each
+    # residual, taken on level m alone, equals the whole-stage computation on
+    # the vector placed in the stage exactly.
     stage = toy_stage(sizes)
     rng = np.random.default_rng(41)
     specs = [BranchProjectionSpec(stage, "".join(bits), tuple(
@@ -731,12 +734,27 @@ def test_branch_intersection_matches_the_full_stage_formula_bit_for_bit(sizes):
             e0 = np.eye(lv.d, dtype=complex)[0]
             dirs = dict.fromkeys(lv.space.axes, e0) | {s.sigma(m): s.directions[m - 1]
                                                        for s in group}
-            expected = np.zeros(stage.dim, dtype=complex)
-            expected[stage.level_slice(m)] = joint_fixed_vector(lv.space, dirs)
-            assert vec.tobytes() == expected.tobytes()
+            assert vec.tobytes() == joint_fixed_vector(lv.space, dirs).tobytes()
+            whole = embed_intersection(group, vec)
             for s in group:
-                gap = apply_branch_projection(s, vec) - vec
+                gap = apply_branch_projection(s, whole) - whole
                 assert residuals[s.branch] == math.sqrt(float((gap.real ** 2 + gap.imag ** 2).sum()))
+
+
+def test_branch_intersection_allocates_its_separating_level_only():
+    # Toy stage [7, 7, 7] has 5 767 251 coordinates (88 MiB as complex128);
+    # branches 000 and 100 separate at level 1, which has 49.
+    stage = toy_stage([7, 7, 7])
+    e0 = np.eye(1, 7, dtype=complex)[0]
+    specs = [BranchProjectionSpec(stage, b, (e0,) * 3) for b in ("000", "100")]
+    tracemalloc.start()
+    try:
+        vec, _ = branch_intersection(specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.size == stage.levels[0].dim == 49
+    assert peak < 2 ** 20
 
 
 def test_branch_intersection_rejects_duplicates_and_mixed_stages():

@@ -269,9 +269,12 @@ def test_a_nan_achieved_or_bound_fails_verification():
 #   on rows made as for incline_v0100 with rng = np.random.default_rng(110);
 # - incline_v0120 by 0.12.0 (commit 143c9a1): `inclined incline
 #   incline_v0120_vectors.json --bound 0.45 --seed 12 --out incline_v0120.json`,
-#   on rows made as for incline_v0100 with rng = np.random.default_rng(120).
+#   on rows made as for incline_v0100 with rng = np.random.default_rng(120);
+# - incline_v0130 by 0.13.0 (commit c5fca04): `inclined incline
+#   incline_v0130_vectors.json --bound 0.45 --seed 13 --out incline_v0130.json`,
+#   on rows made as for incline_v0100 with rng = np.random.default_rng(130).
 @pytest.mark.parametrize("name", ["incline_v090", "incline_v0100", "incline_v0110",
-                                  "incline_v0120"])
+                                  "incline_v0120", "incline_v0130"])
 def test_incline_certificate_written_by_an_earlier_version_verifies(name):
     data = Path(__file__).parent / "data"
     cert = inclination_from_obj(read_json(data / f"{name}.json")["certificate"])
