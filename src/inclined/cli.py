@@ -101,14 +101,14 @@ _positive_finite_float = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
 _open_unit_float = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 
 
-def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
-    """The basis a basis record names, the record that identifies it, and its digest.
+def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict]:
+    """The basis a basis record names, and the record that identifies it.
 
     A "phase-dft" record is identified by its integer seed and n, and the
-    basis is redrawn from them; a ``path`` beside it is refused, not
-    ignored.  A "file" record is identified by the digest of the basis read
-    from ``path``; comparing the returned record with a recorded one
-    compares those digests.
+    basis is redrawn from them without being hashed; a ``path`` beside it is
+    refused, not ignored.  A "file" record is identified by the digest of
+    the basis read from ``path``; comparing the returned record with a
+    recorded one compares those digests.
     """
     if not isinstance(record, dict):
         raise TypeError(f"a basis record must be a JSON object, got {record!r}")
@@ -116,29 +116,26 @@ def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict, str]:
         if path is not None:
             raise ValueError("family records a seeded basis; it takes no --basis file")
         seed, n = _json_int(record["seed"], "seed"), _json_int(record["n"], "n")
-        basis = random_orthonormal_basis(n, seed)
-        return basis, {"kind": "phase-dft", "seed": seed, "n": n}, digest_vectors(basis)
+        return random_orthonormal_basis(n, seed), {"kind": "phase-dft", "seed": seed, "n": n}
     if record["kind"] != "file":
         raise ValueError(f"basis kind must be 'phase-dft' or 'file', got {record['kind']!r}")
     if path is None:
         raise ValueError("family was built from a basis file; pass it with --basis")
     basis = read_vectors(path)
-    digest = digest_vectors(basis)
-    return basis, {"kind": "file", "digest": digest}, digest
+    return basis, {"kind": "file", "digest": digest_vectors(basis)}
 
 
 def _incline_payload(manifest: dict, cert) -> dict:
     return {"manifest": manifest, "certificate": inclination_to_obj(cert)}
 
 
-def _family_payload(manifest: dict, spec, basis_record: dict, basis_digest: str, rho: float,
-                    cert) -> dict:
+def _family_payload(manifest: dict, spec, basis_record: dict, rho: float, cert) -> dict:
     return {
         "manifest": manifest,
         **branch_spec_to_obj(spec),
         "basis": basis_record,
         "rho": rho,
-        "certificate": suppression_to_obj(spec, cert, basis_digest),
+        "certificate": suppression_to_obj(spec, cert),
     }
 
 
@@ -196,11 +193,13 @@ def cmd_family_build(args, argv) -> int:
         path = None
     else:
         request, path = {"kind": "file"}, args.basis
-    basis, basis_record, basis_digest = _load_basis(request, path)
+    basis, basis_record = _load_basis(request, path)
     spec, cert = build_branch_projection(
         stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed)
-    manifest = _manifest("family build", argv, args.seed, {"basis": basis_digest})
-    write_json(args.out, _family_payload(manifest, spec, basis_record, basis_digest, args.rho, cert))
+    # a drawn basis is no input file; its record names it
+    digests = {} if path is None else {"basis": basis_record["digest"]}
+    manifest = _manifest("family build", argv, args.seed, digests)
+    write_json(args.out, _family_payload(manifest, spec, basis_record, args.rho, cert))
     print(canonical_json({"out": str(args.out), "max_diagonal": cert.max_diagonal, "bound": cert.bound}))
     return EXIT_OK
 
@@ -211,8 +210,7 @@ def cmd_family_verify(args, argv) -> int:
     stored = obj["certificate"]
     if not isinstance(stored, dict):
         raise TypeError(f"the certificate must be a JSON object, got {stored!r}")
-    for key in ("branch", "regime", "basis_digest"):
-        _json_str(stored[key], key)
+    _json_str(stored["regime"], "regime")
     if not isinstance(stored["diagonals"], list):
         raise TypeError("the certificate's diagonals must be a JSON array")
     recorded = np.array([_json_number(x, "diagonals") for x in stored["diagonals"]])
@@ -221,7 +219,7 @@ def cmd_family_verify(args, argv) -> int:
     rho = _json_number(obj["rho"], "rho")
     if not 0.0 < rho < 1.0:  # (1 + rho) / 2 >= 1 would bound nothing
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    basis, basis_record, basis_digest = _load_basis(obj["basis"], args.basis)
+    basis, basis_record = _load_basis(obj["basis"], args.basis)
     if basis_record != obj["basis"]:
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
     cert = verify_suppression(spec, basis, bound)
@@ -234,9 +232,7 @@ def cmd_family_verify(args, argv) -> int:
          and np.abs(recorded - cert.diagonals).max() <= 1e-10),
         ("max_diagonal", cert.max_diagonal <= bound
          and abs(max_diagonal - cert.max_diagonal) <= 1e-10),
-        ("branch", stored["branch"] == spec.branch),
         ("regime", stored["regime"] == spec.stage.regime),
-        ("basis_digest", stored["basis_digest"] == basis_digest),
     ]
     failed = [name for name, passed in checks if not passed]
     if failed:
@@ -292,8 +288,8 @@ def cmd_demo(args, argv) -> int:
     # Toy stage, shared seeded basis, all eight depth-3 branches.
     stage = toy_stage([4, 4, 2])
     request = {"kind": "phase-dft", "seed": derive_seed(root, "demo", "basis"), "n": stage.dim}
-    basis, basis_record, basis_digest = _load_basis(request, None)
-    manifest = _manifest("demo", argv, root, {"basis": basis_digest})
+    basis, basis_record = _load_basis(request, None)
+    manifest = _manifest("demo", argv, root, {})
     build_seed = derive_seed(root, "demo", "family")
     rho = 0.9
     specs = []
@@ -304,7 +300,7 @@ def cmd_demo(args, argv) -> int:
         specs.append(spec)
         max_diagonal = max(max_diagonal, scert.max_diagonal)
         write(f"family_{spec.branch}.json",
-              _family_payload(manifest, spec, basis_record, basis_digest, rho, scert))
+              _family_payload(manifest, spec, basis_record, rho, scert))
 
     # Common fixed vectors for every pair and triple of branches.
     entries = []

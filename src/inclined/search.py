@@ -75,10 +75,6 @@ class InclinationCertificate:
         if not abs(np.linalg.norm(self.candidate) - 1.0) <= 1e-12:
             raise ValueError("certificate candidate is not a unit vector")
 
-    @property
-    def dimension(self) -> int:
-        return self.candidate.size
-
 
 def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed: int,
                             ) -> tuple[np.ndarray, float, int, bool]:

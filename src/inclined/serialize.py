@@ -176,7 +176,7 @@ def branch_spec_to_obj(spec) -> dict:
         "stage": stage_to_obj(spec.stage),
         "branch": spec.branch,
         "levels": [
-            {"m": lv.m, "sigma": spec.sigma(lv.m), "direction": vector_to_obj(spec.directions[lv.m - 1])}
+            {"m": lv.m, "direction": vector_to_obj(spec.directions[lv.m - 1])}
             for lv in spec.stage.levels
         ],
     }
@@ -190,19 +190,13 @@ def branch_spec_from_obj(obj: Any):
     if [lv["m"] for lv in levels] != list(range(1, stage.depth + 1)):
         raise ValueError(f"family levels must be m = 1..{stage.depth}, once each")
     directions = tuple(vector_from_obj(lv["direction"]) for lv in levels)
-    spec = BranchProjectionSpec(stage=stage, branch=obj["branch"], directions=directions)
-    for lv in levels:
-        if lv["sigma"] != spec.sigma(lv["m"]):
-            raise ValueError(f"level {lv['m']}: sigma {lv['sigma']!r} is not the branch prefix")
-    return spec
+    return BranchProjectionSpec(stage=stage, branch=obj["branch"], directions=directions)
 
 
-def suppression_to_obj(spec, cert, basis_digest: str) -> dict:
-    """The certificate record of a family: cert's values, with the branch and
-    regime of spec and the digest of the basis cert was computed on."""
+def suppression_to_obj(spec, cert) -> dict:
+    """The certificate record of a family: cert's values and the regime of
+    spec.  The branch and the basis are recorded once, beside it."""
     return {
-        "basis_digest": basis_digest,
-        "branch": spec.branch,
         "diagonals": list(cert.diagonals),
         "max_diagonal": float(cert.max_diagonal),
         "bound": float(cert.bound),
@@ -212,7 +206,6 @@ def suppression_to_obj(spec, cert, basis_digest: str) -> dict:
 
 def inclination_to_obj(cert) -> dict:
     return {
-        "d": cert.dimension,
         "family_digest": cert.family_digest,
         "candidate": vector_to_obj(cert.candidate),
         "achieved": float(cert.achieved),
@@ -224,10 +217,11 @@ def inclination_to_obj(cert) -> dict:
 
 
 def inclination_from_obj(obj: Any):
+    """The certificate an incline record holds, each field of its JSON type;
+    the candidate's length is its dimension (the "d" of older records is not read)."""
     from .search import InclinationCertificate
 
-    d = _json_int(obj["d"], "d")
-    cert = InclinationCertificate(
+    return InclinationCertificate(
         family_digest=_json_str(obj["family_digest"], "family_digest"),
         candidate=vector_from_obj(obj["candidate"]),
         achieved=_json_number(obj["achieved"], "achieved"),
@@ -236,9 +230,6 @@ def inclination_from_obj(obj: Any):
         iterations_used=_json_int(obj["iterations_used"], "iterations_used"),
         status=obj["status"],
     )
-    if d != cert.dimension:
-        raise ValueError(f"d {d} is not the candidate's length {cert.dimension}")
-    return cert
 
 
 def write_json(path: str | Path, obj: Any) -> str:

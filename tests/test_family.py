@@ -485,7 +485,7 @@ def test_build_round_trip_toy_stage():
     spec, cert = build_branch_projection(stage, basis, "01", C, 10_000, 24)
     assert cert.max_diagonal <= 19 / 20
     assert cert.bound == pytest.approx((1 + RHO) / 2)
-    assert suppression_to_obj(spec, cert, digest_vectors(basis))["regime"] == "toy"
+    assert suppression_to_obj(spec, cert)["regime"] == "toy"
     # re-verify diagonals by direct application, one index at a time
     for k in range(0, stage.dim, 37):
         px = apply_branch_projection(spec, basis[k])
@@ -615,7 +615,7 @@ def test_paper_regime_build_at_level_one():
     q, _ = np.linalg.qr(g)
     basis = np.ascontiguousarray(q.T)
     spec, cert = build_branch_projection(stage, basis, "1", C, 2_000, 32)
-    assert suppression_to_obj(spec, cert, digest_vectors(basis))["regime"] == "paper"
+    assert suppression_to_obj(spec, cert)["regime"] == "paper"
     assert cert.max_diagonal <= 19 / 20
     # per-block guarantee: every block of every family member is suppressed
     v = spec.directions[0]

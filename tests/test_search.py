@@ -184,7 +184,7 @@ def test_single_constraint_search():
     cert = find_inclined_vector([E2[0]], 0.9, 100, 0)
     assert cert.achieved <= 0.9 - 1e-9
     assert abs(np.linalg.norm(cert.candidate) - 1.0) <= 1e-12
-    assert cert.dimension == 2
+    assert cert.candidate.size == 2
 
 
 def test_orthonormal_pair_minimax_floor():
@@ -257,7 +257,9 @@ def test_a_nan_achieved_or_bound_fails_verification():
             verify_inclination(dataclasses.replace(cert, **{field: math.nan}), family)
 
 
-# Certificates built by earlier versions:
+# Certificates built by earlier versions.  A file is added only when a
+# record's schema or arithmetic changes; one that differs from the last only
+# in `version` tests nothing new.
 # - incline_v090 by 0.9.0: `incline incline_v090_vectors.json --bound 0.45 --seed 9`;
 # - incline_v0100 by 0.10.0: `inclined incline incline_v0100_vectors.json
 #   --bound 0.45 --seed 10 --out incline_v0100.json`, on 40 unit rows in C^8,
@@ -272,9 +274,13 @@ def test_a_nan_achieved_or_bound_fails_verification():
 #   on rows made as for incline_v0100 with rng = np.random.default_rng(120);
 # - incline_v0130 by 0.13.0 (commit c5fca04): `inclined incline
 #   incline_v0130_vectors.json --bound 0.45 --seed 13 --out incline_v0130.json`,
-#   on rows made as for incline_v0100 with rng = np.random.default_rng(130).
+#   on rows made as for incline_v0100 with rng = np.random.default_rng(130);
+# - incline_v0140 by 0.14.0 (commit 257ae79), the last version to write `d`:
+#   `inclined incline incline_v0140_vectors.json --bound 0.45 --seed 14
+#   --out incline_v0140.json`, on rows made as for incline_v0100 with
+#   rng = np.random.default_rng(140).
 @pytest.mark.parametrize("name", ["incline_v090", "incline_v0100", "incline_v0110",
-                                  "incline_v0120", "incline_v0130"])
+                                  "incline_v0120", "incline_v0130", "incline_v0140"])
 def test_incline_certificate_written_by_an_earlier_version_verifies(name):
     data = Path(__file__).parent / "data"
     cert = inclination_from_obj(read_json(data / f"{name}.json")["certificate"])
