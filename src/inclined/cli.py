@@ -273,7 +273,8 @@ def cmd_demo(args, argv) -> int:
     written: dict[str, str] = {}
 
     def write(name: str, payload: dict) -> None:
-        written[name] = sha256_hex(write_json(outdir / name, payload))
+        write_json(outdir / name, payload)
+        written[name] = sha256_hex((outdir / name).read_bytes())
 
     # Inclined search at full dimension: 1000 directions in C^128.
     fam_rng = np.random.default_rng(derive_seed(root, "demo", "incline", "vectors"))
@@ -413,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
         message, code = str(exc), EXIT_INPUT
     except RecursionError:  # JSON nested deeper than the decoder recurses
         message, code = "input nested too deeply", EXIT_INPUT
-    except MemoryError:  # work below every cap that still does not fit, such as a write
+    except MemoryError:  # work below every cap that still does not fit
         message, code = "out of memory", EXIT_INPUT
     except BudgetExhausted as exc:
         message, code = str(exc), EXIT_BUDGET

@@ -18,6 +18,9 @@ import gc
 import hashlib
 import json
 import math
+import os
+import shutil
+import tempfile
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
@@ -232,13 +235,94 @@ def inclination_from_obj(obj: Any):
     )
 
 
-def write_json(path: str | Path, obj: Any) -> str:
-    """Write canonical_json(obj) and a newline, and return that text, the
-    file's bytes on every platform; a dict goes through _encode_in_two."""
-    text = _encode_in_two(obj) if isinstance(obj, dict) else None
-    text = (canonical_json(obj) if text is None else text) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
-    return text
+def write_json(path: str | Path, obj: Any) -> None:
+    """Write canonical_json(obj) and a newline, the same bytes on every
+    platform.  The text goes to a temporary file beside path, which replaces
+    path once it is whole, so a failed write leaves path as it was and no
+    temporary file behind.  A link is followed; what path names must be a
+    regular file or nothing, since a device or a pipe cannot be replaced."""
+    path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        raise ValueError(f"cannot write {path}: not a regular file")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            _write(f, obj)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write(f, obj: Any) -> None:
+    """Write canonical_json(obj) and a newline to the binary file f; the
+    top-level 1-D arrays of a dict with string keys go through _write_entries,
+    so that no process holds the text of a whole array."""
+    if not (isinstance(obj, dict) and all(type(k) is str for k in obj)):
+        f.write(canonical_json(obj).encode() + b"\n")
+        return
+    f.write(b"{")
+    for i, k in enumerate(sorted(obj)):
+        f.write(b"," * (i > 0) + canonical_json(k).encode() + b":")
+        v = obj[k]
+        if isinstance(v, np.ndarray) and v.ndim == 1:
+            f.write(b'{"dim":%d,"entries":[' % v.size)
+            _write_entries(f, v)
+            f.write(b"]}")
+        else:
+            f.write(canonical_json(v).encode())
+    f.write(b"}\n")
+
+
+# The pairs of an array that _entries formats at a time: a chunk's floats and
+# text take a few MB however long the array is.
+_CHUNK_PAIRS = 1 << 14
+
+
+def _entries(v: np.ndarray):
+    """The entries of vector_to_obj(v) as canonical_json writes them, less
+    the brackets: ASCII bytes, one chunk of _CHUNK_PAIRS pairs at a time.
+    Each chunk formats the float64 view of its complex128 entries with
+    float.__repr__, as json does, and a non-finite one raises json's own
+    ValueError."""
+    for start in range(0, v.size, _CHUNK_PAIRS):
+        part = np.ascontiguousarray(v[start:start + _CHUNK_PAIRS], dtype=np.complex128)
+        part = part.view(np.float64)
+        if not np.isfinite(part).all():
+            canonical_json(part[~np.isfinite(part)].tolist())  # raises json's ValueError
+        text = ",".join(["[%r,%r]"] * (part.size // 2)) % tuple(part.tolist())
+        yield (text if start == 0 else "," + text).encode()
+
+
+def _write_entries(f, v: np.ndarray) -> None:
+    """f.writelines(_entries(v)), the second half formatted meanwhile by one
+    forked child when v's text (about 44 bytes a pair) reaches
+    _SPLIT_MIN_BYTES and a second CPU is free.  The child writes its half to
+    an unnamed temporary file, which the parent copies in after its own: a
+    pipe holds too little for the child to run ahead.  A refused fork or a
+    failed child gives the one-part write."""
+    if v.size < 2 or 44 * v.size < _SPLIT_MIN_BYTES or not _two_cpus():
+        f.writelines(_entries(v))
+        return
+    half, start = v.size // 2, f.tell()
+    with tempfile.TemporaryFile(dir=Path(f.name).parent) as rest:
+        def first_half():
+            f.writelines(_entries(v[:half]))
+            return True
+
+        def second_half():
+            rest.writelines(_entries(v[half:]))
+            rest.flush()
+            return []
+
+        if _in_two(first_half, second_half)[0] is None:
+            f.seek(start)
+            f.truncate()
+            f.writelines(_entries(v))
+        else:
+            f.write(b",")
+            rest.seek(0)
+            shutil.copyfileobj(rest, f)
 
 
 def _loads(text: str) -> Any:
@@ -328,7 +412,6 @@ def _two_cpus() -> bool:
     """Whether a forked child can run beside this process: two CPUs, both in
     the affinity and within the cgroup's CPU quota, and Python < 3.12, from
     which os.fork warns in a process with threads (numpy starts one)."""
-    import os
     import sys
 
     return (sys.version_info < (3, 12) and hasattr(os, "sched_getaffinity")
@@ -353,7 +436,6 @@ def _in_two(parent: Callable, child: Callable) -> tuple[Any, bytes | None]:
     (None, None) when either gives None, the child fails, or none can be made.
     The child always leaves through os._exit and is reaped before this
     returns, killed first when parent() raises or returns None."""
-    import os
     import signal
 
     try:
@@ -408,30 +490,6 @@ def _read_canonical_in_two(raw: bytes, cut: int) -> np.ndarray | None:
     if d != first.shape[1] or len(blob) != 16 + 16 * n * d:
         return None
     return np.concatenate([first, np.frombuffer(blob, np.complex128, offset=16).reshape(n, d)])
-
-
-def _encode_in_two(obj: dict) -> str | None:
-    """canonical_json(obj), the second half of the entries of its longest
-    top-level 1-D array encoded by one forked child; None when that array's
-    text (about 44 bytes a pair) is below _SPLIT_MIN_BYTES, a key is not a
-    string, no second CPU is free, or _in_two gives no halves."""
-    v = max((v for v in obj.values() if isinstance(v, np.ndarray) and v.ndim == 1),
-            key=np.size, default=np.empty(0))
-    if (v.size < 2 or 44 * v.size < _SPLIT_MIN_BYTES
-            or not all(type(k) is str for k in obj) or not _two_cpus()):
-        return None
-
-    def entries(part: np.ndarray) -> str:
-        return canonical_json(vector_to_obj(part)["entries"])[1:-1]
-
-    first, second = _in_two(lambda: entries(v[:v.size // 2]),
-                            lambda: [entries(v[v.size // 2:]).encode()])
-    if first is None:
-        return None
-    vector = f'{{"dim":{v.size},"entries":[{first},{second.decode()}]}}'
-    items = (canonical_json(k) + ":" + (vector if obj[k] is v else canonical_json(obj[k]))
-             for k in sorted(obj))
-    return "{" + ",".join(items) + "}"
 
 
 def read_vectors(path: str | Path) -> np.ndarray:

@@ -759,28 +759,35 @@ def test_intersect_of_an_oversized_stage_is_refused_before_allocating(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform == "darwin", reason="macOS does not enforce RLIMIT_AS")
-def test_an_intersect_write_that_runs_out_of_memory_exits_two(tmp_path):
+def test_an_intersect_writes_where_it_computes_and_exits_two_below(tmp_path):
     # Toy stage [7, 7, 7]: branches 000 and 001 separate at level 3, whose
     # vector has 7^8 = 5 764 801 entries (88 MiB), below the 1 GiB cap.  Its
-    # JSON write builds Python lists of several times that.  With one BLAS
-    # thread on Linux x86-64 (Python 3.11, numpy 2.4) the intersection alone
-    # ran at 400 MiB of address space and failed at 380, and the write ran at
-    # 680 and failed at 660; 530 MiB leaves about 140 MiB on either side.
+    # JSON write formats a bounded chunk at a time.  With one BLAS thread on
+    # Linux x86-64 (Python 3.11, numpy 2.4) the intersection ran at 400 MiB of
+    # address space and failed at 380, with or without --out; writing the
+    # entries as Python lists had needed 680.  At 530 MiB the write runs and
+    # gives the bytes of an unlimited run; at 300 the intersection itself
+    # runs out of memory and exits 2.
     stage = toy_stage([7, 7, 7])
     e0 = np.eye(1, 7, dtype=complex)[0]
     for branch in ("000", "001"):
         spec = BranchProjectionSpec(stage=stage, branch=branch, directions=(e0,) * 3)
         write_json(tmp_path / f"{branch}.json", branch_spec_to_obj(spec))
-    argv = ["family", "intersect", "000.json", "001.json"]
-    limit = _limit_address_space(530 * 2 ** 20)
-    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1, preexec_fn=limit)
+    argv = ["family", "intersect", "000.json", "001.json", "--out", "i.json"]
+    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1)
     assert done.returncode == 0, done.stderr
-    done = _cli_in_subprocess([*argv, "--out", "i.json"], tmp_path, blas_threads=1,
-                              preexec_fn=limit)
+    unlimited = (tmp_path / "i.json").read_bytes()
+    (tmp_path / "i.json").unlink()
+    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1,
+                              preexec_fn=_limit_address_space(530 * 2 ** 20))
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "i.json").read_bytes() == unlimited
+    done = _cli_in_subprocess(argv, tmp_path, blas_threads=1,
+                              preexec_fn=_limit_address_space(300 * 2 ** 20))
     assert done.returncode == 2, done.stderr
     assert "Traceback" not in done.stderr
     errors = [line for line in done.stderr.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].split("error:", 1)[1].strip()
+    assert errors == ["error: out of memory"]
 
 
 @pytest.mark.skipif(sys.platform == "darwin", reason="macOS does not enforce RLIMIT_AS")

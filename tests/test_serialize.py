@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import itertools
 import json
 import os
 import sys
@@ -457,7 +458,7 @@ def test_an_exception_in_the_parents_half_kills_and_reaps_the_child(tmp_path, mo
     family = np.ones((2, 8192), dtype=np.complex128)
     path = tmp_path / "v.json"
     write_json(path, vectors_to_obj(family))
-    parent, decode, to_obj = os.getpid(), serialize._read_canonical_vectors, vector_to_obj
+    parent, decode, entries = os.getpid(), serialize._read_canonical_vectors, serialize._entries
 
     def failing_in_the_parent(real):
         def fails(arg):
@@ -467,7 +468,7 @@ def test_an_exception_in_the_parents_half_kills_and_reaps_the_child(tmp_path, mo
         return fails
 
     monkeypatch.setattr(serialize, "_read_canonical_vectors", failing_in_the_parent(decode))
-    monkeypatch.setattr(serialize, "vector_to_obj", failing_in_the_parent(to_obj))
+    monkeypatch.setattr(serialize, "_entries", failing_in_the_parent(entries))
     with _split_floor(0):
         with pytest.raises(RuntimeError, match="parent's half"):
             read_vectors(path)
@@ -534,30 +535,62 @@ def _payload(entries: int) -> dict:
 
 # Past the real floor (about 44 bytes a pair), odd; odd and short; one entry.
 _WRITE_SIZES = (serialize._SPLIT_MIN_BYTES // 44 + 1000, 8191, 1)
+# The real chunk, and one that cuts every size but the last into several.
+_CHUNKS = (serialize._CHUNK_PAIRS, 1000)
+
+
+def _vectors(v: np.ndarray) -> dict:
+    """v as each kind of array the writer takes: complex, a strided view of
+    twice its length, float64 and integer."""
+    wide = np.zeros(2 * v.size, dtype=np.complex128)
+    wide[::2] = v
+    return {"complex": v, "strided": wide[::2], "float64": v.real.copy(),
+            "int": np.arange(v.size) - v.size // 2}
 
 
 @pytest.mark.parametrize("entries", _WRITE_SIZES)
 def test_write_json_of_a_vector_is_canonical_json_byte_for_byte(entries, tmp_path, monkeypatch):
     payload = _payload(entries)
-    expected = canonical_json({**payload, "vector": vector_to_obj(payload["vector"])}) + "\n"
-    assert canonical_json(payload) + "\n" == expected
-    parent, to_obj = os.getpid(), vector_to_obj
-    for split_min_bytes in _FLOORS:
-        forks, converted = _counted_forks(monkeypatch), []
+    parent, real_entries = os.getpid(), serialize._entries
+    for kind, v in _vectors(payload["vector"]).items():
+        payload["vector"] = v
+        expected = canonical_json({**payload, "vector": vector_to_obj(v)}) + "\n"
+        assert canonical_json(payload) + "\n" == expected
+        for split_min_bytes, chunk_pairs in itertools.product(_FLOORS, _CHUNKS):
+            forks, formatted = _counted_forks(monkeypatch), []
 
-        def recorded(v):
-            if os.getpid() == parent:
-                converted.append(len(v))
-            return to_obj(v)
+            def recorded(v):
+                if os.getpid() == parent:
+                    formatted.append(len(v))
+                return real_entries(v)
 
-        monkeypatch.setattr(serialize, "vector_to_obj", recorded)
-        with _split_floor(split_min_bytes):
-            assert write_json(tmp_path / "w.json", payload) == expected
-        assert (tmp_path / "w.json").read_bytes() == expected.encode()
-        two = _FORKS and entries > 1 and 44 * entries >= split_min_bytes
-        assert len(forks) == two
-        assert converted == ([entries // 2] if two else [entries])  # the parent's half alone
-        _assert_no_child_left()
+            monkeypatch.setattr(serialize, "_entries", recorded)
+            monkeypatch.setattr(serialize, "_CHUNK_PAIRS", chunk_pairs)
+            with _split_floor(split_min_bytes):
+                write_json(tmp_path / "w.json", payload)
+            assert (tmp_path / "w.json").read_bytes() == expected.encode(), kind
+            two = _FORKS and entries > 1 and 44 * entries >= split_min_bytes
+            assert len(forks) == two
+            assert formatted == ([entries // 2] if two else [entries])  # the parent's half alone
+            _assert_no_child_left()
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "w.json"]
+
+
+@pytest.mark.parametrize("half", ["one-part", "parents-half"])
+def test_a_non_finite_entry_fails_the_write_and_leaves_no_file(half, tmp_path, monkeypatch):
+    payload = _payload(9)
+    payload["vector"][0] = complex(1.0, np.inf) if half == "one-part" else np.nan
+    forks = _counted_forks(monkeypatch)
+    with _split_floor(serialize._SPLIT_MIN_BYTES if half == "one-part" else 0):
+        with pytest.raises(ValueError, match="Out of range float"):
+            write_json(tmp_path / "w.json", payload)
+    assert len(forks) == (half == "parents-half" and _FORKS)
+    assert list(tmp_path.iterdir()) == []
+    _assert_no_child_left()
+    (tmp_path / "w.json").write_text("old")
+    with pytest.raises(ValueError, match="Out of range float"):
+        write_json(tmp_path / "w.json", payload)
+    assert [(p.name, p.read_text()) for p in tmp_path.iterdir()] == [("w.json", "old")]
 
 
 def test_a_dict_with_other_keys_than_strings_is_written_in_one_part(tmp_path, monkeypatch):
@@ -583,6 +616,38 @@ def test_a_failed_writing_child_gives_the_one_part_write(tmp_path, monkeypatch):
     with _split_floor(0):
         write_json(tmp_path / "w.json", payload)
     assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
+
+
+def test_write_json_replaces_a_links_target_and_refuses_what_is_no_file(tmp_path):
+    (tmp_path / "target.json").write_text("old")
+    (tmp_path / "link.json").symlink_to("target.json")
+    write_json(tmp_path / "link.json", {"a": 1})
+    assert (tmp_path / "link.json").is_symlink()
+    assert (tmp_path / "target.json").read_text() == '{"a":1}\n'
+    os.mkfifo(tmp_path / "fifo")
+    with pytest.raises(ValueError, match="not a regular file"):
+        write_json(tmp_path / "fifo", {"a": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link.json", "target.json"]
+
+
+@_needs_fork
+def test_a_child_that_fails_after_the_parents_half_gives_the_one_part_bytes(tmp_path, monkeypatch):
+    payload = _payload(9)
+    parent, entries = os.getpid(), serialize._entries
+
+    def failing_in_the_child(v):
+        if os.getpid() != parent:
+            raise RuntimeError("child's half")
+        return entries(v)
+
+    monkeypatch.setattr(serialize, "_entries", failing_in_the_child)
+    forks = _counted_forks(monkeypatch)
+    with _split_floor(0):
+        write_json(tmp_path / "w.json", payload)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / "w.json"]
 
 
 @pytest.mark.parametrize("files, quota", [
