@@ -20,10 +20,11 @@ import json
 import math
 import os
 import shutil
+import signal
 import tempfile
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 import numpy as np
 
@@ -295,34 +296,22 @@ def _entries(v: np.ndarray):
 
 
 def _write_entries(f, v: np.ndarray) -> None:
-    """f.writelines(_entries(v)), the second half formatted meanwhile by one
-    forked child when v's text (about 44 bytes a pair) reaches
-    _SPLIT_MIN_BYTES and a second CPU is free.  The child writes its half to
-    an unnamed temporary file, which the parent copies in after its own: a
-    pipe holds too little for the child to run ahead.  A refused fork or a
-    failed child gives the one-part write."""
-    if v.size < 2 or 44 * v.size < _SPLIT_MIN_BYTES or not _two_cpus():
+    """f.writelines(_entries(v)); when v has two entries or more, _in_two's
+    child formats the second half meanwhile into a file beside f, which the
+    parent copies in after its own (the size is v's text, about 44 bytes a
+    pair).  When _in_two gives no halves, v is written in one part."""
+    half, start = v.size // 2, f.tell()
+    halves = None if v.size < 2 else _in_two(
+        44 * v.size, lambda: f.writelines(_entries(v[:half])),
+        lambda rest: rest.writelines(_entries(v[half:])), dir=Path(f.name).parent)
+    if halves is None:
+        f.seek(start)
+        f.truncate()
         f.writelines(_entries(v))
         return
-    half, start = v.size // 2, f.tell()
-    with tempfile.TemporaryFile(dir=Path(f.name).parent) as rest:
-        def first_half():
-            f.writelines(_entries(v[:half]))
-            return True
-
-        def second_half():
-            rest.writelines(_entries(v[half:]))
-            rest.flush()
-            return []
-
-        if _in_two(first_half, second_half)[0] is None:
-            f.seek(start)
-            f.truncate()
-            f.writelines(_entries(v))
-        else:
-            f.write(b",")
-            rest.seek(0)
-            shutil.copyfileobj(rest, f)
+    with halves[1] as rest:
+        f.write(b",")
+        shutil.copyfileobj(rest, f)
 
 
 def _loads(text: str) -> Any:
@@ -378,8 +367,8 @@ def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
 
 
 # Below this many bytes of JSON a canonical file is decoded, and a vector
-# encoded, in one process: forking, piping and joining cost more than half
-# the work saves (see CHANGES.md).
+# encoded, in one process: forking, handing over a temporary file and joining
+# cost more than half the work saves (see CHANGES.md).
 _SPLIT_MIN_BYTES = 1 << 20
 _MEMBER_START = b'},{"dim":'
 # Where a container sees its own cgroup, which holds any CPU quota it was
@@ -419,10 +408,7 @@ def _two_cpus() -> bool:
 
 
 def _split_point(raw: bytes) -> int | None:
-    """Where to cut raw in two for a two-process decode, or None for one.
-    The cut is the member boundary nearest the middle, so the halves are even."""
-    if len(raw) < _SPLIT_MIN_BYTES or not _two_cpus():
-        return None
+    """The member boundary nearest raw's middle, or None when raw has none."""
     mid = len(raw) // 2
     before = raw.rfind(_MEMBER_START, 0, mid + len(_MEMBER_START))
     after = raw.find(_MEMBER_START, mid)
@@ -430,66 +416,70 @@ def _split_point(raw: bytes) -> int | None:
     return min(cuts, key=lambda c: abs(c - mid), default=None)
 
 
-def _in_two(parent: Callable, child: Callable) -> tuple[Any, bytes | None]:
-    """(parent(), the bytes child() sends), child() running meanwhile in one
-    forked child and returning the buffers to send, or None when in doubt;
-    (None, None) when either gives None, the child fails, or none can be made.
-    The child always leaves through os._exit and is reaped before this
-    returns, killed first when parent() raises or returns None."""
-    import signal
-
+def _in_two(size: int, parent: Callable, child: Callable, dir=None) -> tuple[Any, IO] | None:
+    """(parent(), the TemporaryFile in dir that child(file) wrote meanwhile
+    in one forked child, rewound); None when no child can help: size under
+    _SPLIT_MIN_BYTES, no _two_cpus(), a refused file or fork, or a child that
+    raises.  The child leaves through os._exit and is reaped before this
+    returns or raises, killed first (and the file closed) if parent() raises."""
+    if size < _SPLIT_MIN_BYTES or not _two_cpus():
+        return None
     try:
-        r, w = os.pipe()
+        file = tempfile.TemporaryFile(dir=dir)
     except OSError:
-        return None, None
+        return None
     try:
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
-        return None, None
+        file.close()
+        return None
     if pid == 0:
         try:
-            os.close(r)
-            parts = child()
-            if parts is not None:
-                with open(w, "wb") as pipe:
-                    pipe.writelines(parts)
-                os._exit(0)
+            child(file)
+            file.flush()
+            os._exit(0)
         finally:
             os._exit(1)
-    os.close(w)
-    blob = None
     try:
-        with open(r, "rb") as pipe:
-            first = parent()
-            if first is not None:
-                blob = pipe.read()
-    finally:
-        if blob is None:
-            os.kill(pid, signal.SIGKILL)
-        status = os.waitpid(pid, 0)[1]
-    if blob is None or os.waitstatus_to_exitcode(status) != 0:
-        return None, None
-    return first, blob
-
-
-def _read_canonical_in_two(raw: bytes, cut: int) -> np.ndarray | None:
-    """_read_canonical_vectors(raw), the members after the "},{" at `cut`
-    decoded by one forked child: raw is canonical exactly when raw[:cut + 1]
-    + "]" and "[" + raw[cut + 2:] are, with one dimension.  None when either
-    half is not, or _in_two gives no halves."""
-    def second_half():
-        second = _read_canonical_vectors(b"[" + raw[cut + 2:])
-        return None if second is None else [np.array(second.shape, dtype="<i8"), second]
-
-    first, blob = _in_two(lambda: _read_canonical_vectors(raw[:cut + 1] + b"]"), second_half)
-    if first is None:
+        first = parent()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        file.close()
+        raise
+    if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
+        file.close()
         return None
-    n, d = (int(x) for x in np.frombuffer(blob[:16], dtype="<i8"))
-    if d != first.shape[1] or len(blob) != 16 + 16 * n * d:
+    file.seek(0)
+    return first, file
+
+
+def _canonical(raw: bytes) -> np.ndarray:
+    """_read_canonical_vectors(raw), or ValueError where it gives None."""
+    vectors = _read_canonical_vectors(raw)
+    if vectors is None:
+        raise ValueError("not in the canonical layout")
+    return vectors
+
+
+def _read_canonical_in_two(raw: bytes) -> np.ndarray | None:
+    """_read_canonical_vectors(raw), the members after the _split_point
+    decoded and np.saved by _in_two's child: raw is canonical exactly when
+    raw[:cut + 1] + "]" and "[" + raw[cut + 2:] are, with one dimension.
+    ValueError when the first half is not; None when the second is not, the
+    dimensions differ, or _in_two gives no halves."""
+    cut = _split_point(raw)
+    halves = None if cut is None else _in_two(
+        len(raw), lambda: _canonical(raw[:cut + 1] + b"]"),
+        lambda file: np.save(file, _canonical(b"[" + raw[cut + 2:])))
+    if halves is None:
         return None
-    return np.concatenate([first, np.frombuffer(blob, np.complex128, offset=16).reshape(n, d)])
+    first, file = halves
+    with file:
+        second = np.load(file, allow_pickle=False)
+    if second.dtype != first.dtype or second.shape[1:] != first.shape[1:]:
+        return None
+    return np.concatenate([first, second])
 
 
 def read_vectors(path: str | Path) -> np.ndarray:
@@ -497,15 +487,14 @@ def read_vectors(path: str | Path) -> np.ndarray:
 
     A file in the canonical layout takes a fast decode, in two processes
     when the file is large, holds two members or more and a second CPU is
-    free; any other layout, and any file the fast decode has doubts about,
-    goes through vectors_from_obj on the JSON of the same bytes, which alone
-    raises the errors.  All give the same array bit for bit.  A boolean never
-    passes the fast decode, and vectors_from_obj refuses it.
+    free, else in one.  Any other layout, and any file the fast decode
+    refuses, goes through vectors_from_obj on the JSON of the same bytes,
+    which alone raises the errors.  All give the same array bit for bit.  A
+    boolean never passes the fast decode, and vectors_from_obj refuses it.
     """
     raw = Path(path).read_bytes()
-    cut = _split_point(raw)
     try:
-        vectors = None if cut is None else _read_canonical_in_two(raw, cut)
+        vectors = _read_canonical_in_two(raw)
         if vectors is None:
             vectors = _read_canonical_vectors(raw)
     except (ValueError, TypeError, OverflowError):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import itertools
 import json
@@ -443,8 +444,7 @@ def test_a_second_half_in_doubt_gives_one_part_and_leaves_no_child(second_half, 
         text = canonical_json(vectors_to_obj(family[:2]) + vectors_to_obj(family[2:].reshape(1, 4)))
     raw = text.encode("utf-8")
     with _split_floor(0):
-        cut = serialize._split_point(raw)
-    assert serialize._read_canonical_in_two(raw, cut) is None
+        assert serialize._read_canonical_in_two(raw) is None
     _assert_no_child_left()
     forks = _counted_forks(monkeypatch)
     assert _read(text, 0) is None and _general(text) is None
@@ -479,17 +479,69 @@ def test_an_exception_in_the_parents_half_kills_and_reaps_the_child(tmp_path, mo
     assert not (tmp_path / "w.json").exists()
 
 
-@_needs_fork
-@pytest.mark.parametrize("parents_half", ["raises", "in-doubt"])
-def test_a_child_no_longer_wanted_is_killed_at_once(parents_half):
-    def parent():
-        if parents_half == "raises":
-            raise RuntimeError("parent's half")
+def _made_files(monkeypatch) -> list:
+    """Each (dir, file) of a tempfile.TemporaryFile call from now on."""
+    made, temporary_file = [], tempfile.TemporaryFile
 
+    def recorded(*args, dir=None, **kwargs):
+        file = temporary_file(*args, dir=dir, **kwargs)
+        made.append((dir, file))
+        return file
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+    return made
+
+
+@_needs_fork
+def test_a_child_no_longer_wanted_is_killed_at_once(monkeypatch):
+    def parent():
+        raise RuntimeError("parent's half")
+
+    made = _made_files(monkeypatch)
     start = time.monotonic()
-    with contextlib.suppress(RuntimeError):
-        assert serialize._in_two(parent, lambda: time.sleep(60)) == (None, None)
+    with _split_floor(0), pytest.raises(RuntimeError, match="parent's half"):
+        serialize._in_two(0, parent, lambda file: time.sleep(60))
     assert time.monotonic() - start < 30  # the child was not waited for
+    _assert_no_child_left()
+    assert len(made) == 1 and made[0][1].closed
+
+
+@_needs_fork
+def test_the_reads_file_goes_to_the_temporary_directory_and_the_writes_beside_its_target(
+        tmp_path, monkeypatch):
+    # An input directory may be read-only; the output's is written anyway.
+    family = np.arange(8, dtype=np.float64).view(np.complex128).reshape(2, 2)
+    path, out = tmp_path / "in" / "v.json", tmp_path / "out" / "w.json"
+    path.parent.mkdir()
+    out.parent.mkdir()
+    write_json(path, vectors_to_obj(family))
+    made = _made_files(monkeypatch)
+    with _split_floor(0):
+        assert read_vectors(path).tobytes() == family.tobytes()
+        write_json(out, {"vector": family.ravel()})
+    assert [d if d is None else Path(d) for d, _ in made] == [None, out.parent.resolve()]
+    assert all(file.closed for _, file in made)
+    assert out.read_text() == canonical_json({"vector": family.ravel()}) + "\n"
+
+
+def test_a_first_half_that_is_not_canonical_goes_straight_to_the_general_decode(
+        tmp_path, monkeypatch):
+    path = tmp_path / "v.json"
+    path.write_text('[{"dim":2,"entries":[[1e400,0.0],[0.0,1.0]]},'
+                    '{"dim":2,"entries":[[1.0,0.0],[0.0,1.0]]}]\n')
+    parent, decode, parent_decodes = os.getpid(), serialize._read_canonical_vectors, []
+
+    def recorded(raw):
+        if os.getpid() == parent:
+            parent_decodes.append(len(raw))
+        return decode(raw)
+
+    monkeypatch.setattr(serialize, "_read_canonical_vectors", recorded)
+    forks = _counted_forks(monkeypatch)
+    with _split_floor(0), pytest.raises(ValueError, match="non-finite"):
+        read_vectors(path)
+    assert len(parent_decodes) == 1  # the first half when forked, else the whole file
+    assert len(forks) == _FORKS
     _assert_no_child_left()
 
 
@@ -497,7 +549,12 @@ def _fork_refused():
     raise BlockingIOError(11, "Resource temporarily unavailable")
 
 
-@pytest.mark.parametrize("limit", ["fork-refused", "one-cpu", "one-cpu-quota"])
+def _temporary_file_refused(*args, **kwargs):
+    raise OSError(errno.EMFILE, "Too many open files")
+
+
+@pytest.mark.parametrize("limit", ["fork-refused", "one-cpu", "one-cpu-quota",
+                                   "no-temporary-file"])
 def test_without_a_second_process_the_decode_takes_one_part(limit, tmp_path, monkeypatch):
     rng = np.random.default_rng(9)
     family = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -509,6 +566,8 @@ def test_without_a_second_process_the_decode_takes_one_part(limit, tmp_path, mon
                         raising=False)
     monkeypatch.setattr(serialize, "_cpu_quota", lambda: 1.0 if limit == "one-cpu-quota" else None)
     forks = _counted_forks(monkeypatch, fork=_fork_refused if limit == "fork-refused" else os.fork)
+    if limit == "no-temporary-file":
+        monkeypatch.setattr(tempfile, "TemporaryFile", _temporary_file_refused)
     assert read_vectors(path).tobytes() == family.tobytes()
     assert cli.main(["incline", str(path), "--bound", "0.9", "--seed", "1",
                      "--out", str(tmp_path / "cert.json")]) == 0
@@ -612,7 +671,7 @@ def test_a_failed_writing_child_gives_the_one_part_write(tmp_path, monkeypatch):
     assert len(forks) == 1
     _assert_no_child_left()
     payload["vector"][-1] = 1.0
-    monkeypatch.setattr(serialize, "_in_two", lambda parent, child: (None, None))
+    monkeypatch.setattr(serialize, "_in_two", lambda size, parent, child, dir=None: None)
     with _split_floor(0):
         write_json(tmp_path / "w.json", payload)
     assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
