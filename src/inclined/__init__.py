@@ -28,7 +28,7 @@ from .family import (
 )
 from .serialize import canonical_json, derive_seed, digest_vectors
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 __all__ = [
     "BranchProjectionSpec",

@@ -101,22 +101,22 @@ _positive_finite_float = _checked(float, lambda x: math.isfinite(x) and x > 0.0,
 _open_unit_float = _checked(float, lambda x: 0.0 < x < 1.0, "lie in (0, 1)")
 
 
-def _load_basis(record, path: str | None) -> tuple[np.ndarray, dict]:
+def _load_basis(record, path: str | None, dim: int) -> tuple[np.ndarray, dict]:
     """The basis a basis record names, and the record that identifies it.
 
-    A "phase-dft" record is identified by its integer seed and n, and the
-    basis is redrawn from them without being hashed; a ``path`` beside it is
-    refused, not ignored.  A "file" record is identified by the digest of
-    the basis read from ``path``; comparing the returned record with a
-    recorded one compares those digests.
+    A "phase-dft" record is identified by its integer seed alone: the basis
+    of C^dim, dim the stage's, is redrawn from it without being hashed, and
+    a ``path`` beside it is refused, not ignored.  A "file" record is
+    identified by the digest of the basis read from ``path``; comparing the
+    returned record with a recorded one compares those digests.
     """
     if not isinstance(record, dict):
         raise TypeError(f"a basis record must be a JSON object, got {record!r}")
     if record["kind"] == "phase-dft":
         if path is not None:
             raise ValueError("family records a seeded basis; it takes no --basis file")
-        seed, n = _json_int(record["seed"], "seed"), _json_int(record["n"], "n")
-        return random_orthonormal_basis(n, seed), {"kind": "phase-dft", "seed": seed, "n": n}
+        seed = _json_int(record["seed"], "seed")
+        return random_orthonormal_basis(dim, seed), {"kind": "phase-dft", "seed": seed}
     if record["kind"] != "file":
         raise ValueError(f"basis kind must be 'phase-dft' or 'file', got {record['kind']!r}")
     if path is None:
@@ -189,11 +189,11 @@ def cmd_cover(args, argv) -> int:
 def cmd_family_build(args, argv) -> int:
     stage = stage_from_obj(read_json(args.stage))
     if args.basis == "random":
-        request = {"kind": "phase-dft", "seed": derive_seed(args.seed, "basis"), "n": stage.dim}
+        request = {"kind": "phase-dft", "seed": derive_seed(args.seed, "basis")}
         path = None
     else:
         request, path = {"kind": "file"}, args.basis
-    basis, basis_record = _load_basis(request, path)
+    basis, basis_record = _load_basis(request, path, stage.dim)
     spec, cert = build_branch_projection(
         stage, basis, args.branch, float(np.sqrt(args.rho)), args.budget, args.seed)
     # a drawn basis is no input file; its record names it
@@ -219,8 +219,9 @@ def cmd_family_verify(args, argv) -> int:
     rho = _json_number(obj["rho"], "rho")
     if not 0.0 < rho < 1.0:  # (1 + rho) / 2 >= 1 would bound nothing
         raise ValueError(f"rho must lie in (0, 1), got {rho}")
-    basis, basis_record = _load_basis(obj["basis"], args.basis)
-    if basis_record != obj["basis"]:
+    # only the fields the loader returns; the "n" of older records is not read
+    basis, basis_record = _load_basis(obj["basis"], args.basis, spec.stage.dim)
+    if not basis_record.items() <= obj["basis"].items():
         raise ValueError("basis mismatch: the supplied basis is not the one the family records")
     cert = verify_suppression(spec, basis, bound)
     # Every stored field must pass its check, in order (tampering with the
@@ -288,8 +289,8 @@ def cmd_demo(args, argv) -> int:
 
     # Toy stage, shared seeded basis, all eight depth-3 branches.
     stage = toy_stage([4, 4, 2])
-    request = {"kind": "phase-dft", "seed": derive_seed(root, "demo", "basis"), "n": stage.dim}
-    basis, basis_record = _load_basis(request, None)
+    request = {"kind": "phase-dft", "seed": derive_seed(root, "demo", "basis")}
+    basis, basis_record = _load_basis(request, None, stage.dim)
     manifest = _manifest("demo", argv, root, {})
     build_seed = derive_seed(root, "demo", "family")
     rho = 0.9

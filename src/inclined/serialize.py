@@ -179,21 +179,16 @@ def branch_spec_to_obj(spec) -> dict:
     return {
         "stage": stage_to_obj(spec.stage),
         "branch": spec.branch,
-        "levels": [
-            {"m": lv.m, "direction": vector_to_obj(spec.directions[lv.m - 1])}
-            for lv in spec.stage.levels
-        ],
+        "levels": [{"direction": vector_to_obj(v)} for v in spec.directions],
     }
 
 
 def branch_spec_from_obj(obj: Any):
+    """The spec a family record holds, its directions in level order."""
     from .family import BranchProjectionSpec
 
     stage = stage_from_obj(obj["stage"])
-    levels = sorted(obj["levels"], key=lambda lv: _json_int(lv["m"], "m"))
-    if [lv["m"] for lv in levels] != list(range(1, stage.depth + 1)):
-        raise ValueError(f"family levels must be m = 1..{stage.depth}, once each")
-    directions = tuple(vector_from_obj(lv["direction"]) for lv in levels)
+    directions = tuple(vector_from_obj(lv["direction"]) for lv in obj["levels"])
     return BranchProjectionSpec(stage=stage, branch=obj["branch"], directions=directions)
 
 
@@ -299,11 +294,15 @@ def _write_entries(f, v: np.ndarray) -> None:
     """f.writelines(_entries(v)); when v has two entries or more, _in_two's
     child formats the second half meanwhile into a file beside f, which the
     parent copies in after its own (the size is v's text, about 44 bytes a
-    pair).  When _in_two gives no halves, v is written in one part."""
+    pair).  When _in_two gives no halves or its child fails, v is written in
+    one part."""
     half, start = v.size // 2, f.tell()
-    halves = None if v.size < 2 else _in_two(
-        44 * v.size, lambda: f.writelines(_entries(v[:half])),
-        lambda rest: rest.writelines(_entries(v[half:])), dir=Path(f.name).parent)
+    try:
+        halves = None if v.size < 2 else _in_two(
+            44 * v.size, lambda: f.writelines(_entries(v[:half])),
+            lambda rest: rest.writelines(_entries(v[half:])), dir=Path(f.name).parent)
+    except ChildProcessError:
+        halves = None
     if halves is None:
         f.seek(start)
         f.truncate()
@@ -339,11 +338,11 @@ def read_json(path: str | Path) -> Any:
 _SKELETON_DELETE = b'0123456789.eE+-":\ndimentrs'
 
 
-def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
+def _read_canonical_vectors(raw: bytes) -> np.ndarray:
     """Decode a vectors file in the compact layout write_json produces.
 
-    Returns None when the bytes are in any other layout or anything about
-    them is in doubt; the caller then decodes them the general way.  On a
+    Raises ValueError when the bytes are in any other layout or anything
+    about them is in doubt; the caller then decodes them the general way.  On a
     canonical file every pair boundary "],[" lies inside an entries list, so
     turning it into "," leaves entries [[re, im, re, im, ...]]: one float
     list per member, which json builds without a list per entry.
@@ -352,17 +351,17 @@ def _read_canonical_vectors(raw: bytes) -> np.ndarray | None:
     n = skeleton.count(b"{")
     d = (skeleton.find(b"}") - 4) // 4  # a member is "{,[" + d "[,]" joined by "," + "]}"
     if n < 1 or d < 1 or raw.count(b'"') != 4 * n:  # no strings besides the keys
-        return None
+        raise ValueError("not in the canonical layout")
     member = b"{,[" + b",".join([b"[,]"] * d) + b"]}"
     if skeleton != b"[" + b",".join([member] * n) + b"]":
-        return None
+        raise ValueError("not in the canonical layout")
     obj = json.loads(raw.replace(b"],[", b","))
     if not all(type(v) is dict and v.keys() == {"dim", "entries"}
                and type(v["dim"]) is int and v["dim"] == d for v in obj):
-        return None
+        raise ValueError("not in the canonical layout")
     flat = np.array([v["entries"] for v in obj])  # an integer past 64 bits is an object
     if flat.dtype.kind not in "iuf" or flat.shape != (n, 1, 2 * d) or not np.isfinite(flat).all():
-        return None
+        raise ValueError("not in the canonical layout")
     return flat.astype(np.float64, copy=False).view(np.complex128).reshape(n, d)
 
 
@@ -418,10 +417,10 @@ def _split_point(raw: bytes) -> int | None:
 
 def _in_two(size: int, parent: Callable, child: Callable, dir=None) -> tuple[Any, IO] | None:
     """(parent(), the TemporaryFile in dir that child(file) wrote meanwhile
-    in one forked child, rewound); None when no child can help: size under
-    _SPLIT_MIN_BYTES, no _two_cpus(), a refused file or fork, or a child that
-    raises.  The child leaves through os._exit and is reaped before this
-    returns or raises, killed first (and the file closed) if parent() raises."""
+    in one forked child, rewound); None when no child can run: size under
+    _SPLIT_MIN_BYTES, no _two_cpus(), a refused file or fork.  ChildProcessError
+    when child raises.  The child leaves through os._exit and is reaped before
+    this returns or raises, killed first (and the file closed) if parent() does."""
     if size < _SPLIT_MIN_BYTES or not _two_cpus():
         return None
     try:
@@ -449,36 +448,28 @@ def _in_two(size: int, parent: Callable, child: Callable, dir=None) -> tuple[Any
         raise
     if os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) != 0:
         file.close()
-        return None
+        raise ChildProcessError("the second process failed")
     file.seek(0)
     return first, file
-
-
-def _canonical(raw: bytes) -> np.ndarray:
-    """_read_canonical_vectors(raw), or ValueError where it gives None."""
-    vectors = _read_canonical_vectors(raw)
-    if vectors is None:
-        raise ValueError("not in the canonical layout")
-    return vectors
 
 
 def _read_canonical_in_two(raw: bytes) -> np.ndarray | None:
     """_read_canonical_vectors(raw), the members after the _split_point
     decoded and np.saved by _in_two's child: raw is canonical exactly when
     raw[:cut + 1] + "]" and "[" + raw[cut + 2:] are, with one dimension.
-    ValueError when the first half is not; None when the second is not, the
-    dimensions differ, or _in_two gives no halves."""
+    ValueError when the first half is not or the dimensions differ,
+    ChildProcessError when the second is not, None with no halves."""
     cut = _split_point(raw)
     halves = None if cut is None else _in_two(
-        len(raw), lambda: _canonical(raw[:cut + 1] + b"]"),
-        lambda file: np.save(file, _canonical(b"[" + raw[cut + 2:])))
+        len(raw), lambda: _read_canonical_vectors(raw[:cut + 1] + b"]"),
+        lambda file: np.save(file, _read_canonical_vectors(b"[" + raw[cut + 2:])))
     if halves is None:
         return None
     first, file = halves
     with file:
         second = np.load(file, allow_pickle=False)
     if second.dtype != first.dtype or second.shape[1:] != first.shape[1:]:
-        return None
+        raise ValueError("the two halves differ in dimension")
     return np.concatenate([first, second])
 
 
@@ -495,10 +486,7 @@ def read_vectors(path: str | Path) -> np.ndarray:
     raw = Path(path).read_bytes()
     try:
         vectors = _read_canonical_in_two(raw)
-        if vectors is None:
-            vectors = _read_canonical_vectors(raw)
-    except (ValueError, TypeError, OverflowError):
-        vectors = None
-    if vectors is None:
-        vectors = vectors_from_obj(_loads(raw.decode("utf-8")))
-    return vectors
+        return _read_canonical_vectors(raw) if vectors is None else vectors
+    except (ValueError, TypeError, OverflowError, ChildProcessError):
+        pass  # the refusal, and what its frames hold, go before the general decode
+    return vectors_from_obj(_loads(raw.decode("utf-8")))

@@ -229,6 +229,21 @@ def _eye_family(tmp_path):
     return fam, str(tmp_path / "basis.json")
 
 
+@pytest.mark.parametrize("basis", ["seeded", "file"])
+def test_a_family_record_holds_no_copied_field(basis, tmp_path, toy_stage_file):
+    # Each key records a fact once: a level's index is its place in the list,
+    # and a seeded basis takes its size from the stage.
+    if basis == "seeded":
+        fam = _build(tmp_path, toy_stage_file, "01")[1]
+    else:
+        fam = _eye_family(tmp_path)[0]
+    obj = json.loads(fam.read_text())
+    assert obj.keys() == {"manifest", "stage", "branch", "levels", "basis", "rho", "certificate"}
+    assert [lv.keys() for lv in obj["levels"]] == [{"direction"}] * len(obj["stage"]["levels"])
+    assert obj["basis"].keys() == ({"kind", "seed"} if basis == "seeded" else {"kind", "digest"})
+    assert obj["certificate"].keys() == {"diagonals", "max_diagonal", "bound", "regime"}
+
+
 def test_family_verify_checks_the_recorded_bound_of_any_rho(tmp_path, capsys):
     # bound (1 + 0.99) / 2 = 0.995, above the 19/20 of the default rho
     fam, basis = _eye_family(tmp_path)
@@ -311,18 +326,35 @@ def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
 #   --outdir out`, whose out/family_101.json it is;
 # - family_v0140.json by 0.14.0 (commit 257ae79), the last version to write
 #   levels[].sigma, certificate.branch and certificate.basis_digest:
-#   `inclined demo --seed 14 --outdir out`, whose out/family_101.json it is.
+#   `inclined demo --seed 14 --outdir out`, whose out/family_101.json it is;
+# - family_v0150.json by 0.15.0 (commit 4481a70), the last version to write
+#   levels[].m and basis.n: `inclined demo --seed 15 --outdir out`, whose
+#   out/family_101.json it is.
 @pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110", "family_v0120",
-                                  "family_v0130", "family_v0140"])
+                                  "family_v0130", "family_v0140", "family_v0150"])
 def test_family_written_by_an_earlier_version_reproduces_its_diagonals(name, capsys):
     fam = Path(__file__).parent / "data" / f"{name}.json"
     obj = json.loads(fam.read_text())
     cert = obj["certificate"]
     assert main(["family", "verify", str(fam)]) == 0
     assert json.loads(capsys.readouterr().out)["max_diagonal"] == cert["max_diagonal"]
-    basis = inclined.random_orthonormal_basis(obj["basis"]["n"], obj["basis"]["seed"])
-    diagonals = branch_diagonals(branch_spec_from_obj(obj), basis)
+    spec = branch_spec_from_obj(obj)
+    basis = inclined.random_orthonormal_basis(spec.stage.dim, obj["basis"]["seed"])
+    diagonals = branch_diagonals(spec, basis)
     assert diagonals.tolist() == cert["diagonals"]
+
+
+def test_a_recorded_basis_size_is_not_read(tmp_path, monkeypatch):
+    # The seeded basis takes the stage's size: an "n" that 0.15.0 recorded,
+    # here edited far past it, is neither drawn nor compared.
+    obj = json.loads((Path(__file__).parent / "data" / "family_v0150.json").read_text())
+    obj["basis"]["n"] = 6000
+    write_json(tmp_path / "fam.json", obj)
+    sizes, draw = [], cli.random_orthonormal_basis
+    monkeypatch.setattr(cli, "random_orthonormal_basis",
+                        lambda n, seed: sizes.append(n) or draw(n, seed))
+    assert main(["family", "verify", str(tmp_path / "fam.json")]) == 0
+    assert sizes == [528]
 
 
 def test_family_verify_other_basis_seed_exits_one(tmp_path, toy_stage_file, capsys):
@@ -923,16 +955,18 @@ def _scalar_entry_family():
 
 # Edits of a valid family file, each written to the file named by its key.
 _FAMILY_EDITS = {
-    # the seeded basis record naming the paper stage's n = 347^2
-    "bigfam": lambda payload: payload["basis"].update(n=347 ** 2),
-    "n_list": lambda payload: payload.update(basis={"kind": "phase-dft", "seed": 5, "n": [528]}),
+    # a seeded basis record on the paper stage d = 347, whose basis of
+    # C^(347^2) is past the 1 GiB cap
+    "bigfam": lambda payload: payload.update(
+        stage={"regime": "paper", "levels": [{"m": 1, "d": 347}]}, branch="1",
+        levels=[{"direction": {"dim": 347, "entries": [[1.0, 0.0]] * 347}}],
+        basis={"kind": "phase-dft", "seed": 5}),
     # a seeded basis record as version 0.4.0 wrote it
     "v040_random": lambda payload: payload.update(basis={"kind": "random", "seed": 5, "n": 272}),
     "seed_null": lambda payload: payload["basis"].update(seed=None),
     "cert_str": lambda payload: payload.update(certificate="x"),
     "stage_d_str": lambda payload: payload["stage"]["levels"][0].update(d="4"),
     "stage_m_float": lambda payload: payload["stage"]["levels"][1].update(m=2.7),
-    "level_m_float": lambda payload: payload["levels"][1].update(m=2.7),
     "dim_float": lambda payload: payload["levels"][1]["direction"].update(dim=4.9),
     "bound_huge": lambda payload: payload["certificate"].update(bound=10 ** 400),
     # rho outside (0, 1), with the bound (1 + rho) / 2 it implies: below the
@@ -941,8 +975,6 @@ _FAMILY_EDITS = {
                                      payload["certificate"].update(bound=0.05)),
     "rho_above_one": lambda payload: (payload.update(rho=1.5),
                                       payload["certificate"].update(bound=1.25)),
-    # the level-2 record renumbered as a second level 1
-    "level_repeated": lambda payload: payload["levels"][1].update(m=1),
     "branch_number": lambda payload: payload.update(branch=int(payload["branch"])),
     # certificate fields of the wrong JSON type, not edited values
     "cert_regime_null": lambda payload: payload["certificate"].update(regime=None),
@@ -979,18 +1011,15 @@ _FAMILY_EDITS = {
     (None, ["family", "build", "--stage", "{paper}", "--branch", "0", "--basis", "random",
             "--out", "{out}/f.json"]),
     (None, ["family", "verify", "{bigfam}"]),
-    (None, ["family", "verify", "{n_list}"]),
     (None, ["family", "verify", "{v040_random}"]),
     (None, ["family", "verify", "{seed_null}"]),
     (None, ["family", "verify", "{cert_str}"]),
     (None, ["family", "verify", "{stage_d_str}"]),
     (None, ["family", "verify", "{stage_m_float}"]),
-    (None, ["family", "verify", "{level_m_float}"]),
     (None, ["family", "verify", "{dim_float}"]),
     (None, ["family", "verify", "{bound_huge}"]),
     (None, ["family", "verify", "{rho_negative}"]),
     (None, ["family", "verify", "{rho_above_one}"]),
-    (None, ["family", "verify", "{level_repeated}"]),
     (None, ["family", "verify", "{branch_number}"]),
     (None, ["family", "verify", "{cert_regime_null}"]),
     (None, ["family", "verify", "{cert_diagonals_str}"]),
@@ -1004,13 +1033,11 @@ _FAMILY_EDITS = {
         "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
         "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
-        "verify-random-basis-too-large", "verify-basis-n-list", "verify-0.4.0-random-basis",
-        "verify-basis-seed-null",
+        "verify-random-basis-too-large", "verify-0.4.0-random-basis", "verify-basis-seed-null",
         "verify-certificate-string", "verify-stage-d-string", "verify-stage-m-float",
-        "verify-level-m-float", "verify-direction-dim-float", "verify-bound-too-large-for-float",
-        "verify-rho-negative", "verify-rho-above-one", "verify-level-repeated",
-        "verify-branch-number", "verify-certificate-regime-null",
-        "verify-certificate-diagonals-string",
+        "verify-direction-dim-float", "verify-bound-too-large-for-float",
+        "verify-rho-negative", "verify-rho-above-one", "verify-branch-number",
+        "verify-certificate-regime-null", "verify-certificate-diagonals-string",
         "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan",
         "verify-certificate-diagonal-nan", "verify-certificate-diagonal-infinity",
         "verify-seeded-family-with-basis-file"])

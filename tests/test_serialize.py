@@ -346,7 +346,8 @@ _PAIRS = [[1.5, -0.0], [0.25, 2.0]]
 ], ids=["indent-2", "entries-first", "extra-key", "spaces", "nan", "1e400",
         "float-dim", "string-entry", "int-2**64"])
 def test_non_canonical_layouts_take_the_general_decode(text):
-    assert serialize._read_canonical_vectors(text.encode("utf-8")) is None
+    with pytest.raises(ValueError):
+        serialize._read_canonical_vectors(text.encode("utf-8"))
     assert _same(_read(text), _general(text))
 
 
@@ -403,6 +404,20 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _parent_decodes(monkeypatch) -> list:
+    """The length of each input _read_canonical_vectors gets in this process
+    from now on, not in a forked child."""
+    parent, decode, lengths = os.getpid(), serialize._read_canonical_vectors, []
+
+    def recorded(raw):
+        if os.getpid() == parent:
+            lengths.append(len(raw))
+        return decode(raw)
+
+    monkeypatch.setattr(serialize, "_read_canonical_vectors", recorded)
+    return lengths
+
+
 @_needs_fork
 def test_a_large_canonical_file_decodes_in_two_parts_bit_for_bit(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
@@ -416,14 +431,8 @@ def test_a_large_canonical_file_decodes_in_two_parts_bit_for_bit(tmp_path, monke
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(serialize, "_cpu_quota", lambda: None)
     forks = _counted_forks(monkeypatch)
-    parent, decode, parent_decodes = os.getpid(), serialize._read_canonical_vectors, []
-
-    def recorded(raw):
-        if os.getpid() == parent:
-            parent_decodes.append(len(raw))
-        return decode(raw)
-
-    monkeypatch.setattr(serialize, "_read_canonical_vectors", recorded)
+    decode = serialize._read_canonical_vectors
+    parent_decodes = _parent_decodes(monkeypatch)
     got = read_vectors(path)
     assert len(forks) == 1
     assert parent_decodes == [serialize._split_point(raw) + 2]  # the first half, and only it
@@ -435,20 +444,25 @@ def test_a_large_canonical_file_decodes_in_two_parts_bit_for_bit(tmp_path, monke
 @_needs_fork
 @pytest.mark.parametrize("second_half", ["bad-number", "other-dim"])
 def test_a_second_half_in_doubt_gives_one_part_and_leaves_no_child(second_half, monkeypatch):
+    # The file goes to the general decode at once: the parent decodes its
+    # own half, and not the whole file again.
     family = np.arange(16, dtype=np.float64).view(np.complex128).reshape(4, 2) + 0.5
-    if second_half == "bad-number":
+    if second_half == "bad-number":  # the child refuses its half
         text = canonical_json(vectors_to_obj(family)) + "\n"
         at = text.rindex(".")
         text = text[:at] + "." + text[at:]  # "7..5": the layout stays canonical, the JSON does not
-    else:  # two members of dim 2, then one of dim 4
+        refusal = ChildProcessError
+    else:  # two members of dim 2, then one of dim 4: each half is canonical
         text = canonical_json(vectors_to_obj(family[:2]) + vectors_to_obj(family[2:].reshape(1, 4)))
+        refusal = ValueError
     raw = text.encode("utf-8")
-    with _split_floor(0):
-        assert serialize._read_canonical_in_two(raw) is None
+    with _split_floor(0), pytest.raises(refusal):
+        serialize._read_canonical_in_two(raw)
     _assert_no_child_left()
-    forks = _counted_forks(monkeypatch)
+    forks, parent_decodes = _counted_forks(monkeypatch), _parent_decodes(monkeypatch)
     assert _read(text, 0) is None and _general(text) is None
     assert len(forks) == 1
+    assert parent_decodes == [serialize._split_point(raw) + 2]
     _assert_no_child_left()
 
 
@@ -529,14 +543,7 @@ def test_a_first_half_that_is_not_canonical_goes_straight_to_the_general_decode(
     path = tmp_path / "v.json"
     path.write_text('[{"dim":2,"entries":[[1e400,0.0],[0.0,1.0]]},'
                     '{"dim":2,"entries":[[1.0,0.0],[0.0,1.0]]}]\n')
-    parent, decode, parent_decodes = os.getpid(), serialize._read_canonical_vectors, []
-
-    def recorded(raw):
-        if os.getpid() == parent:
-            parent_decodes.append(len(raw))
-        return decode(raw)
-
-    monkeypatch.setattr(serialize, "_read_canonical_vectors", recorded)
+    parent_decodes = _parent_decodes(monkeypatch)
     forks = _counted_forks(monkeypatch)
     with _split_floor(0), pytest.raises(ValueError, match="non-finite"):
         read_vectors(path)
