@@ -93,7 +93,8 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     Where no size improves, the active group ties with others, and one tie
     step descends along grad = sum_{k in T} M_k v instead: T is the groups
     with q_k >= (1 - ``_TIE_SHARE``) max q (0.1), at most
-    ``_TIE_MAX_GROUPS`` (16) of them, largest first, and the step sizes are
+    ``_TIE_MAX_GROUPS`` (16) of them, largest first (lowest index first
+    among equal q_k), and the step sizes are
     the schedule scaled by Re <v, grad> / <grad, grad>.  If it improves,
     ordinary steps resume; if it does not, or fewer than two groups tie, the
     restart ends.  Restarts are evaluated in order, and the first one
@@ -115,6 +116,16 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     largest q_k alone; their trial energies have the same bits as in a full
     trial, so a trial they already keep from improving is rejected after a
     pass over those groups only, and no result changes.
+
+    Beyond its mat-vecs, a descent step makes a fixed number of passes over
+    the n*r inner products: sg, the choice of the screened groups, and for a
+    trial that passes the screen s - eta sg, its energies and their argmax,
+    which is the next step's active group; an accepted trial is divided by
+    its norm once.  These passes write into scratch arrays allocated once per
+    call, and an accepted step swaps them with the current point's.  A tie
+    step reuses its point's <v, v> and screened groups, and reads T from the
+    screened groups, which no other group exceeds; only when the cut can
+    fall among groups of equal q_k does it read all of q.
 
     ``budget`` caps the number of objective evaluations: one per restart and
     one per tried step size with nonzero norm, tie steps included.  A point
@@ -138,43 +149,65 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
         v[0] = 1.0
         return v, 0.0, 0, True
     rows = groups.reshape(n * r, dim)
-    schedule = np.array(_STEP_SCHEDULE)[:, None]
+    # complex, so that the screen's multiply casts nothing
+    schedule = np.array(_STEP_SCHEDULE, dtype=np.complex128)[:, None]
     gram_cols: dict[int, np.ndarray] = {}
     max_cols = _GRAM_CACHE_BYTES // (rows.shape[0] * rows.itemsize)
+    # Scratch for one step: rows @ grad* of an ordinary step, a trial's inner
+    # products and their moduli, and the next point's inner products.  An
+    # accepted step swaps the last two with the current point's.
+    sg_buf = np.empty(n * r, dtype=np.complex128)
+    trial = np.empty_like(sg_buf)
+    spare = np.empty_like(sg_buf)
+    spare_q = np.empty(n * r)
+    every_group = np.arange(n)
 
-    def energies(s: np.ndarray) -> np.ndarray:
-        """q_k = sum_j |s_kj|^2 along the last axis, summed in row order."""
-        e = np.abs(s) ** 2
+    def energies(e: np.ndarray) -> np.ndarray:
+        """q_k = sum_j e_kj^2 along the last axis, summed in row order, for the
+        moduli e (squared in place)."""
+        np.square(e, out=e)
         return e if r == 1 else np.add.accumulate(e.reshape(*e.shape[:-1], -1, r), axis=-1)[..., -1]
 
-    def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    def evaluate(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """(s, q, argmax q, f) at v."""
         s = rows @ v.conj()
-        q = energies(s)
-        return s, q, float(np.sqrt(q.max()))
+        q = energies(np.abs(s))
+        k = int(q.argmax())
+        return s, q, k, math.sqrt(q[k])
 
-    def tied_groups(q: np.ndarray) -> np.ndarray | None:
-        """The groups with q_k >= (1 - _TIE_SHARE) max q, at most
-        _TIE_MAX_GROUPS of them, largest first; None for fewer than two."""
-        top = q.max()
-        tied = np.flatnonzero(q >= (1.0 - _TIE_SHARE) * top)
-        tied = tied[np.argsort(-q[tied], kind="stable")][:_TIE_MAX_GROUPS]
-        return None if tied.size < 2 or top == 0.0 else tied
+    def tied_groups(q: np.ndarray, q_max: float, top: np.ndarray) -> np.ndarray | None:
+        """The groups with q_k >= (1 - _TIE_SHARE) max q (max q = q_max), at
+        most _TIE_MAX_GROUPS of them, largest first and lowest index first
+        among equals; None for fewer than two.  They are read from the
+        screened groups ``top``, which no other group exceeds, unless the cut
+        can fall among groups equal to the least screened one."""
+        cut = (1.0 - _TIE_SHARE) * q_max
+        ranked = top[np.lexsort((top, -q[top]))]
+        tied = ranked[q[ranked] >= cut][:_TIE_MAX_GROUPS]
+        least = q[ranked[-1]]
+        if top.size < n and least >= cut and (tied.size < _TIE_MAX_GROUPS or q[tied[-1]] == least):
+            tied = np.flatnonzero(q >= cut)
+            tied = tied[np.argsort(-q[tied], kind="stable")][:_TIE_MAX_GROUPS]
+        return None if tied.size < 2 or q_max == 0.0 else tied
 
-    def descend(v, s, q, f, grad, sg, tie):
+    def descend(v, s, q, f, vv, top, grad, sg, tie):
         """The first step v - eta grad that strictly lowers f, as the new
-        (v, s, q, f); None if no size does or the budget runs out.  eta runs
-        over the step schedule, scaled by Re<v, grad> / <grad, grad> for a
-        tie step."""
-        nonlocal evals
-        vv = float(np.vdot(v, v).real)  # Python floats: the same bits, faster
-        vg = float(np.vdot(v, grad).real)
+        (v, s, q, argmax q, f); None if no size does or the budget runs out.
+        eta runs over the step schedule, scaled by Re<v, grad> / <grad, grad>
+        for a tie step.  ``vv`` is <v, v>, ``top`` the screened groups."""
+        nonlocal evals, spare, spare_q
+        vg = float(np.vdot(v, grad).real)  # Python floats: the same bits, faster
         gg = float(np.vdot(grad, grad).real)
         scale = vg / gg if tie else 1.0
-        # Trial energies of the largest groups at every step size: some of a
+        # Trial energies of the screened groups at every step size: some of a
         # full trial's values, with the same bits, so their max is no larger.
-        top = q.argpartition(-_SCREEN_GROUPS)[-_SCREEN_GROUPS:] if n > _SCREEN_GROUPS else slice(None)
-        s_top, sg_top = s.reshape(n, r)[top].ravel(), sg.reshape(n, r)[top].ravel()
-        top_max = np.maximum.reduce(energies(s_top - scale * schedule * sg_top), axis=1)
+        if r == 1:
+            s_top, sg_top = s[top], sg[top]
+        else:
+            s_top, sg_top = s.reshape(n, r)[top].ravel(), sg.reshape(n, r)[top].ravel()
+        t = (scale * schedule if tie else schedule) * sg_top
+        np.subtract(s_top, t, out=t)
+        top_max = np.maximum.reduce(energies(np.abs(t)), axis=1)
         for eta, q_top in zip(_STEP_SCHEDULE, top_max.tolist()):
             if evals >= budget:
                 return None
@@ -182,23 +215,29 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
             wn2 = vv - 2.0 * eta * vg + eta * eta * gg  # ||v - eta grad||^2
             if wn2 >= _LINEAR_MIN_SHARE * (vv + eta * eta * gg):
                 if math.sqrt(q_top / wn2) >= f:
-                    evals += 1  # rejected by the largest groups alone
+                    evals += 1  # rejected by the screened groups alone
                     continue
-                st = s - eta * sg
+                st = np.multiply(eta, sg, out=trial)
+                np.subtract(s, st, out=st)
             else:
                 w = v - eta * grad
-                wn2 = np.vdot(w, w).real
+                wn2 = float(np.vdot(w, w).real)
                 if wn2 == 0.0:
                     continue
                 st = rows @ w.conj()
-            qt = energies(st)
+            qt = energies(np.abs(st, out=spare_q))
             evals += 1
-            fw = math.sqrt(np.maximum.reduce(qt) / wn2)
+            kt = int(qt.argmax())
+            fw = math.sqrt(qt[kt] / wn2)
             if fw < f:
                 w = v - eta * grad
-                wn = np.linalg.norm(w)
+                wn = _norm(w)
                 # q is only compared with itself, so it needs no rescaling.
-                return w / wn, st / wn, qt, fw
+                s_next = np.divide(st, wn, out=spare)
+                spare = s
+                if qt is spare_q:
+                    spare_q = q
+                return w / wn, s_next, qt, kt, fw
         return None
 
     evals = 0
@@ -206,14 +245,13 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     best_v = None
     while evals < budget:
         z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v = z / np.linalg.norm(z)
+        v = z / _norm(z)
         if best_v is not None:
             w = best_v + best_f * v  # the incumbent, perturbed by its value
-            v = w / np.linalg.norm(w)
-        s, q, f = evaluate(v)
+            v = w / _norm(w)
+        s, q, k, f = evaluate(v)
         evals += 1
         while f > target and evals < budget:
-            k = int(q.argmax())
             a, b = k * r, (k + 1) * r
             grad = rows[a:b].T @ s[a:b].conj()  # sum_j inner(v, r_j) r_j = M_k v
             if r == 1:
@@ -222,26 +260,34 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
                     col = rows @ rows[k].conj()
                     if len(gram_cols) < max_cols:
                         gram_cols[k] = col
-                sg = s[k] * col  # rows @ grad*, grad = conj(s_k) rows_k
+                sg = np.multiply(s[k], col, out=sg_buf)  # rows @ grad*, grad = conj(s_k) rows_k
             else:
                 sg = rows @ grad.conj()
-            stepped = descend(v, s, q, f, grad, sg, False)
+            vv = float(np.vdot(v, v).real)
+            # The tie step below is taken at the same point, so it screens the same groups.
+            top = q.argpartition(-_SCREEN_GROUPS)[-_SCREEN_GROUPS:] if n > _SCREEN_GROUPS else every_group
+            stepped = descend(v, s, q, f, vv, top, grad, sg, False)
             if stepped is None and evals < budget:
                 # A tie: descend along the sum of the tied groups' M_k v.
-                tied = tied_groups(q)
+                tied = tied_groups(q, q[k], top)
                 if tied is not None:
                     grad = groups[tied].reshape(-1, dim).T @ s.reshape(n, r)[tied].ravel().conj()
-                    stepped = descend(v, s, q, f, grad, rows @ grad.conj(), True)
+                    stepped = descend(v, s, q, f, vv, top, grad, rows @ grad.conj(), True)
             if stepped is None:
                 break  # local minimax point for this restart
-            v, s, q, f = stepped
+            v, s, q, k, f = stepped
             if f <= target:
-                s, q, f = evaluate(v)
+                s, q, k, f = evaluate(v)
         if f < best_f:
             best_f, best_v = f, v
         if f <= target:
             return v, f, evals, True
-    return best_v, evaluate(best_v)[2], evals, False
+    return best_v, evaluate(best_v)[3], evals, False
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x|| of a complex vector as np.linalg.norm forms it, from two real dots."""
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _unit_rows(vs: np.ndarray) -> np.ndarray:
@@ -252,28 +298,34 @@ def _unit_rows(vs: np.ndarray) -> np.ndarray:
     return vs[keep] / norms[keep, None]
 
 
+def _worst_inner(rows: np.ndarray, candidate: np.ndarray) -> float:
+    """max_j |inner(candidate, rows_j)| over the rows of a _unit_rows array."""
+    return float(np.abs(rows @ candidate.conj()).max(initial=0.0))
+
+
 def recompute_achieved(candidate, vectors) -> float:
     """max_j |inner(candidate, x_j)| / ||x_j|| over the nonzero family members."""
     vs = as_family(vectors)
-    cand = as_vector(candidate, dim=vs.shape[1])
-    return float(np.abs(_unit_rows(vs) @ cand.conj()).max(initial=0.0))
+    return _worst_inner(_unit_rows(vs), as_vector(candidate, dim=vs.shape[1]))
 
 
 def find_inclined_vector(vectors, c: float, budget: int, seed: int) -> InclinationCertificate:
     """Search for a unit vector inclined against the whole family.
 
-    The certificate's ``achieved`` is recomputed in a single full pass over
-    the raw inputs.  Its status is "ok" when achieved <= c - 1e-9, so the
-    margin absorbs any re-verification rounding, and "failed" otherwise,
-    with the best candidate found within the budget.
+    The certificate's ``achieved`` is recomputed from the candidate in a
+    single full pass over the family's unit rows, the pass
+    ``recompute_achieved`` makes on the raw inputs.  Its status is "ok" when
+    achieved <= c - 1e-9, so the margin absorbs any re-verification
+    rounding, and "failed" otherwise, with the best candidate found within
+    the budget.
     """
     if not 0.0 < c < 1.0:
         raise ValueError(f"bound c must lie in (0, 1), got {c}")
     vs = as_family(vectors)
+    rows = _unit_rows(vs)
     target = c - CERT_MARGIN
-    cand, achieved, evals, ok = minimize_max_group_norm(
-        _unit_rows(vs)[:, None, :], target, budget, seed)
-    achieved = recompute_achieved(cand, vs)
+    cand, _, evals, ok = minimize_max_group_norm(rows[:, None, :], target, budget, seed)
+    achieved = _worst_inner(rows, cand)
     return InclinationCertificate(
         family_digest=digest_vectors(vs), candidate=cand, achieved=achieved, bound=c, seed=seed,
         iterations_used=evals, status="ok" if ok and achieved <= target else "failed")

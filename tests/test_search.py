@@ -510,6 +510,58 @@ def test_screened_search_keeps_the_pinned_result():
         "ffaf6558543ea7da3847ea38b278b61e5d570051f7458a4e3ac932e8f8bace3f")
 
 
+def test_frontier_sized_search_keeps_the_pinned_result():
+    # 1000 unit rows in C^128 at target 0.05 and budget 20 000, the shape of
+    # the benchmark's frontier run: screened trials, kept Gram columns, tie
+    # steps over 1000 rows and restarts from the incumbent.  Pinned before the
+    # descent's passes over the inner products were cut (on numpy 2.4 with
+    # OpenBLAS): the path and every bit of the result stay.
+    v, f, evals, ok = minimize_max_group_norm(_grouped_rows(1000, 1, 128, 1), 0.05, 20000, 1)
+    assert (f, evals, ok) == (0.10047189888497926, 20000, False)
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "0154db6779e67ffb45563f35e366a84ffbfcc9b7752e00e7e4b3a5df6d01c1a5")
+
+
+def _repeated_rows():
+    # 4 unit rows 25 times each, then 40 others: tie steps whose cut falls
+    # among equal energies beyond the 32 largest groups
+    return np.concatenate([np.repeat(_grouped_rows(4, 1, 8, 0), 25, axis=0), _grouped_rows(40, 1, 8, 7)])
+
+
+def _swapped_row_pairs():
+    # 10 groups of 2 rows and the same groups with their rows swapped, each
+    # twice, shuffled: groups of exactly equal energy, whose rows a tie step
+    # sums in another order if it takes the groups in another order
+    base = _grouped_rows(10, 2, 6, 0)
+    groups = np.concatenate([base, base[:, ::-1]] * 2)
+    return groups[np.random.default_rng(0).permutation(len(groups))]
+
+
+@pytest.mark.parametrize("args", [
+    (_grouped_rows(300, 1, 32, 0), 0.0, 5000, 0),
+    (_grouped_rows(60, 4, 4, 0), 0.0, 1500, 0),
+    (_repeated_rows(), 0.0, 1500, 0),
+    (_swapped_row_pairs(), 0.0, 600, 0),
+], ids=["300x32", "60x4x4", "repeated-rows", "swapped-row-pairs"])
+def test_the_screen_only_filters(monkeypatch, args):
+    # One screened group, the default 32, and all groups: the screen and the
+    # tie sets read from it change no bit of the result.
+    results = []
+    for screened in (1, 32, 10 ** 6):
+        monkeypatch.setattr(search, "_SCREEN_GROUPS", screened)
+        v, *rest = minimize_max_group_norm(*args)
+        results.append((v.tobytes(), *rest))
+    assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("args", [(_repeated_rows(), 0.0, 1500, 0), (_swapped_row_pairs(), 0.0, 600, 0)],
+                         ids=["repeated-rows", "swapped-row-pairs"])
+def test_groups_of_equal_energy_match_reference(args):
+    # Groups of exactly equal energy are tied in index order, as the
+    # reference ties them over all groups.
+    _assert_matches_reference(*args)
+
+
 @pytest.mark.parametrize("cache_bytes", [0, 5 * 200 * 16])  # no column kept; full after five
 def test_gram_cache_limit_keeps_the_result(monkeypatch, cache_bytes):
     args = (_grouped_rows(200, 1, 12, 9), 0.0, 3000, 9)
