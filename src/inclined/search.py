@@ -121,11 +121,9 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     the n*r inner products: sg, the choice of the screened groups, and for a
     trial that passes the screen s - eta sg, its energies and their argmax,
     which is the next step's active group; an accepted trial is divided by
-    its norm once.  These passes write into scratch arrays allocated once per
-    call, and an accepted step swaps them with the current point's.  A tie
-    step reuses its point's <v, v> and screened groups, and reads T from the
-    screened groups, which no other group exceeds; only when the cut can
-    fall among groups of equal q_k does it read all of q.
+    its norm once.  A tie step reuses its point's <v, v> and screened groups,
+    and reads T from the screened groups, which no other group exceeds; only
+    when the cut can fall among groups of equal q_k does it read all of q.
 
     ``budget`` caps the number of objective evaluations: one per restart and
     one per tried step size with nonzero norm, tie steps included.  A point
@@ -153,13 +151,6 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
     schedule = np.array(_STEP_SCHEDULE, dtype=np.complex128)[:, None]
     gram_cols: dict[int, np.ndarray] = {}
     max_cols = _GRAM_CACHE_BYTES // (rows.shape[0] * rows.itemsize)
-    # Scratch for one step: rows @ grad* of an ordinary step, a trial's inner
-    # products and their moduli, and the next point's inner products.  An
-    # accepted step swaps the last two with the current point's.
-    sg_buf = np.empty(n * r, dtype=np.complex128)
-    trial = np.empty_like(sg_buf)
-    spare = np.empty_like(sg_buf)
-    spare_q = np.empty(n * r)
     every_group = np.arange(n)
 
     def energies(e: np.ndarray) -> np.ndarray:
@@ -195,7 +186,7 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
         (v, s, q, argmax q, f); None if no size does or the budget runs out.
         eta runs over the step schedule, scaled by Re<v, grad> / <grad, grad>
         for a tie step.  ``vv`` is <v, v>, ``top`` the screened groups."""
-        nonlocal evals, spare, spare_q
+        nonlocal evals
         vg = float(np.vdot(v, grad).real)  # Python floats: the same bits, faster
         gg = float(np.vdot(grad, grad).real)
         scale = vg / gg if tie else 1.0
@@ -205,8 +196,7 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
             s_top, sg_top = s[top], sg[top]
         else:
             s_top, sg_top = s.reshape(n, r)[top].ravel(), sg.reshape(n, r)[top].ravel()
-        t = (scale * schedule if tie else schedule) * sg_top
-        np.subtract(s_top, t, out=t)
+        t = s_top - (scale * schedule if tie else schedule) * sg_top
         top_max = np.maximum.reduce(energies(np.abs(t)), axis=1)
         for eta, q_top in zip(_STEP_SCHEDULE, top_max.tolist()):
             if evals >= budget:
@@ -217,15 +207,14 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
                 if math.sqrt(q_top / wn2) >= f:
                     evals += 1  # rejected by the screened groups alone
                     continue
-                st = np.multiply(eta, sg, out=trial)
-                np.subtract(s, st, out=st)
+                st = s - eta * sg
             else:
                 w = v - eta * grad
                 wn2 = float(np.vdot(w, w).real)
                 if wn2 == 0.0:
                     continue
                 st = rows @ w.conj()
-            qt = energies(np.abs(st, out=spare_q))
+            qt = energies(np.abs(st))
             evals += 1
             kt = int(qt.argmax())
             fw = math.sqrt(qt[kt] / wn2)
@@ -233,11 +222,7 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
                 w = v - eta * grad
                 wn = _norm(w)
                 # q is only compared with itself, so it needs no rescaling.
-                s_next = np.divide(st, wn, out=spare)
-                spare = s
-                if qt is spare_q:
-                    spare_q = q
-                return w / wn, s_next, qt, kt, fw
+                return w / wn, st / wn, qt, kt, fw
         return None
 
     evals = 0
@@ -260,7 +245,7 @@ def minimize_max_group_norm(groups: np.ndarray, target: float, budget: int, seed
                     col = rows @ rows[k].conj()
                     if len(gram_cols) < max_cols:
                         gram_cols[k] = col
-                sg = np.multiply(s[k], col, out=sg_buf)  # rows @ grad*, grad = conj(s_k) rows_k
+                sg = s[k] * col  # rows @ grad*, grad = conj(s_k) rows_k
             else:
                 sg = rows @ grad.conj()
             vv = float(np.vdot(v, v).real)

@@ -522,6 +522,17 @@ def test_frontier_sized_search_keeps_the_pinned_result():
         "0154db6779e67ffb45563f35e366a84ffbfcc9b7752e00e7e4b3a5df6d01c1a5")
 
 
+def test_grouped_search_keeps_the_pinned_result():
+    # 200 groups of 4 rows in C^8 at a target out of reach: 71 restarts and
+    # 185 tie steps, each trial's energies summed over a group's rows.
+    # Pinned while the descent still wrote into scratch arrays (on numpy 2.4
+    # with OpenBLAS): fresh arrays keep the path and every bit of the result.
+    v, f, evals, ok = minimize_max_group_norm(_grouped_rows(200, 4, 8, 1), 0.0, 5000, 1)
+    assert (f, evals, ok) == (0.4249981242193701, 5000, False)
+    assert hashlib.sha256(v.tobytes()).hexdigest() == (
+        "458b1951050c7f19c6b44f8baa4001bd38784e79c4c39100d6d3ec7f17494ddc")
+
+
 def _repeated_rows():
     # 4 unit rows 25 times each, then 40 others: tie steps whose cut falls
     # among equal energies beyond the 32 largest groups
