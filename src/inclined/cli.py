@@ -248,7 +248,8 @@ def cmd_family_intersect(args, argv) -> int:
     digests = {}
     for path in args.families:
         raw = Path(path).read_bytes()
-        specs.append(branch_spec_from_obj(json.loads(raw)))
+        # UTF-8 only, as every reader takes its files; json.loads(bytes) also takes UTF-16 and -32
+        specs.append(branch_spec_from_obj(json.loads(raw.decode("utf-8"))))
         digests[path] = sha256_hex(raw)
     vec, residuals = branch_intersection(specs)
     payload = {

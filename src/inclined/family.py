@@ -219,7 +219,9 @@ def basis_matrix(basis, dim: int | None = None) -> np.ndarray:
     mat = as_family(basis, dim)
     err = 0.0
     for i in range(0, mat.shape[0], _GRAM_STRIP):
-        strip = mat[i:] @ mat[i:i + _GRAM_STRIP].conj().T  # Gram rows i.., columns i..i+w
+        # entries of huge magnitude overflow to a residual of inf or NaN, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            strip = mat[i:] @ mat[i:i + _GRAM_STRIP].conj().T  # Gram rows i.., columns i..i+w
         diag = np.arange(strip.shape[1])
         strip[diag, diag] -= 1.0
         err = np.maximum(err, np.abs(strip).max())  # np.maximum keeps a NaN

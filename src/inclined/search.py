@@ -277,8 +277,18 @@ def _norm(x: np.ndarray) -> float:
 
 def _unit_rows(vs: np.ndarray) -> np.ndarray:
     """The nonzero members of an as_family array, each scaled to unit norm; zero
-    vectors impose no constraint."""
-    norms = np.linalg.norm(vs, axis=1)
+    vectors impose no constraint.  A member whose squared norm leaves the
+    float range (a norm of inf, or of 0 for a nonzero member) is divided by
+    its largest modulus first; every other member keeps its bits."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(vs, axis=1)
+    rescale = ~np.isfinite(norms)
+    zero = norms == 0.0
+    rescale[zero] = vs[zero].any(axis=1)
+    if rescale.any():
+        vs = vs.copy()
+        vs[rescale] /= np.abs(vs[rescale]).max(axis=1, keepdims=True)
+        norms[rescale] = np.linalg.norm(vs[rescale], axis=1)
     keep = norms > 0.0
     return vs[keep] / norms[keep, None]
 
@@ -361,18 +371,21 @@ def cover_witness(points, radius: float, trials: int, seed: int) -> np.ndarray |
     mat = _net_matrix(points)
     n, dim = mat.shape
     rng = np.random.default_rng(seed)
-    pts_sq = (mat ** 2).sum(axis=1)
-    # standard_normal draws the same stream in any split into row blocks.  A
-    # trial's widest float64 temporary has max(n, dim) entries, the bytes of
-    # half as many complex128 ones, the unit _row_blocks counts in.
-    for trial_rows in _row_blocks(trials, -(-max(n, dim) // 2)):
-        ys = rng.standard_normal((trial_rows.stop - trial_rows.start, dim))
-        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        # ||y - p||^2 = 1 - 2 y.p + ||p||^2 for unit y
-        dist_sq = 1.0 - 2.0 * (ys @ mat.T) + pts_sq[None, :]
-        min_dist = np.sqrt(np.maximum(dist_sq.min(axis=1), 0.0))
-        hits = np.nonzero(min_dist > radius)[0]
-        for i in hits:
-            if np.linalg.norm(mat - ys[i], axis=1).min() > radius:  # re-verify directly
-                return ys[i]
+    # Points of huge magnitude overflow to distances of inf or NaN, as they
+    # would without the errstate, which only keeps the warnings quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts_sq = (mat ** 2).sum(axis=1)
+        # standard_normal draws the same stream in any split into row blocks.  A
+        # trial's widest float64 temporary has max(n, dim) entries, the bytes of
+        # half as many complex128 ones, the unit _row_blocks counts in.
+        for trial_rows in _row_blocks(trials, -(-max(n, dim) // 2)):
+            ys = rng.standard_normal((trial_rows.stop - trial_rows.start, dim))
+            ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+            # ||y - p||^2 = 1 - 2 y.p + ||p||^2 for unit y
+            dist_sq = 1.0 - 2.0 * (ys @ mat.T) + pts_sq[None, :]
+            min_dist = np.sqrt(np.maximum(dist_sq.min(axis=1), 0.0))
+            hits = np.nonzero(min_dist > radius)[0]
+            for i in hits:
+                if np.linalg.norm(mat - ys[i], axis=1).min() > radius:  # re-verify directly
+                    return ys[i]
     return None

@@ -23,9 +23,14 @@ from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
 def _frozen_unit(v, dim: int) -> np.ndarray:
     """A read-only unit copy of v; a zero v raises.  A v of norm within
     1e-12 of 1 keeps its bits, so a direction is rounded once, where it is
-    made."""
+    made.  A v whose squared norm leaves the float range (a norm of inf, or
+    of 0 for a nonzero v) is divided by its largest modulus first."""
     u = as_vector(v, dim=dim)
-    n = np.linalg.norm(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.linalg.norm(u)
+    if not np.isfinite(n) or (n == 0.0 and u.any()):
+        u = u / np.abs(u).max()
+        n = np.linalg.norm(u)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
     u = u.copy() if abs(n - 1.0) <= 1e-12 else u / n

@@ -13,4 +13,4 @@ def pytest_report_header(config):
     key = make_golden.environment_key()
     if key in make_golden.load()["sets"]:
         return f"golden set: {key}, compared with tests/data/golden.json"
-    return f"golden set: {key}, not in tests/data/golden.json; compared with a second run"
+    return f"golden set: {key}, not in tests/data/golden.json; its three runs compared"

@@ -6,8 +6,9 @@ golden.json holds the package version and, per environment key (numpy's
 version and the name and version of the BLAS it was built with), the exit
 code and stdout digest of every command in COMMANDS and the sha256 of every
 file they leave, all run in one fresh directory.  tests/test_golden.py
-reruns the set and compares.  This script is the only way the file changes:
-a change that alters output bytes reruns it and says so.
+reruns the set under one and two BLAS threads and on one CPU and compares.
+This script is the only way the file changes: a change that alters output
+bytes reruns it, and the entries it prints as changed go into CHANGES.md.
 """
 
 from __future__ import annotations
@@ -29,10 +30,22 @@ from inclined.serialize import vectors_to_obj, write_json
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
-# The demo; a parameter query; the frontier fixture of tests/test_cli.py, a
-# bound below reach that spends the whole budget (exit 1); two toy [4, 4, 2]
-# families, one verified, and their intersection; and a small cover that
-# finds a witness.
+# Two builds whose level searches descend, as no benchmark build does: level 2
+# of toy [2, 2, 2] at rho 0.7, and both branches of six members of the paper
+# stage d = 347 at rho 0.015 (tests/test_cli.py counts their evaluations).
+DESCENDING_BUILDS = [
+    ["family", "build", "--stage", "toy.json", "--branch", "101", "--basis", "random",
+     "--rho", "0.7", "--seed", "3", "--out", "toy_101.json"],
+    *(["family", "build", "--stage", "paper.json", "--branch", branch, "--basis", "members.json",
+       "--rho", "0.015", "--seed", "11", "--out", f"paper_low_{branch}.json"] for branch in "01"),
+]
+
+# The demo; a parameter query; a bound below reach that spends the whole
+# frontier budget (exit 1); two toy [4, 4, 2] families, one verified, and
+# their intersection; and a small cover that finds a witness.  Then the
+# descending builds, verified; the paper-stage members built and verified at
+# rho 0.9, where every level search ends at its first evaluation, and
+# intersected (a 5.6 MB vector); and a wide cover that finds a witness.
 COMMANDS = [
     ["demo", "--seed", "0", "--outdir", "demo"],
     ["params", "--m", "3", "--out", "params.json"],
@@ -44,6 +57,16 @@ COMMANDS = [
     ["family", "intersect", "family_000.json", "family_101.json", "--out", "intersect.json"],
     ["cover", "net.json", "--radius", "1.0", "--trials", "2000", "--seed", "3",
      "--out", "cover.json"],
+    *DESCENDING_BUILDS,
+    ["family", "verify", "toy_101.json"],
+    *(argv for branch in "01" for argv in (
+        ["family", "verify", f"paper_low_{branch}.json", "--basis", "members.json"],
+        ["family", "build", "--stage", "paper.json", "--branch", branch, "--basis", "members.json",
+         "--seed", "11", "--out", f"paper_{branch}.json"],
+        ["family", "verify", f"paper_{branch}.json", "--basis", "members.json"])),
+    ["family", "intersect", "paper_0.json", "paper_1.json", "--out", "paper_intersect.json"],
+    ["cover", "net40.json", "--radius", "1.15", "--trials", "20000", "--seed", "3",
+     "--out", "cover40.json"],
 ]
 
 
@@ -62,6 +85,32 @@ def _unit_rows(seed: int, n: int, d: int) -> dict:
     return vectors_to_obj(z / np.linalg.norm(z, axis=1, keepdims=True))
 
 
+def phase_dft_rows(seed: int, n: int, count: int) -> np.ndarray:
+    """The first ``count`` rows of the basis random_orthonormal_basis(n, seed) draws, row k
+    as d0_k d2 * F(d1 * F e_k): no n x n matrix, and no BLAS to round by thread count."""
+    d0, d1, d2 = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, n)))
+    e = np.eye(count, n, dtype=np.complex128)
+    return d0[:count, None] * d2 * np.fft.fft(d1 * np.fft.fft(e, norm="ortho"), norm="ortho")
+
+
+# COMMANDS' input files, each by the function that makes its JSON object.
+INPUTS = {
+    "vectors.json": lambda: _unit_rows(77, 1000, 128),
+    "net.json": lambda: _unit_rows(5, 300, 8),
+    "stage.json": lambda: {"regime": "toy", "levels": [
+        {"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]},
+    "toy.json": lambda: {"regime": "toy", "levels": [{"m": m, "d": 2} for m in (1, 2, 3)]},
+    "paper.json": lambda: {"regime": "paper", "levels": [{"m": 1, "d": 347}]},
+    "members.json": lambda: vectors_to_obj(phase_dft_rows(11, 347 ** 2, 6)),  # 33.7 MB
+    "net40.json": lambda: _unit_rows(5, 3000, 40),
+}
+
+
+def write_inputs(workdir: Path, names=INPUTS) -> None:
+    for name in names:
+        write_json(workdir / name, INPUTS[name]())
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -70,10 +119,7 @@ def run_set(workdir: Path) -> dict:
     """Write the inputs to the empty ``workdir``, run COMMANDS there in this
     process, and return each command's exit code and stdout digest and every
     file's digest."""
-    write_json(workdir / "vectors.json", _unit_rows(77, 1000, 128))
-    write_json(workdir / "net.json", _unit_rows(5, 300, 8))
-    write_json(workdir / "stage.json", {"regime": "toy", "levels": [
-        {"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]})
+    write_inputs(workdir)
     commands = {}
     cwd = os.getcwd()
     os.chdir(workdir)  # records hold the argv, so the paths stay relative
@@ -90,19 +136,32 @@ def run_set(workdir: Path) -> dict:
     return {"commands": commands, "files": files}
 
 
+def changed(expected: dict, digests: dict) -> list[str]:
+    """The commands and files of two run_set results whose digests differ or
+    that only one of them has, commands first."""
+    return [name for part in ("commands", "files")
+            for name in sorted(expected[part].keys() | digests[part].keys())
+            if expected[part].get(name) != digests[part].get(name)]
+
+
 def load() -> dict:
     return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"version": None, "sets": {}}
 
 
 def main() -> int:
     golden = load()
+    key = environment_key()
+    previous = golden["sets"].get(key)
     # sets recorded for another version hold that version's bytes
     sets = golden["sets"] if golden["version"] == __version__ else {}
     with tempfile.TemporaryDirectory() as tmp:
-        sets[environment_key()] = run_set(Path(tmp))
+        sets[key] = run_set(Path(tmp))
     GOLDEN.write_text(json.dumps({"version": __version__, "sets": sets}, indent=1, sort_keys=True)
                       + "\n")
-    print(f"{GOLDEN}: {environment_key()}", file=sys.stderr)
+    print(f"{GOLDEN}: {key}", file=sys.stderr)
+    if previous is not None:
+        for name in changed(previous, sets[key]):
+            print(f"changed: {name}", file=sys.stderr)
     return 0
 
 

@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import functools
 import io
 import json
 import math
@@ -9,6 +8,7 @@ import resource
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from inclined.family import BranchProjectionSpec, SuppressionFailure, predicate_
 from inclined.search import InclinationCertificate
 from inclined import serialize
 from inclined.serialize import branch_spec_from_obj, branch_spec_to_obj, vectors_to_obj, write_json
+import make_golden
 from oracles import branch_diagonals
 
 RHO_DEFAULT_BOUND = 19 / 20
@@ -108,6 +109,22 @@ def test_incline_infeasible_bound_exits_one(basis2, tmp_path):
     cert = json.loads(out_file.read_text())["certificate"]
     assert cert["status"] == "failed"
     assert cert["achieved"] >= 1 / math.sqrt(2) - 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_member_whose_squared_norm_leaves_the_float_range_constrains(scale, tmp_path):
+    # Normalized by a norm of inf or 0, the member scale * e_0 became a zero
+    # row, and a phase times e_0 was certified at 0.0.
+    vectors = np.array([[0, 1], [scale, 0]], dtype=complex)
+    _write_vectors(tmp_path / "v.json", vectors)
+    assert main(["incline", str(tmp_path / "v.json"), "--bound", "0.5", "--budget", "100",
+                 "--seed", "1"]) == 1  # a "failed" certificate
+    old = InclinationCertificate(
+        family_digest=serialize.digest_vectors(vectors), achieved=0.0, bound=0.5, seed=1,
+        candidate=np.array([0.7227690004350709 + 0.6910896989610599j, 0]), iterations_used=2,
+        status="ok")
+    with pytest.raises(ValueError, match="differs from recomputed"):
+        inclined.verify_inclination(old, vectors)
 
 
 def test_incline_malformed_input(tmp_path):
@@ -215,6 +232,57 @@ def test_family_verify_tampered_direction_exits_one(tmp_path, toy_stage_file):
     payload["levels"][1]["direction"]["entries"] = [[1.0, 0.0]] + [[0.0, 0.0]] * (len(entries) - 1)
     fam.write_text(json.dumps(payload))
     assert main(["family", "verify", str(fam)]) == 1
+
+
+def _scaled_direction(fam):
+    # the record at fam, its level-1 direction times 1e200, rewritten and returned
+    payload = json.loads(fam.read_text())
+    direction = payload["levels"][0]["direction"]
+    direction["entries"] = [[1e200 * x for x in pair] for pair in direction["entries"]]
+    write_json(fam, payload)
+    return payload
+
+
+def test_a_direction_of_huge_magnitude_is_normalized_not_zeroed(tmp_path, toy_stage_file,
+                                                                capsys):
+    # Scaled by 1e200, the level-1 direction's squared norm overflows (the record
+    # still verifies, as the next test shows).  Divided by that norm of inf, it
+    # became zero, and a record of the zero direction's diagonals verified too.
+    _, fam = _build(tmp_path, toy_stage_file, "01")
+    payload = _scaled_direction(fam)
+    spec = branch_spec_from_obj(payload)
+    zeroed = SimpleNamespace(stage=spec.stage, sigma=spec.sigma,
+                             directions=(np.zeros(4), spec.directions[1]))
+    forged = branch_diagonals(zeroed, inclined.random_orthonormal_basis(
+        spec.stage.dim, payload["basis"]["seed"]))
+    payload["certificate"].update(diagonals=forged.tolist(), max_diagonal=float(forged.max()))
+    write_json(fam, payload)
+    capsys.readouterr()
+    assert main(["family", "verify", str(fam)]) == 1
+    assert json.loads(capsys.readouterr().out)["check"] == "diagonals"
+
+
+def test_inputs_of_huge_magnitude_exit_as_in_a_plain_run_under_warnings_as_errors(
+        tmp_path, toy_stage_file):
+    # numpy's overflow warnings, which -W error turns into exceptions, stay in
+    # the arithmetic that meets them: each command exits as it does without
+    # the flags, not with a traceback and exit 1.  The record whose direction
+    # is only scaled by 1e200 verifies.
+    _write_vectors(tmp_path / "huge.json", np.array([[0, 1], [1e200, 0]]))
+    _write_vectors(tmp_path / "basis.json", 1e200 * np.eye(16 + 256))
+    _, fam = _build(tmp_path, toy_stage_file, "01")
+    _scaled_direction(fam)
+    env = dict(os.environ, PYTHONPATH=str(Path(inclined.__file__).parents[1]))
+    for argv, code in [
+            (["incline", "huge.json", "--bound", "0.5", "--budget", "100", "--seed", "1"], 1),
+            (["cover", "huge.json", "--radius", "1.0", "--trials", "10", "--seed", "1"], 0),
+            (["family", "build", "--stage", toy_stage_file, "--branch", "01", "--basis",
+              "basis.json", "--out", "f.json"], 2),
+            (["family", "verify", fam.name], 0)]:
+        done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "inclined.cli",
+                               *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert (done.returncode, "Traceback" in done.stderr) == (code, False), (argv, done.stderr)
 
 
 def _eye_family(tmp_path):
@@ -440,51 +508,6 @@ def _cli_in_subprocess(argv, cwd, blas_threads, timeout=120, preexec_fn=None, pe
     return done
 
 
-def _one_cpu():
-    # like `taskset -c 0`, on the first CPU this process may use
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-
-
-# How each run starts its commands.  On one CPU the BLAS thread count is left
-# to OpenBLAS, which follows the CPU affinity.
-_ENVIRONMENTS = {"threads1": {"blas_threads": 1}, "threads2": {"blas_threads": 2},
-                 "one_cpu": {"blas_threads": None, "preexec_fn": _one_cpu}}
-
-
-def _run_all(workdir, commands, where, code=0, peak_below=None):
-    """Run each argv of ``commands`` in a new ``workdir`` under the environment
-    ``where``; each must exit ``code`` and, given ``peak_below``, peak below
-    that many KiB.  Returns every command's stdout and every file's bytes."""
-    if where == "one_cpu" and not hasattr(os, "sched_setaffinity"):
-        pytest.skip("no os.sched_setaffinity to run on one CPU")
-    workdir.mkdir()
-    stdouts = []
-    for argv in commands:
-        done = _cli_in_subprocess(argv, workdir, peak=peak_below is not None,
-                                  **_ENVIRONMENTS[where])
-        assert done.returncode == code, (argv, done.stderr)
-        if peak_below is not None:
-            assert done.peak_kib < peak_below, (argv, done.peak_kib, peak_below)
-        stdouts.append(done.stdout)
-    return stdouts, {p.name: p.read_bytes() for p in workdir.iterdir()}
-
-
-def _inputs(tmp_path_factory, files, commands, code=0):
-    """Write ``files`` (name: JSON object) to a new directory; return it and a
-    function that runs ``commands`` there in a subdirectory named after the
-    environment, at most once per environment."""
-    root = tmp_path_factory.mktemp("inputs")
-    for name, obj in files.items():
-        write_json(root / name, obj)
-    return root, functools.cache(lambda where: _run_all(root / where, commands, where, code))
-
-
-def _unit_rows(seed, n, d):
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return vectors_to_obj(z / np.linalg.norm(z, axis=1, keepdims=True))
-
-
 def test_the_cli_starts_without_fractions_or_decimal(tmp_path):
     # They served only the capacity arithmetic, which the tests keep in
     # oracles.py; a fresh start of the CLI must not load them again.
@@ -559,134 +582,28 @@ def test_importing_the_cli_loads_no_process_machinery():
     assert done.stdout.strip() == "[]"
 
 
-def test_random_basis_family_verifies_under_another_blas_thread_count(tmp_path):
-    # The seeded basis of C^528 uses no BLAS, so one and two threads build
-    # the same bytes, and the family built on two verifies on one.
-    built = {}
-    for threads in (1, 2):
-        workdir = tmp_path / f"threads{threads}"
-        workdir.mkdir()
-        write_json(workdir / "stage.json", {"regime": "toy", "levels": [
-            {"m": 1, "d": 4}, {"m": 2, "d": 4}, {"m": 3, "d": 2}]})
-        done = _cli_in_subprocess(["family", "build", "--stage", "stage.json", "--branch", "010",
-                                   "--basis", "random", "--seed", "7", "--out", "fam.json"],
-                                  workdir, blas_threads=threads)
-        assert done.returncode == 0, done.stderr
-        built[threads] = (workdir / "fam.json").read_bytes()
-    assert built[1] == built[2]
-    verified = _cli_in_subprocess(["family", "verify", "fam.json"], tmp_path / "threads2",
-                                  blas_threads=1)
-    assert verified.returncode == 0, verified.stderr
-    assert json.loads(verified.stdout)["ok"] is True
-
-
-# Two builds whose level searches descend, as no benchmark build does: level 2
-# of toy [2, 2, 2] at rho 0.7, and both branches of six members of the paper
-# stage d = 347 at rho 0.015.
-_DESCENDING_BUILDS = [
-    ["family", "build", "--stage", "../toy.json", "--branch", "101", "--basis", "random",
-     "--rho", "0.7", "--seed", "3", "--out", "toy_101.json"],
-    *(["family", "build", "--stage", "../paper.json", "--branch", branch, "--basis", "../basis.json",
-       "--rho", "0.015", "--seed", "11", "--out", f"paper_{branch}.json"] for branch in "01"),
-]
-# Those builds verified, the paper-stage members built and verified at rho
-# 0.9, where every level search ends at its first evaluation, and intersected.
-_PAPER_CHAIN = [
-    *_DESCENDING_BUILDS,
-    ["family", "verify", "toy_101.json"],
-    *(argv for branch in "01" for argv in (
-        ["family", "verify", f"paper_{branch}.json", "--basis", "../basis.json"],
-        ["family", "build", "--stage", "../paper.json", "--branch", branch, "--basis",
-         "../basis.json", "--seed", "11", "--out", f"family_{branch}.json"],
-        ["family", "verify", f"family_{branch}.json", "--basis", "../basis.json"])),
-    ["family", "intersect", "family_0.json", "family_1.json", "--out", "intersect.json"],
-]
-
-
 @pytest.fixture(scope="module")
-def paper_stage(tmp_path_factory):
-    """Six orthonormal members of the paper stage d = 347 (33.7 MB), written once."""
-    rng = np.random.default_rng(11)
-    z = rng.standard_normal((347 ** 2, 6)) + 1j * rng.standard_normal((347 ** 2, 6))
-    return _inputs(tmp_path_factory, {
-        "toy.json": {"regime": "toy", "levels": [{"m": m, "d": 2} for m in (1, 2, 3)]},
-        "paper.json": {"regime": "paper", "levels": [{"m": 1, "d": 347}]},
-        "basis.json": vectors_to_obj(np.linalg.qr(z)[0].T)}, _PAPER_CHAIN)
+def paper_inputs(tmp_path_factory):
+    """The golden set's toy [2, 2, 2] and paper stages and six paper members (33.7 MB)."""
+    root = tmp_path_factory.mktemp("inputs")
+    make_golden.write_inputs(root, ("toy.json", "paper.json", "members.json"))
+    return root
 
 
-@pytest.fixture(scope="module")
-def frontier(tmp_path_factory):
-    # A bound below reach spends the whole budget, through tie steps, kept
-    # Gram columns and trials rejected on the largest groups, and exits 1.
-    return _inputs(tmp_path_factory, {"vectors.json": _unit_rows(77, 1000, 128)},
-                   [["incline", "../vectors.json", "--bound", "0.05", "--budget", "20000",
-                     "--seed", "3", "--out", "frontier.json"]], code=1)
-
-
-@pytest.fixture(scope="module")
-def cover_net(tmp_path_factory):
-    # 3 000 unit points in C^40 miss a trial within the budget: a witness.
-    return _inputs(tmp_path_factory, {"net.json": _unit_rows(5, 3000, 40)},
-                   [["cover", "../net.json", "--radius", "1.15", "--trials", "20000",
-                     "--seed", "3", "--out", "cover.json"]])
-
-
-@pytest.mark.parametrize("where", ["threads2", "one_cpu"])
-@pytest.mark.parametrize("inputs", ["paper_stage", "frontier", "cover_net"])
-def test_bytes_do_not_depend_on_the_blas_thread_or_cpu_count(inputs, where, request):
-    # Every stdout and file against those under one BLAS thread.  On one
-    # usable CPU the basis and vectors files are decoded, and the intersect
-    # vector (about 5.6 MB) written, in one process, not two.
-    _, run = request.getfixturevalue(inputs)
-    assert run(where) == run("threads1")
-
-
-def test_descending_searches_do_not_depend_on_the_blas_thread_count(paper_stage, monkeypatch,
-                                                                     capsys):
-    root, run = paper_stage
-    built = {argv[-1] for argv in _DESCENDING_BUILDS}
-    outputs = [{name: run(where)[1][name] for name in built} for where in ("threads1", "threads2")]
-    assert outputs[0] == outputs[1]
-    # The same builds in this process, each level search's evaluations counted.
-    evals = []
+def test_descending_builds_search_past_their_first_evaluation(paper_inputs, monkeypatch, capsys):
+    # The golden set's descending builds in this process, each level search's
+    # evaluations counted; the golden set holds their bytes.
+    results = []
     search = inclined.family.minimize_max_group_norm
-
-    def counted(*args):
-        result = search(*args)
-        evals.append(result[2])
-        return result
-
-    monkeypatch.setattr(inclined.family, "minimize_max_group_norm", counted)
-    (root / "in_process").mkdir()
-    monkeypatch.chdir(root / "in_process")
-    for argv in _DESCENDING_BUILDS:
+    monkeypatch.setattr(inclined.family, "minimize_max_group_norm",
+                        lambda *args: results.append(search(*args)) or results[-1])
+    monkeypatch.chdir(paper_inputs)
+    for argv in make_golden.DESCENDING_BUILDS:
         assert main(argv) == 0
     capsys.readouterr()
-    assert outputs[0] == {p.name: p.read_bytes() for p in Path().iterdir()}
     # toy levels 1-3, then the paper stage's one level on each branch
+    evals = [result[2] for result in results]
     assert len(evals) == 5 and min(evals[1], evals[3], evals[4]) > 1, evals
-
-
-def test_demo_is_byte_identical_under_one_and_two_blas_threads(tmp_path, capsys):
-    # The manifest records argv, so both runs use the same relative --outdir.
-    outputs = {}
-    for threads in (1, 2):
-        workdir = tmp_path / f"threads{threads}"
-        workdir.mkdir()
-        done = _cli_in_subprocess(["demo", "--seed", "0", "--outdir", "out"], workdir,
-                                  blas_threads=threads)
-        assert done.returncode == 0, done.stderr
-        outputs[threads] = {p.name: p.read_bytes() for p in (workdir / "out").iterdir()}
-    assert len(outputs[1]) == 11
-    assert outputs[1] == outputs[2]
-    # Every demo family verifies from its seeded basis record (no --basis)
-    # and prints exactly the max_diagonal it records.
-    families = sorted((tmp_path / "threads1" / "out").glob("family_*.json"))
-    assert len(families) == 8
-    for fam in families:
-        assert main(["family", "verify", str(fam)]) == 0, fam.name
-        printed = json.loads(capsys.readouterr().out)["max_diagonal"]
-        assert printed == json.loads(fam.read_text())["certificate"]["max_diagonal"], fam.name
 
 
 @pytest.mark.parametrize("argv", [
@@ -823,12 +740,12 @@ def test_an_intersect_writes_where_it_computes_and_exits_two_below(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform == "darwin", reason="macOS does not enforce RLIMIT_AS")
-def test_cover_of_the_paper_basis_runs_in_a_bounded_address_space(paper_stage):
+def test_cover_of_the_paper_basis_runs_in_a_bounded_address_space(paper_inputs):
     # cover draws one row block of trials at a time: one trial of 240 818
     # floats here, where one batch of 1 024 trials took 1.84 GiB.  Radius 1.5
     # is beyond reach, so it spends its budget and exits 3.
-    done = _cli_in_subprocess(["cover", "basis.json", "--radius", "1.5", "--trials", "1024"],
-                              paper_stage[0], blas_threads=1,
+    done = _cli_in_subprocess(["cover", "members.json", "--radius", "1.5", "--trials", "1024"],
+                              paper_inputs, blas_threads=1,
                               preexec_fn=_limit_address_space(2_000_000 * 1024))
     assert done.returncode == 3, done.stderr
 
@@ -843,13 +760,15 @@ def test_a_seeded_toy_build_and_verify_hold_about_one_basis_copy(tmp_path):
         {"m": 1, "d": 4}, {"m": 2, "d": 7}, {"m": 3, "d": 2}]})
     base = _cli_in_subprocess(["params", "--m", "1"], tmp_path, blas_threads=None, peak=True)
     assert base.returncode == 0, base.stderr
-    commands = [["family", "build", "--stage", "../stage.json", "--branch", "010", "--basis",
+    commands = [["family", "build", "--stage", "stage.json", "--branch", "010", "--basis",
                  "random", "--seed", "5", "--out", "family.json"],
                 ["family", "verify", "family.json"]]
     limit = base.peak_kib + 1.6 * 2673 ** 2 * 16 / 1024
-    runs = [_run_all(tmp_path / where, commands, where, peak_below=limit)
-            for where in ("threads1", "threads2")]
-    assert runs[0] == runs[1]
+    for threads in (1, 2):
+        for argv in commands:
+            done = _cli_in_subprocess(argv, tmp_path, blas_threads=threads, peak=True)
+            assert done.returncode == 0, (argv, done.stderr)
+            assert done.peak_kib < limit, (argv, threads, done.peak_kib, limit)
 
 
 @pytest.mark.parametrize("argv, stage", [
@@ -935,6 +854,17 @@ def test_family_intersect_projects_each_branch_once_at_the_separating_level(
     monkeypatch.setattr(inclined.family, "apply_axis", counting)
     assert main(["family", "intersect", *families]) == 0
     assert sorted(calls) == [("00", 256), ("01", 256), ("10", 256)]
+
+
+def test_family_intersect_refuses_a_utf16_family_file(tmp_path, toy_stage_file, capsys):
+    # UTF-8 only, as family verify and build read their files
+    _, fam = _build(tmp_path, toy_stage_file, "01")
+    _, other = _build(tmp_path, toy_stage_file, "10")
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(other.read_text().encode("utf-16"))
+    capsys.readouterr()
+    assert main(["family", "intersect", str(fam), str(utf16)]) == 2
+    assert "'utf-8' codec can't decode" in capsys.readouterr().err
 
 
 def test_family_intersect_duplicate_branch_exits_two(tmp_path, toy_stage_file):
@@ -1298,7 +1228,7 @@ def test_fuzzed_argv_keeps_the_exit_code_contract(argv_files, tmp_path_factory, 
 
 # --------------------------------------------------------------- demo
 
-def test_demo_writes_expected_files(tmp_path):
+def test_demo_writes_expected_files(tmp_path, capsys):
     outdir = tmp_path / "demo"
     assert main(["demo", "--seed", "5", "--outdir", str(outdir)]) == 0
     names = sorted(p.name for p in outdir.iterdir())
@@ -1313,3 +1243,12 @@ def test_demo_writes_expected_files(tmp_path):
     # the summary's digests are those of the files' bytes
     assert summary["files"] == {name: serialize.sha256_hex((outdir / name).read_bytes())
                                 for name in names if name != "demo_summary.json"}
+    capsys.readouterr()
+    # Every demo family verifies from its seeded basis record (no --basis)
+    # and prints exactly the max_diagonal it records.
+    for name in names:
+        if name.startswith("family_"):
+            assert main(["family", "verify", str(outdir / name)]) == 0, name
+            printed = json.loads(capsys.readouterr().out)["max_diagonal"]
+            recorded = json.loads((outdir / name).read_text())["certificate"]["max_diagonal"]
+            assert printed == recorded, name

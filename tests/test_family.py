@@ -1,9 +1,6 @@
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import inclined
 from inclined import (
     BranchProjectionSpec,
     BudgetExhausted,
@@ -671,49 +667,6 @@ def test_branch_intersection_reports_each_branch_residual():
     for s in specs:
         assert residuals[s.branch] == pytest.approx(
             np.linalg.norm(apply_branch_projection(s, w) - w), rel=1e-12, abs=1e-18)
-
-
-# Builds, verifies and intersects branches of a paper stage (members from
-# the file named by argv[1]) and of a toy stage with the seeded basis, and
-# prints every diagonal and residual.
-_THREAD_PROBE = """
-import sys
-import numpy as np
-import inclined as inc
-
-def report(stage, basis, branches, seed):
-    specs = []
-    for branch in branches:
-        spec, built = inc.build_branch_projection(stage, basis, branch, 0.9 ** 0.5, 10_000, seed)
-        verified = inc.verify_suppression(spec, basis, built.bound)
-        print(branch, [repr(x) for x in built.diagonals + verified.diagonals])
-        specs.append(spec)
-    print({b: repr(r) for b, r in inc.branch_intersection(specs)[1].items()})
-
-report(inc.paper_stage([347]), np.load(sys.argv[1]), ("0", "1"), 11)
-toy = inc.toy_stage([4, 4, 2])
-report(toy, inc.random_orthonormal_basis(toy.dim, 5), ("000", "011", "101"), 5)
-"""
-
-
-def test_certified_values_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # Six members of a one-level paper stage, drawn once here by a QR (which
-    # may use BLAS); a BLAS matrix-vector product over their blocks rounds
-    # some diagonals differently on one and two threads.
-    dim = MIN_D_LEVEL_1 ** 2
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.standard_normal((dim, 6)) + 1j * rng.standard_normal((dim, 6)))
-    np.save(tmp_path / "members.npy", np.ascontiguousarray(q.T))
-    printed = {}
-    for threads in (1, 2):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                   PYTHONPATH=str(Path(inclined.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE, "members.npy"], cwd=tmp_path,
-                              env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        printed[threads] = done.stdout
-    assert len(printed[1].splitlines()) == 7
-    assert printed[1] == printed[2]
 
 
 @pytest.mark.parametrize("sizes", [[2, 2, 2], [4, 4, 2]])
