@@ -45,7 +45,7 @@ from .family import (
     MIN_PAPER_ALPHABET,
 )
 from .hilbert import random_orthonormal_basis
-from .search import BudgetExhausted, cover_witness, find_inclined_vector
+from .search import VERIFY_TOL, BudgetExhausted, cover_witness, find_inclined_vector
 from .serialize import (
     _json_int,
     _json_number,
@@ -227,12 +227,12 @@ def cmd_family_verify(args, argv) -> int:
     # Every stored field must pass its check, in order (tampering with the
     # directions or with any recorded value shows up); the first miss is named.
     checks = [
-        ("bound", abs(bound - (1.0 + rho) / 2.0) <= 1e-10),
+        ("bound", abs(bound - (1.0 + rho) / 2.0) <= VERIFY_TOL),
         ("max_diagonal", max_diagonal <= bound),
         ("diagonals", recorded.size == len(cert.diagonals)
-         and np.abs(recorded - cert.diagonals).max() <= 1e-10),
+         and np.abs(recorded - cert.diagonals).max() <= VERIFY_TOL),
         ("max_diagonal", cert.max_diagonal <= bound
-         and abs(max_diagonal - cert.max_diagonal) <= 1e-10),
+         and abs(max_diagonal - cert.max_diagonal) <= VERIFY_TOL),
         ("regime", stored["regime"] == spec.stage.regime),
     ]
     failed = [name for name, passed in checks if not passed]

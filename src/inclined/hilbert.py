@@ -16,6 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
+# A vector whose norm is within this of 1 counts as a unit vector.
+UNIT_TOL = 1e-12
+
 # Largest (n, n) complex128 basis random_orthonormal_basis will draw: 1 GiB,
 # n <= 8192.  The draw holds one such matrix plus one row block of scratch.
 RANDOM_BASIS_CAP_BYTES = 2 ** 30

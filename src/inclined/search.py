@@ -16,12 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import _row_blocks, as_family, as_vector
+from .hilbert import UNIT_TOL, _row_blocks, as_family, as_vector
 from .serialize import digest_vectors
 
 # A certificate must clear its bound by this margin, so that independent
 # re-verification in double precision cannot flip the verdict.
 CERT_MARGIN = 1e-9
+
+# A recorded value must agree with its recomputation within this.
+VERIFY_TOL = 1e-10
 
 # Step sizes tried per descent step; 1.0 annihilates the active constraint.
 _STEP_SCHEDULE = (1.0, 0.5, 0.25, 0.125, 0.0625)
@@ -72,7 +75,7 @@ class InclinationCertificate:
         # pass conditions, which a NaN fails
         if self.status == "ok" and not self.achieved <= self.bound:
             raise ValueError(f"achieved {self.achieved} exceeds bound {self.bound}")
-        if not abs(np.linalg.norm(self.candidate) - 1.0) <= 1e-12:
+        if not abs(np.linalg.norm(self.candidate) - 1.0) <= UNIT_TOL:
             raise ValueError("certificate candidate is not a unit vector")
 
 
@@ -331,8 +334,8 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
 
     Recomputes the family digest and the achieved value from scratch;
     raises ValueError on a "failed" certificate, on digest mismatch, on
-    disagreement with the stored achieved beyond 1e-10, or if the bound is
-    violated.
+    disagreement with the stored achieved beyond ``VERIFY_TOL``, or if the
+    bound is violated.
     """
     if cert.status != "ok":
         raise ValueError(f"a {cert.status!r} certificate certifies nothing")
@@ -341,7 +344,7 @@ def verify_inclination(cert: InclinationCertificate, vectors) -> float:
     if digest != cert.family_digest:
         raise ValueError("family digest mismatch: certificate does not belong to these vectors")
     achieved = recompute_achieved(cert.candidate, vs)
-    if not abs(achieved - cert.achieved) <= 1e-10:
+    if not abs(achieved - cert.achieved) <= VERIFY_TOL:
         raise ValueError(f"stored achieved {cert.achieved} differs from recomputed {achieved}")
     if not achieved <= cert.bound:
         raise ValueError(f"recomputed achieved {achieved} exceeds bound {cert.bound}")

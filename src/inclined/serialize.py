@@ -42,9 +42,7 @@ def _vector_default(o: Any) -> dict:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def sha256_hex(data: bytes | str) -> str:
-    if isinstance(data, str):
-        data = data.encode("utf-8")
+def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 

@@ -16,15 +16,15 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import as_vector
+from .hilbert import UNIT_TOL, as_vector
 from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
 
 
 def _frozen_unit(v, dim: int) -> np.ndarray:
     """A read-only unit copy of v; a zero v raises.  A v of norm within
-    1e-12 of 1 keeps its bits, so a direction is rounded once, where it is
-    made.  A v whose squared norm leaves the float range (a norm of inf, or
-    of 0 for a nonzero v) is divided by its largest modulus first."""
+    ``UNIT_TOL`` of 1 keeps its bits, so a direction is rounded once, where
+    it is made.  A v whose squared norm leaves the float range (a norm of
+    inf, or of 0 for a nonzero v) is divided by its largest modulus first."""
     u = as_vector(v, dim=dim)
     with np.errstate(over="ignore", invalid="ignore"):
         n = np.linalg.norm(u)
@@ -33,7 +33,7 @@ def _frozen_unit(v, dim: int) -> np.ndarray:
         n = np.linalg.norm(u)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    u = u.copy() if abs(n - 1.0) <= 1e-12 else u / n
+    u = u.copy() if abs(n - 1.0) <= UNIT_TOL else u / n
     u.flags.writeable = False
     return u
 

@@ -127,12 +127,6 @@ def test_a_member_whose_squared_norm_leaves_the_float_range_constrains(scale, tm
         inclined.verify_inclination(old, vectors)
 
 
-def test_incline_malformed_input(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert main(["incline", str(bad), "--bound", "0.9"]) == 2
-
-
 _NUMBER_VECTORS = [{"dim": 2, "entries": [[0.6, 0], [1, 0]]},
                    {"dim": 2, "entries": [[0, 1], [0.5, 0.5]]}]
 
@@ -234,11 +228,11 @@ def test_family_verify_tampered_direction_exits_one(tmp_path, toy_stage_file):
     assert main(["family", "verify", str(fam)]) == 1
 
 
-def _scaled_direction(fam):
-    # the record at fam, its level-1 direction times 1e200, rewritten and returned
+def _scaled_direction(fam, scale):
+    # the record at fam, its level-1 direction times scale, rewritten and returned
     payload = json.loads(fam.read_text())
     direction = payload["levels"][0]["direction"]
-    direction["entries"] = [[1e200 * x for x in pair] for pair in direction["entries"]]
+    direction["entries"] = [[scale * x for x in pair] for pair in direction["entries"]]
     write_json(fam, payload)
     return payload
 
@@ -249,7 +243,7 @@ def test_a_direction_of_huge_magnitude_is_normalized_not_zeroed(tmp_path, toy_st
     # still verifies, as the next test shows).  Divided by that norm of inf, it
     # became zero, and a record of the zero direction's diagonals verified too.
     _, fam = _build(tmp_path, toy_stage_file, "01")
-    payload = _scaled_direction(fam)
+    payload = _scaled_direction(fam, 1e200)
     spec = branch_spec_from_obj(payload)
     zeroed = SimpleNamespace(stage=spec.stage, sigma=spec.sigma,
                              directions=(np.zeros(4), spec.directions[1]))
@@ -262,23 +256,28 @@ def test_a_direction_of_huge_magnitude_is_normalized_not_zeroed(tmp_path, toy_st
     assert json.loads(capsys.readouterr().out)["check"] == "diagonals"
 
 
-def test_inputs_of_huge_magnitude_exit_as_in_a_plain_run_under_warnings_as_errors(
+def test_inputs_of_extreme_magnitude_exit_as_in_a_plain_run_under_warnings_as_errors(
         tmp_path, toy_stage_file):
     # numpy's overflow warnings, which -W error turns into exceptions, stay in
     # the arithmetic that meets them: each command exits as it does without
-    # the flags, not with a traceback and exit 1.  The record whose direction
-    # is only scaled by 1e200 verifies.
+    # the flags, not with a traceback and exit 1.  The records whose direction
+    # is only scaled, by 1e200 (its squared norm overflows) or by 1e-200 (it
+    # underflows), verify.
     _write_vectors(tmp_path / "huge.json", np.array([[0, 1], [1e200, 0]]))
     _write_vectors(tmp_path / "basis.json", 1e200 * np.eye(16 + 256))
     _, fam = _build(tmp_path, toy_stage_file, "01")
-    _scaled_direction(fam)
+    tiny = tmp_path / "tiny.json"
+    tiny.write_bytes(fam.read_bytes())
+    _scaled_direction(fam, 1e200)
+    _scaled_direction(tiny, 1e-200)
     env = dict(os.environ, PYTHONPATH=str(Path(inclined.__file__).parents[1]))
     for argv, code in [
             (["incline", "huge.json", "--bound", "0.5", "--budget", "100", "--seed", "1"], 1),
             (["cover", "huge.json", "--radius", "1.0", "--trials", "10", "--seed", "1"], 0),
             (["family", "build", "--stage", toy_stage_file, "--branch", "01", "--basis",
               "basis.json", "--out", "f.json"], 2),
-            (["family", "verify", fam.name], 0)]:
+            (["family", "verify", fam.name], 0),
+            (["family", "verify", tiny.name], 0)]:
         done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "inclined.cli",
                                *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=60)
@@ -802,15 +801,6 @@ def test_family_build_budget_exhausted_exits_three(tmp_path, capsys):
     assert "level 1" in capsys.readouterr().err
 
 
-def test_family_build_stage_basis_mismatch_exits_two(tmp_path, toy_stage_file):
-    basis_file = tmp_path / "wrong.json"
-    _write_vectors(basis_file, list(np.eye(8, dtype=complex)))
-    fam = tmp_path / "fam.json"
-    rc = main(["family", "build", "--stage", toy_stage_file, "--branch", "01",
-               "--basis", str(basis_file), "--seed", "1", "--out", str(fam)])
-    assert rc == 2
-
-
 def test_family_intersect(tmp_path, toy_stage_file, capsys, monkeypatch):
     _, fam_a = _build(tmp_path, toy_stage_file, "01")
     _, fam_b = _build(tmp_path, toy_stage_file, "10")
@@ -867,11 +857,6 @@ def test_family_intersect_refuses_a_utf16_family_file(tmp_path, toy_stage_file, 
     assert "'utf-8' codec can't decode" in capsys.readouterr().err
 
 
-def test_family_intersect_duplicate_branch_exits_two(tmp_path, toy_stage_file):
-    _, fam = _build(tmp_path, toy_stage_file, "01")
-    assert main(["family", "intersect", str(fam), str(fam)]) == 2
-
-
 # --------------------------------------------------------- input errors
 
 def _ragged_family():
@@ -920,6 +905,7 @@ _FAMILY_EDITS = {
 
 
 @pytest.mark.parametrize("family, argv", [
+    (None, ["incline", "{notjson}", "--bound", "0.9"]),
     (None, ["incline", "{v}", "--bound", "0.9", "--budget", "0"]),
     (None, ["cover", "{v}", "--radius", "0.5", "--trials", "0"]),
     (_ragged_family(), ["incline", "{v}", "--bound", "0.9"]),
@@ -940,6 +926,9 @@ _FAMILY_EDITS = {
             "--out", "{missing}/f.json"]),
     (None, ["family", "build", "--stage", "{paper}", "--branch", "0", "--basis", "random",
             "--out", "{out}/f.json"]),
+    # a basis of C^2 for the toy stage of dimension 272
+    (None, ["family", "build", "--stage", "{stage}", "--branch", "01", "--basis", "{v}",
+            "--out", "{out}/f.json"]),
     (None, ["family", "verify", "{bigfam}"]),
     (None, ["family", "verify", "{v040_random}"]),
     (None, ["family", "verify", "{seed_null}"]),
@@ -959,10 +948,12 @@ _FAMILY_EDITS = {
     (None, ["family", "verify", "{cert_diagonal_infinity}"]),
     # a seeded family takes no basis file
     (None, ["family", "verify", "{fam}", "--basis", "{v}"]),
-], ids=["budget-0", "trials-0", "incline-ragged", "cover-ragged", "scalar-entry",
-        "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
+    (None, ["family", "intersect", "{fam}", "{fam}"]),
+], ids=["incline-malformed-json", "budget-0", "trials-0", "incline-ragged", "cover-ragged",
+        "scalar-entry", "string-entry", "bool-entry", "null-entry", "int-2**64-entry",
         "radius-nan", "radius-0", "params-m-0", "incline-seed-negative", "cover-seed-negative",
         "incline-out-missing-dir", "build-out-missing-dir", "build-random-basis-too-large",
+        "build-stage-basis-mismatch",
         "verify-random-basis-too-large", "verify-0.4.0-random-basis", "verify-basis-seed-null",
         "verify-certificate-string", "verify-stage-d-string", "verify-stage-m-float",
         "verify-direction-dim-float", "verify-bound-too-large-for-float",
@@ -970,7 +961,7 @@ _FAMILY_EDITS = {
         "verify-certificate-regime-null", "verify-certificate-diagonals-string",
         "verify-certificate-diagonal-true", "verify-certificate-max-diagonal-nan",
         "verify-certificate-diagonal-nan", "verify-certificate-diagonal-infinity",
-        "verify-seeded-family-with-basis-file"])
+        "verify-seeded-family-with-basis-file", "intersect-duplicate-branch"])
 def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage_file, tmp_path,
                                                  capsys):
     path = basis2
@@ -991,8 +982,10 @@ def test_bad_input_exits_two_with_one_error_line(family, argv, basis2, toy_stage
             families[name].write_text(json.dumps(payload))  # json.dumps writes NaN
     paper = tmp_path / "paper.json"
     write_json(paper, {"regime": "paper", "levels": [{"m": 1, "d": 347}]})
-    rc = main([arg.format(v=path, stage=toy_stage_file, paper=paper, out=tmp_path,
-                          missing=tmp_path / "missing", **families)
+    notjson = tmp_path / "notjson.json"
+    notjson.write_text("{not json")
+    rc = main([arg.format(v=path, stage=toy_stage_file, paper=paper, notjson=notjson,
+                          out=tmp_path, missing=tmp_path / "missing", **families)
                for arg in argv])
     assert rc == 2
     err = capsys.readouterr().err

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -35,44 +34,19 @@ from oracles import (
 RHO = 0.9
 C = math.sqrt(RHO)
 
-# frozen regression values, confirmed by the exact-arithmetic oracle below
+# frozen regression values; criterion 10 (tests/test_acceptance.py) confirms
+# MIN_D_LEVEL_1 against its exact-arithmetic oracle
 MIN_D_LEVEL_1 = 347
 MIN_D_LEVEL_2 = 837
 
 
-def _oracle_predicate(m: int, d: int) -> bool:
-    # independent route: compare as exact rationals instead of integers
-    lhs = 32 * Fraction(m) ** 2 * Fraction(d) ** (3 * 2 ** m - 1)
-    return lhs < Fraction(100, 91) ** d
-
-
-def _oracle_scan(m: int) -> int:
-    d = 128
-    while not _oracle_predicate(m, d):
-        d += 1
-    return d
-
-
 # ----------------------------------------------------- growth predicate
-
-def test_predicate_fails_at_128_and_holds_at_1000():
-    assert not stage_predicate(1, 128)
-    assert stage_predicate(1, 1000)
-    assert not _oracle_predicate(1, 128)
-    assert _oracle_predicate(1, 1000)
-
 
 def test_min_level_dimension_frozen_values():
     assert min_level_dimension(1) == MIN_D_LEVEL_1
     assert min_level_dimension(2) == MIN_D_LEVEL_2
     assert [min_level_dimension(m) for m in range(1, MAX_LEVEL + 1)] == [
         347, 837, 1902, 4228, 9273, 20147, 43448, 93134]
-
-
-def test_min_level_dimension_matches_exact_oracle():
-    assert _oracle_scan(1) == MIN_D_LEVEL_1
-    assert not stage_predicate(1, MIN_D_LEVEL_1 - 1)
-    assert stage_predicate(1, MIN_D_LEVEL_1)
 
 
 def _linear_scan(m: int) -> int:

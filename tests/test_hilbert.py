@@ -109,27 +109,6 @@ def test_bad_arguments_are_refused_with_their_message(call, message):
         call()
 
 
-def test_random_basis_single_vector():
-    (v,) = random_orthonormal_basis(1, 3)
-    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
-
-
-def test_random_basis_pair_gram_identity():
-    mat = np.stack(random_orthonormal_basis(2, 11))
-    np.testing.assert_allclose(mat @ mat.conj().T, np.eye(2), atol=1e-10)
-
-
-def test_random_basis_64_reproducible_with_small_gram_residual():
-    basis = random_orthonormal_basis(64, 123)
-    again = random_orthonormal_basis(64, 123)
-    for u, v in zip(basis, again):
-        np.testing.assert_array_equal(u, v)
-    mat = np.stack(basis)
-    # oracle: direct Gram-matrix computation
-    residual = np.abs(mat @ mat.conj().T - np.eye(64)).max()
-    assert residual < 1e-10
-
-
 def test_random_basis_above_the_cap_is_refused_before_drawing(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("drew a random matrix")

@@ -173,11 +173,6 @@ def test_capacity_floats_are_lower_bounds():
         assert Fraction(report.inclined_capacity) <= report.inclined_capacity_exact
 
 
-def test_companion_net_threshold_value():
-    # (99/100)^128, evaluated exactly then rounded once
-    assert float(Fraction(99, 100) ** 128) == pytest.approx(0.276251668, abs=1e-9)
-
-
 # ------------------------------------------------- find_inclined_vector
 
 def test_single_constraint_search():

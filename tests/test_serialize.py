@@ -677,11 +677,6 @@ def test_a_failed_writing_child_gives_the_one_part_write(tmp_path, monkeypatch):
         write_json(tmp_path / "w.json", payload)
     assert len(forks) == 1
     _assert_no_child_left()
-    payload["vector"][-1] = 1.0
-    monkeypatch.setattr(serialize, "_in_two", lambda size, parent, child, dir=None: None)
-    with _split_floor(0):
-        write_json(tmp_path / "w.json", payload)
-    assert (tmp_path / "w.json").read_text() == canonical_json(payload) + "\n"
 
 
 def test_write_json_replaces_a_links_target_and_refuses_what_is_no_file(tmp_path):

@@ -141,16 +141,6 @@ def test_joint_fixed_vector_expansion():
     np.testing.assert_allclose(v, expected, atol=1e-15)
 
 
-def test_joint_fixed_vector_random_directions():
-    sp = TensorIndexSpace(("a", "b"), 4)
-    rng = np.random.default_rng(9)
-    dirs = {a: _random_direction(rng, 4) for a in sp.axes}
-    v = joint_fixed_vector(sp, dirs)
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
-    for a in sp.axes:
-        assert np.linalg.norm(apply_axis(sp, a, dirs[a], v) - v) <= 1e-10
-
-
 def test_joint_fixed_vector_missing_axis():
     sp = TensorIndexSpace(("a", "b"), 2)
     with pytest.raises(ValueError, match="missing"):
@@ -171,17 +161,6 @@ def test_dense_two_axes_diagonal():
     sp = TensorIndexSpace(("a", "b"), 2)
     dense = dense_materialize(sp, {"a": np.array([1, 0], dtype=complex)})
     np.testing.assert_allclose(dense, np.diag([1, 1, 0, 0]).astype(complex))
-
-
-def test_dense_agrees_with_structural_application():
-    rng = np.random.default_rng(11)
-    sp = TensorIndexSpace(("a", "b"), 4)
-    for _ in range(10):
-        axis = sp.axes[int(rng.integers(2))]
-        v = _random_direction(rng, 4)
-        x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        np.testing.assert_allclose(dense_materialize(sp, {axis: v}) @ x, apply_axis(sp, axis, v, x),
-                                   atol=1e-10)
 
 
 def test_dense_product_agrees_and_is_projection():
