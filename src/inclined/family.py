@@ -45,11 +45,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family
+from .hilbert import RANDOM_BASIS_CAP_BYTES, _row_blocks, as_family, frozen_unit
 from .search import CERT_MARGIN, BudgetExhausted, minimize_max_group_norm
 from .serialize import derive_seed
 from .tensor_index import TensorIndexSpace, blocks_matrix
-from .tensor_projection import _frozen_unit, apply_axis, joint_fixed_vector
+from .tensor_projection import apply_axis, joint_fixed_vector
 
 MIN_PAPER_ALPHABET = 2 ** 7
 
@@ -283,7 +283,7 @@ class BranchProjectionSpec:
         frozen = []
         for lv, v in zip(self.stage.levels, self.directions):
             try:
-                frozen.append(_frozen_unit(v, lv.d))
+                frozen.append(frozen_unit(v, lv.d))
             except ValueError as exc:
                 raise ValueError(f"direction at level {lv.m}: {exc}") from None
         object.__setattr__(self, "directions", tuple(frozen))

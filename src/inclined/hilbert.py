@@ -65,6 +65,33 @@ def as_family(x, dim: int | None = None) -> np.ndarray:
     return mat
 
 
+def pow2_scaled(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row of x (its last axis), in complex128, times the power of two 2^-e that
+    takes its largest real or imaginary part into [1/2, 1): exact, so the scaled row over
+    its norm has the row's bits over its own unless a part is below 2^-510 or the squared
+    norm overflows.  Returns the scaled rows, their norms (np.linalg.norm's, in [1/2,
+    sqrt(2d)) if nonzero) and whether norm * 2^e, tested for e <= 1, is 1 within UNIT_TOL."""
+    f = np.ascontiguousarray(x, dtype=np.complex128).view(np.float64)
+    e = np.frexp(np.maximum.reduce(np.abs(f), axis=-1, keepdims=True))[1]
+    scaled = np.ldexp(f, -e).view(np.complex128)
+    norms = np.linalg.norm(scaled, axis=-1 if scaled.ndim > 1 else None)
+    e = e[..., 0]
+    return scaled, norms, (e <= 1) & (abs(np.ldexp(norms, np.minimum(e, 1)) - 1.0) <= UNIT_TOL)
+
+
+def frozen_unit(v, dim: int) -> np.ndarray:
+    """A read-only unit copy of v (as_vector, of length dim); a zero v raises.  A v
+    that pow2_scaled finds of unit norm keeps its bits, so a direction is rounded once,
+    where it is made; any other becomes its scaled copy over the scaled norm."""
+    u = as_vector(v, dim=dim)
+    scaled, n, unit = pow2_scaled(u)
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    u = u.copy() if unit else scaled / n
+    u.flags.writeable = False
+    return u
+
+
 def random_orthonormal_basis(n: int, seed: int) -> np.ndarray:
     """Seeded orthonormal basis of C^n: the rows of D_0 F D_1 F D_2.
 

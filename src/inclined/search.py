@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import UNIT_TOL, _row_blocks, as_family, as_vector
+from .hilbert import _row_blocks, as_family, as_vector, pow2_scaled
 from .serialize import digest_vectors
 
 # A certificate must clear its bound by this margin, so that independent
@@ -75,7 +75,7 @@ class InclinationCertificate:
         # pass conditions, which a NaN fails
         if self.status == "ok" and not self.achieved <= self.bound:
             raise ValueError(f"achieved {self.achieved} exceeds bound {self.bound}")
-        if not abs(np.linalg.norm(self.candidate) - 1.0) <= UNIT_TOL:
+        if not pow2_scaled(self.candidate)[2]:
             raise ValueError("certificate candidate is not a unit vector")
 
 
@@ -279,21 +279,11 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _unit_rows(vs: np.ndarray) -> np.ndarray:
-    """The nonzero members of an as_family array, each scaled to unit norm; zero
-    vectors impose no constraint.  A member whose squared norm leaves the
-    float range (a norm of inf, or of 0 for a nonzero member) is divided by
-    its largest modulus first; every other member keeps its bits."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(vs, axis=1)
-    rescale = ~np.isfinite(norms)
-    zero = norms == 0.0
-    rescale[zero] = vs[zero].any(axis=1)
-    if rescale.any():
-        vs = vs.copy()
-        vs[rescale] /= np.abs(vs[rescale]).max(axis=1, keepdims=True)
-        norms[rescale] = np.linalg.norm(vs[rescale], axis=1)
+    """The nonzero members of an as_family array, each pow2_scaled and
+    divided by its scaled norm; zero vectors impose no constraint."""
+    scaled, norms, _ = pow2_scaled(vs)
     keep = norms > 0.0
-    return vs[keep] / norms[keep, None]
+    return scaled[keep] / norms[keep, None]
 
 
 def _worst_inner(rows: np.ndarray, candidate: np.ndarray) -> float:

@@ -16,31 +16,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import UNIT_TOL, as_vector
+from .hilbert import frozen_unit
 from .tensor_index import TensorIndexSpace, block_view, blocks_matrix
-
-
-def _frozen_unit(v, dim: int) -> np.ndarray:
-    """A read-only unit copy of v; a zero v raises.  A v of norm within
-    ``UNIT_TOL`` of 1 keeps its bits, so a direction is rounded once, where
-    it is made.  A v whose squared norm leaves the float range (a norm of
-    inf, or of 0 for a nonzero v) is divided by its largest modulus first."""
-    u = as_vector(v, dim=dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        n = np.linalg.norm(u)
-    if not np.isfinite(n) or (n == 0.0 and u.any()):
-        u = u / np.abs(u).max()
-        n = np.linalg.norm(u)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    u = u.copy() if abs(n - 1.0) <= UNIT_TOL else u / n
-    u.flags.writeable = False
-    return u
 
 
 def apply_axis(space: TensorIndexSpace, axis: str, direction, x) -> np.ndarray:
     """Apply R_direction to every block x(s) along ``axis``; an unknown axis raises."""
-    v = _frozen_unit(direction, space.alphabet_size)
+    v = frozen_unit(direction, space.alphabet_size)
     # inner(x(s), v) per block, on blocks_matrix (sums over the strided view
     # can round differently) by einsum (BLAS rounds by thread count).
     coeff = np.einsum("...j,j->...", blocks_matrix(space, x, axis), v.conj())
@@ -65,5 +47,5 @@ def joint_fixed_vector(space: TensorIndexSpace, directions: Mapping[str, np.ndar
         raise ValueError(f"missing directions for axes {missing}")
     out = np.ones(1, dtype=np.complex128)
     for a in space.axes:
-        out = np.multiply.outer(out, _frozen_unit(directions[a], space.alphabet_size)).reshape(-1)
+        out = np.multiply.outer(out, frozen_unit(directions[a], space.alphabet_size)).reshape(-1)
     return out

@@ -111,14 +111,19 @@ def test_incline_infeasible_bound_exits_one(basis2, tmp_path):
     assert cert["achieved"] >= 1 / math.sqrt(2) - 1e-9
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-320, 1.7e308 + 1.7e308j])
 def test_a_member_whose_squared_norm_leaves_the_float_range_constrains(scale, tmp_path):
     # Normalized by a norm of inf or 0, the member scale * e_0 became a zero
-    # row, and a phase times e_0 was certified at 0.0.
+    # row, and a phase times e_0 was certified at 0.0.  So did it when divided
+    # by a largest modulus that is subnormal (1e-320, whose reciprocal is inf)
+    # or itself inf (|1.7e308 + 1.7e308j|).
     vectors = np.array([[0, 1], [scale, 0]], dtype=complex)
     _write_vectors(tmp_path / "v.json", vectors)
     assert main(["incline", str(tmp_path / "v.json"), "--bound", "0.5", "--budget", "100",
-                 "--seed", "1"]) == 1  # a "failed" certificate
+                 "--seed", "1", "--out", str(tmp_path / "cert.json")]) == 1
+    # a "failed" certificate: no unit vector is below 1/sqrt(2) against both e_0 and e_1
+    achieved = json.loads((tmp_path / "cert.json").read_text())["certificate"]["achieved"]
+    assert achieved >= 1 / math.sqrt(2) - 1e-9
     old = InclinationCertificate(
         family_digest=serialize.digest_vectors(vectors), achieved=0.0, bound=0.5, seed=1,
         candidate=np.array([0.7227690004350709 + 0.6910896989610599j, 0]), iterations_used=2,
@@ -262,22 +267,30 @@ def test_inputs_of_extreme_magnitude_exit_as_in_a_plain_run_under_warnings_as_er
     # the arithmetic that meets them: each command exits as it does without
     # the flags, not with a traceback and exit 1.  The records whose direction
     # is only scaled, by 1e200 (its squared norm overflows) or by 1e-200 (it
-    # underflows), verify.
+    # underflows), verify.  A subnormal member constrains and a subnormal
+    # direction is normalized, instead of a divide by it that overflows.
     _write_vectors(tmp_path / "huge.json", np.array([[0, 1], [1e200, 0]]))
+    _write_vectors(tmp_path / "subnormal.json", np.array([[5e-324, 0], [0, 1]]))
     _write_vectors(tmp_path / "basis.json", 1e200 * np.eye(16 + 256))
     _, fam = _build(tmp_path, toy_stage_file, "01")
-    tiny = tmp_path / "tiny.json"
+    _, other = _build(tmp_path, toy_stage_file, "10")
+    tiny, subnormal = tmp_path / "tiny.json", tmp_path / "subnormal_direction.json"
     tiny.write_bytes(fam.read_bytes())
+    payload = json.loads(fam.read_text())
+    payload["levels"][0]["direction"]["entries"] = [[5e-324, 0.0]] + [[0.0, 0.0]] * 3
+    write_json(subnormal, payload)
     _scaled_direction(fam, 1e200)
     _scaled_direction(tiny, 1e-200)
     env = dict(os.environ, PYTHONPATH=str(Path(inclined.__file__).parents[1]))
     for argv, code in [
             (["incline", "huge.json", "--bound", "0.5", "--budget", "100", "--seed", "1"], 1),
+            (["incline", "subnormal.json", "--bound", "0.5", "--budget", "100", "--seed", "1"], 1),
             (["cover", "huge.json", "--radius", "1.0", "--trials", "10", "--seed", "1"], 0),
             (["family", "build", "--stage", toy_stage_file, "--branch", "01", "--basis",
               "basis.json", "--out", "f.json"], 2),
             (["family", "verify", fam.name], 0),
-            (["family", "verify", tiny.name], 0)]:
+            (["family", "verify", tiny.name], 0),
+            (["family", "intersect", subnormal.name, other.name], 0)]:
         done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "inclined.cli",
                                *argv], cwd=tmp_path, env=env, capture_output=True, text=True,
                               timeout=60)
@@ -396,9 +409,13 @@ def test_family_verify_prints_the_maximum_build_printed(tmp_path, capsys):
 #   `inclined demo --seed 14 --outdir out`, whose out/family_101.json it is;
 # - family_v0150.json by 0.15.0 (commit 4481a70), the last version to write
 #   levels[].m and basis.n: `inclined demo --seed 15 --outdir out`, whose
-#   out/family_101.json it is.
+#   out/family_101.json it is;
+# - family_v0160.json by 0.16.0 (commit 45fb98a), the first version to write
+#   neither: `inclined demo --seed 16 --outdir out`, whose out/family_101.json
+#   it is.
 @pytest.mark.parametrize("name", ["family_v060", "family_v0100", "family_v0110", "family_v0120",
-                                  "family_v0130", "family_v0140", "family_v0150"])
+                                  "family_v0130", "family_v0140", "family_v0150",
+                                  "family_v0160"])
 def test_family_written_by_an_earlier_version_reproduces_its_diagonals(name, capsys):
     fam = Path(__file__).parent / "data" / f"{name}.json"
     obj = json.loads(fam.read_text())

@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from inclined import hilbert, random_orthonormal_basis
-from inclined.hilbert import RANDOM_BASIS_CAP_BYTES
+from inclined import InclinationCertificate, hilbert, random_orthonormal_basis
+from inclined.hilbert import RANDOM_BASIS_CAP_BYTES, UNIT_TOL, frozen_unit
+from inclined.search import _unit_rows
 from oracles import inner, norm, random_unit_vector, rank_one_apply
 
 E2 = np.eye(2, dtype=complex)
@@ -168,3 +172,42 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
     assert list(hilbert._row_blocks(7, 10)) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     assert list(hilbert._row_blocks(0, 10)) == []
     assert list(hilbert._row_blocks(2, 10 ** 9)) == [slice(0, 1), slice(1, 2)]  # at least one row
+
+
+def _unit_forms(x):
+    # the row x as _unit_rows makes it a search row and frozen_unit a direction
+    return _unit_rows(x[None])[0], frozen_unit(x, x.size)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_unit_scaling_is_exact_and_total(data):
+    # Any finite part, subnormal or near the float maximum, may occur.
+    d = data.draw(st.integers(1, 4))
+    parts = np.array(data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                        min_size=2 * d, max_size=2 * d)))
+    assume(parts.any())
+    x = parts.view(np.complex128)
+    forms = _unit_forms(x)
+    for u in forms:
+        assert np.all(np.isfinite(u)) and abs(np.linalg.norm(u) - 1.0) <= UNIT_TOL
+    # x * 2^k finite and without subnormal parts, each part f * 2^E times 2^k
+    # within [2^-1022, 2^1024): then both forms keep their bits.
+    exps = np.frexp(np.abs(parts[parts != 0]))[1]
+    lo, hi = int(-1021 - exps.min()), int(1024 - exps.max())
+    assume(lo <= hi)
+    y = np.ldexp(parts, data.draw(st.integers(lo, hi))).view(np.complex128)
+    shifted = _unit_forms(y)
+    assert shifted[0].tobytes() == forms[0].tobytes()
+    # a row already of unit norm keeps its own bits, which a shift of it does not
+    if not hilbert.pow2_scaled(x)[2] and not hilbert.pow2_scaled(y)[2]:
+        assert shifted[1].tobytes() == forms[1].tobytes()
+    # The unit direction passes as a certificate candidate, and times 2^600,
+    # whose squared norm overflows, is refused without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = dict(family_digest="x", achieved=0.1, bound=0.9, seed=0, iterations_used=1)
+        InclinationCertificate(candidate=forms[1], **cert)
+        with pytest.raises(ValueError, match="not a unit vector"):
+            InclinationCertificate(
+                candidate=np.ldexp(forms[1].view(np.float64), 600).view(np.complex128), **cert)

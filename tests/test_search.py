@@ -273,9 +273,14 @@ def test_a_nan_achieved_or_bound_fails_verification():
 # - incline_v0140 by 0.14.0 (commit 257ae79), the last version to write `d`:
 #   `inclined incline incline_v0140_vectors.json --bound 0.45 --seed 14
 #   --out incline_v0140.json`, on rows made as for incline_v0100 with
-#   rng = np.random.default_rng(140).
+#   rng = np.random.default_rng(140);
+# - incline_v0160 by 0.16.0 (commit 45fb98a), the first version to write no
+#   `d`: `inclined incline incline_v0160_vectors.json --bound 0.45 --seed 16
+#   --out incline_v0160.json`, on rows made as for incline_v0100 with
+#   rng = np.random.default_rng(160).
 @pytest.mark.parametrize("name", ["incline_v090", "incline_v0100", "incline_v0110",
-                                  "incline_v0120", "incline_v0130", "incline_v0140"])
+                                  "incline_v0120", "incline_v0130", "incline_v0140",
+                                  "incline_v0160"])
 def test_incline_certificate_written_by_an_earlier_version_verifies(name):
     data = Path(__file__).parent / "data"
     cert = inclination_from_obj(read_json(data / f"{name}.json")["certificate"])
